@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_path)
 
     p = sub.add_parser("track", help="track a drifting optimum", epilog=_EPILOG)
-    _add_common(p)
+    _add_common(p, estimators="none")
     p.add_argument("--forgetting", type=float, default=DEFAULT_FORGETTING, metavar="L",
                    help=f"forgetting factor in (0, 1] (default {DEFAULT_FORGETTING})")
     p.add_argument("--format", choices=("csv",), default="csv")
@@ -154,6 +154,8 @@ def _write_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        os.umask(umask := os.umask(0))
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes 0600; give open()'s mode
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

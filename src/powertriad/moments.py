@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .errors import EmptySummary, NonFiniteSample
+from .errors import EmptySummary, NonFiniteSample, PowerTriadError
 from .textio import fmt_float
 
 CSV_HEADER = "x,v"
@@ -173,7 +173,8 @@ def finalize(summary: MomentSummary) -> MomentStats:
     mse = ev2 - 2.0 * exv + ex2
     coupling = ev2 - exv
     # mse is a squared quantity; anything below rounding noise signals corruption
-    assert mse >= -1e-12 * max(ex2, ev2), "mse fell below rounding tolerance"
+    if not mse >= -1e-12 * max(ex2, ev2):
+        raise PowerTriadError("mse fell below rounding tolerance")
     return MomentStats(n=n, ex2=ex2, ev2=ev2, exv=exv, mean_e=mean_e, mse=mse, coupling=coupling)
 
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .diagnostics import BALANCE_TOL, RegimeLabel, classify_powers
 from .errors import DegenerateWindow, ZeroCandidatePower
@@ -41,6 +40,10 @@ COLLINEAR_TOL = 1e-9
 CONTROLLER_KINDS = ("gradient", "momentum", "projected")
 TRACE_CSV_HEADER = "k,t,mse,regime"
 TRACK_CSV_HEADER = "k,t_true,t_tracked,tracking_error,regime"
+_REGIME_BY_CODE = np.array(
+    [RegimeLabel.POWER_CONSERVATIVE, RegimeLabel.POWER_BALANCE, RegimeLabel.POWER_DOMINANT],
+    dtype=object,
+)
 
 
 @dataclass(frozen=True)
@@ -249,6 +252,24 @@ def run_path(
     )
 
 
+def _ewma(u: np.ndarray, lam: float) -> np.ndarray:
+    """Overwrite each row of u with its EWMA m_i = λ·m_(i-1) + (1-λ)·u_i, m_(-1) = 0.
+
+    Per block of b steps m_i = (1-λ)·λ^i·cumsum(u_r·λ^-r) + carry·λ^(i+1); b keeps
+    λ^-r below e^41 (about 2^59) and the block temporaries at most 2^14 columns wide.
+    """
+    b = min(max(1, int(41.0 / -math.log(lam))), 1 << 14, u.shape[1])
+    r = np.arange(b)
+    grow, shrink, decay = lam ** -r, (1.0 - lam) * lam ** r, lam ** (r + 1)
+    carry = 0.0
+    for start in range(0, u.shape[1], b):
+        block = u[:, start:start + b]
+        k = block.shape[1]
+        block[...] = np.cumsum(block * grow[:k], axis=1) * shrink[:k] + carry * decay[:k]
+        carry = block[:, -1:]
+    return u
+
+
 def track_moving_optimum(
     stream: BatchLike,
     forgetting: float,
@@ -281,11 +302,7 @@ def track_moving_optimum(
         m_zz = np.cumsum(u_zz) / counts
         m_xx = np.cumsum(x * x) / counts
     else:
-        b = np.array([1.0 - forgetting])
-        a = np.array([1.0, -forgetting])
-        m_xz = lfilter(b, a, u_xz)
-        m_zz = lfilter(b, a, u_zz)
-        m_xx = lfilter(b, a, x * x)
+        m_xz, m_zz, m_xx = _ewma(np.stack((u_xz, u_zz, x * x)), forgetting)
     dead = m_zz <= 0.0
     if bool(dead.any()):
         raise DegenerateWindow(int(np.argmax(dead)))
@@ -308,12 +325,7 @@ def track_moving_optimum(
         gap = power - m_xx
         band = balance_tol * m_xx
     codes = np.where(gap > band, 1, np.where(np.abs(gap) <= band, 0, -1))
-    by_code = {
-        1: RegimeLabel.POWER_DOMINANT,
-        0: RegimeLabel.POWER_BALANCE,
-        -1: RegimeLabel.POWER_CONSERVATIVE,
-    }
-    regimes = tuple(by_code[int(c)] for c in codes)
+    regimes = tuple(_REGIME_BY_CODE[codes + 1].tolist())
     return TrackTrace(
         forgetting=forgetting,
         t_true=t_true,

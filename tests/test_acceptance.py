@@ -4,14 +4,12 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines
 interleaved with pytest's own output.
 """
 
-import os
 import subprocess
 import sys
 import time
 
 import numpy as np
 
-import powertriad
 from powertriad import (
     EstimatorSpec,
     ProblemSpec,
@@ -244,16 +242,7 @@ def test_c7_map_suite():
     _verdict(7, "map-suite", ok)
 
 
-# The directory that holds the `powertriad` this process imported. A relative
-# PYTHONPATH entry (`PYTHONPATH=src`) names nothing from the child's cwd, so the
-# child is given this absolute path ahead of whatever PYTHONPATH already holds.
-_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(powertriad.__file__)))
-
-
-def _run_cli(argv, cwd):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [_PACKAGE_ROOT] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+def _run_cli(argv, cwd, env):
     return subprocess.run([sys.executable, "-m", "powertriad", *argv],
                           capture_output=True, cwd=cwd, env=env)
 
@@ -266,7 +255,7 @@ def _cli_fault(fault, argv, *results):
     return f"{fault}: powertriad {' '.join(argv)} (exit {codes}; stderr: {head or '<empty>'})"
 
 
-def test_c8_cli_determinism(tmp_path):
+def test_c8_cli_determinism(tmp_path, child_env):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("x,v\n1,2\n-1,0\n")
     controller = tmp_path / "controller.cfg"
@@ -282,8 +271,8 @@ def test_c8_cli_determinism(tmp_path):
     ]
     faults = []
     for argv, expected in commands:
-        first = _run_cli(argv, tmp_path)
-        second = _run_cli(argv, tmp_path)
+        first = _run_cli(argv, tmp_path, child_env)
+        second = _run_cli(argv, tmp_path, child_env)
         if not first.returncode == expected == second.returncode:
             faults.append(_cli_fault(f"exit code not {expected}", argv, first, second))
         if first.stdout != second.stdout:
@@ -299,7 +288,7 @@ def test_c8_cli_determinism(tmp_path):
         out.mkdir()
         argv = ["map", "--problem", "gaussian_shrinkage", "--samples", "400",
                 "--out", str(out / "zone")]
-        result = _run_cli(argv, tmp_path)
+        result = _run_cli(argv, tmp_path, child_env)
         maps.append((argv, result))
         if result.returncode != 0:
             faults.append(_cli_fault("exit code not 0", argv, result))

@@ -2,6 +2,9 @@
 
 import json
 import os
+import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -129,6 +132,19 @@ def test_track_csv_input_has_no_truth_column_values(tmp_path, capsys):
     assert lines[1].split(",")[1] == "nan"
 
 
+def test_track_rejects_estimator_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["track", "--problem", "gaussian_shrinkage", "--estimator", "zero"])
+    assert exc.value.code == 2
+
+
+def test_track_rejects_estimator_config_key(tmp_path, capsys):
+    cfg = _write(tmp_path / "run.cfg", "estimator = zero\n")
+    assert main(["track", "--problem", "gaussian_shrinkage", "--samples", "10",
+                 "--config", cfg]) == 1
+    assert "unknown config key 'estimator'" in capsys.readouterr().err
+
+
 def test_map_emits_six_files(tmp_path):
     base = str(tmp_path / "zone")
     assert main(["map", "--problem", "gaussian_shrinkage", "--samples", "400",
@@ -244,3 +260,27 @@ def test_no_temp_files_left_behind(tmp_path):
                  "--out", base]) == 0
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".powertriad-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_out_file_mode_follows_umask(tmp_path, umask, mode):
+    path = tmp_path / "kinds.txt"
+    previous = os.umask(umask)
+    try:
+        assert main(["zoo", "list", "--out", str(path)]) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+
+
+def test_import_loads_no_scipy(child_env):
+    """numpy is the only runtime dependency; importing the package and CLI loads no scipy."""
+    code = ("import powertriad, powertriad.cli, sys; "
+            "print(powertriad.__file__); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=child_env)
+    assert result.returncode == 0, result.stderr
+    package_file, scipy_modules = result.stdout.splitlines()
+    assert os.path.samefile(package_file, sys.modules["powertriad"].__file__)
+    assert scipy_modules == "[]"

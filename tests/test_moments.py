@@ -1,6 +1,8 @@
 """Accumulate/merge/finalize behavior of the moment summaries."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from powertriad import (
     MomentSummary,
     NonFiniteSample,
     PairedSample,
+    PowerTriadError,
     SampleBatch,
     accumulate,
     finalize,
@@ -62,6 +65,22 @@ def test_non_finite_sample_reports_first_index():
 def test_finalize_rejects_empty_summary():
     with pytest.raises(EmptySummary):
         finalize(MomentSummary())
+
+
+def test_finalize_rejects_negative_mse():
+    # sum_xv = 2 with unit powers gives mse = 1 - 4 + 1 = -2
+    with pytest.raises(PowerTriadError, match="rounding tolerance"):
+        finalize(MomentSummary(n=1, sum_xx=1.0, sum_vv=1.0, sum_xv=2.0))
+
+
+def test_finalize_rejects_negative_mse_under_optimize_flag(child_env):
+    code = ("from powertriad import MomentSummary, finalize; "
+            "print(finalize(MomentSummary(n=1, sum_xx=1.0, sum_vv=1.0, sum_xv=2.0)))")
+    result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                            env=child_env)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "PowerTriadError: mse fell below rounding tolerance" in result.stderr
 
 
 def test_single_pair_stats():

@@ -25,6 +25,7 @@ from powertriad import (
 from powertriad.scaling import (
     TRACE_CSV_HEADER,
     TRACK_CSV_HEADER,
+    _ewma,
     load_controller_config,
     parse_controller_config,
     trace_to_csv,
@@ -318,6 +319,53 @@ def test_tracking_rejects_dead_candidate_window():
     with pytest.raises(DegenerateWindow) as err:
         track_moving_optimum(SampleBatch(x, z), 0.9)
     assert err.value.index == 0
+
+
+def _recurrence(u, lam):
+    """Pure-Python m = λ·m + (1-λ)·u from m = 0, one float at a time."""
+    m, out = 0.0, []
+    for value in u.tolist():
+        m = lam * m + (1.0 - lam) * value
+        out.append(m)
+    return np.array(out)
+
+
+# Each stream spans several EWMA blocks of min(41/-ln λ, 2^14) steps, and ends
+# mid-block wherever a block is longer than one step.
+@pytest.mark.parametrize("lam, n", [
+    (1e-300, 40), (0.5, 400), (0.9, 2000), (0.99, 20000), (0.999999, 50000),
+])
+def test_tracking_matches_pure_python_recurrence(lam, n):
+    rng = np.random.default_rng(2024)
+    x = rng.normal(0.0, 1.0, n)
+    z = x + rng.normal(0.0, 0.5, n)
+    u = np.stack((x * z, z * z, x * x))
+    ref = np.stack([_recurrence(row, lam) for row in u])
+    ref_abs = np.stack([_recurrence(row, lam) for row in np.abs(u)])
+    assert np.all(np.abs(_ewma(u.copy(), lam) - ref) <= 1e-12 * ref_abs)
+
+    trace = track_moving_optimum(SampleBatch(x, z), lam)
+    t_ref = ref[0] / ref[1]
+    # first-order propagation of the moment bound through t = m_xz / m_zz
+    bound = 1e-12 * (ref_abs[0] + np.abs(t_ref) * ref[1]) / ref[1]
+    assert np.all(np.abs(trace.t_tracked - t_ref) <= bound)
+    # step 0 is x0·z0/z0² on the first forgotten moments, bit for bit
+    assert trace.t_tracked[0] == ((1.0 - lam) * (x[0] * z[0])) / ((1.0 - lam) * (z[0] * z[0]))
+    # a candidate that starts at zero leaves the window dead from step 0
+    with pytest.raises(DegenerateWindow) as err:
+        track_moving_optimum(SampleBatch(x, np.where(np.arange(n) < 25, 0.0, z)), lam)
+    assert err.value.index == 0
+
+
+@pytest.mark.parametrize("lam", [1e-300, 0.5])
+def test_dead_window_index_after_underflow_matches_recurrence(lam):
+    # a live window that then sees only zeros underflows to exactly 0 where the recurrence does
+    z = np.zeros(2000)
+    z[0] = 1.0
+    first_dead = int(np.argmax(_recurrence(z * z, lam) <= 0.0))
+    with pytest.raises(DegenerateWindow) as err:
+        track_moving_optimum(SampleBatch(np.ones(2000), z), lam)
+    assert err.value.index == first_dead > 0
 
 
 def test_tracking_validates_forgetting():
