@@ -30,7 +30,7 @@ import numpy as np
 from .diagnostics import BALANCE_TOL, RegimeLabel, classify_powers
 from .errors import DegenerateWindow, ZeroCandidatePower
 from .moments import BatchLike, MomentStats, _as_arrays
-from .textio import fmt_float, parse_kv
+from .textio import fmt_float, fmt_rows, parse_kv
 
 # Consistency slack for empirical moments: exz² may exceed ex2·ez2 only by rounding.
 MOMENT_CONSISTENCY_TOL = 1e-12
@@ -374,10 +374,8 @@ def trace_to_csv(trace: ScalingTrace) -> str:
 
 def track_to_csv(trace: TrackTrace) -> str:
     """Serialize a tracking run as ``k,t_true,t_tracked,tracking_error,regime`` rows."""
-    lines = [TRACK_CSV_HEADER]
-    lines.extend(
-        f"{k},{fmt_float(trace.t_true[k])},{fmt_float(trace.t_tracked[k])},"
-        f"{fmt_float(trace.tracking_error[k])},{trace.regimes[k].value}"
-        for k in range(len(trace))
-    )
-    return "\n".join(lines) + "\n"
+    # regime text via _value_: the Enum ``.value`` property costs about 5x as much per row
+    return TRACK_CSV_HEADER + "\n" + fmt_rows(
+        "%d,%.17g,%.17g,%.17g,%s\n", len(trace),
+        lambda s: (range(len(trace))[s], trace.t_true[s].tolist(), trace.t_tracked[s].tolist(),
+                   trace.tracking_error[s].tolist(), [r._value_ for r in trace.regimes[s]]))

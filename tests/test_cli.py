@@ -284,3 +284,14 @@ def test_import_loads_no_scipy(child_env):
     package_file, scipy_modules = result.stdout.splitlines()
     assert os.path.samefile(package_file, sys.modules["powertriad"].__file__)
     assert scipy_modules == "[]"
+
+
+@pytest.mark.parametrize("body", ["", "\n\n \n"], ids=["header-only", "blank-lines"])
+def test_diagnose_on_csv_without_rows_prints_only_the_error(tmp_path, child_env, body):
+    src = _write(tmp_path / "pairs.csv", "x,v\n" + body)
+    result = subprocess.run([sys.executable, "-m", "powertriad", "diagnose", "--input", src],
+                            capture_output=True, text=True, env=child_env)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: cannot finalize ")
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")

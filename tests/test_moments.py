@@ -23,6 +23,7 @@ from powertriad import (
     stats_of,
     write_csv,
 )
+from powertriad.moments import to_csv_text
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 pair_lists = st.lists(st.tuples(finite, finite), min_size=1, max_size=100)
@@ -211,3 +212,125 @@ def test_csv_row_shape_error_reports_line_number(tmp_path):
     path.write_text("x,v\n1,2,3\n")
     with pytest.raises(ValueError, match="line 2"):
         read_csv(path)
+
+
+# --- CSV parse: the loadtxt fast path against the line loop -----------------
+
+def _reference_read_csv(path) -> SampleBatch:
+    """The line-by-line reader read_csv must agree with, byte for byte."""
+    xs: list[float] = []
+    vs: list[float] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline()
+        if header.strip() != "x,v":
+            raise ValueError(f"{path}: line 1: expected header {'x,v'!r}")
+        for lineno, raw in enumerate(fh, start=2):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ValueError(f"{path}: line {lineno}: expected two comma-separated values")
+            try:
+                xs.append(float(parts[0]))
+                vs.append(float(parts[1]))
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: could not parse {line!r}") from None
+    return SampleBatch(xs, vs)
+
+
+def _outcome(read, path):
+    try:
+        batch = read(path)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("batch", batch.x.view(np.int64).tolist(), batch.v.view(np.int64).tolist())
+
+
+_SPACES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2009",
+           "\u2028", "\u3000"]
+_TOKENS = list("0123456789+-eE.,#") + ["nan", "inf", "Infinity", "1_0", "\u0661", "\uff15"] + _SPACES
+_soup = st.lists(st.sampled_from(_TOKENS), max_size=6).map("".join)
+_pad = st.lists(st.sampled_from(_SPACES), max_size=2).map("".join)
+_float = st.one_of(
+    st.floats().map(lambda f: format(f, ".17g")),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "Infinity", "+1e5", "1e999", "-0"]),
+)
+_number = st.one_of(_float, st.sampled_from(["1_0", "\u0661", "-\uff15.5", "0x10"]))
+_padded = st.one_of(_float, st.tuples(_pad, _number, _pad).map("".join))
+_row = st.tuples(_padded, _padded).map(",".join)
+_newline = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+# rows loadtxt may take, with a blank line now and then
+_rows = st.lists(st.tuples(st.one_of(_row, _row, _row, st.just("")), _newline), min_size=1, max_size=8)
+_line = st.one_of(
+    _row,
+    st.tuples(_padded, st.one_of(_padded, _soup), st.one_of(_padded, _soup)).map(",".join),
+    st.sampled_from(["", " ", "\t", "\x0c", "# c", "1,2 # c", ",", "1,2,"]),
+    _soup,
+)
+_lines = st.lists(st.tuples(_line, _newline), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=st.one_of(_rows, _lines))
+def test_read_csv_matches_line_loop(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("csv") / "pairs.csv"
+    text = "x,v\n" + "".join(line + end for line, end in body)
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(read_csv, path) == _outcome(_reference_read_csv, path)
+
+
+def test_csv_separator_control_in_field_fails_on_its_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("x,v\n1,2\n3\x1c,4\n")
+    with pytest.raises(ValueError, match=r"line 3: could not parse '3\\x1c,4'"):
+        read_csv(path)
+
+
+def test_csv_underscore_digits_parse_like_float(tmp_path):
+    path = tmp_path / "pairs.csv"
+    path.write_text("x,v\n1_0,2\n")
+    back = read_csv(path)
+    assert back.x.tolist() == [10.0] and back.v.tolist() == [2.0]
+
+
+def test_csv_hash_line_is_a_column_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("x,v\n1,2\n# c\n")
+    with pytest.raises(ValueError, match="line 3: expected two comma-separated values"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("body", ["", "\n\n \n"], ids=["header-only", "blank-lines"])
+def test_csv_without_rows_is_empty_and_silent(tmp_path, body, recwarn):
+    path = tmp_path / "pairs.csv"
+    path.write_text("x,v\n" + body)
+    back = read_csv(path)
+    assert len(back) == 0 and back.x.dtype == np.float64
+    assert len(recwarn) == 0
+
+
+# --- CSV emit: row blocks against per-row rendering ---------------------------
+
+def _reference_to_csv_text(batch: SampleBatch) -> str:
+    lines = ["x,v"]
+    lines.extend(f"{format(float(x), '.17g')},{format(float(v), '.17g')}" for x, v in zip(batch.x, batch.v))
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -1e300, 0.1, 1 / 3])
+
+
+@pytest.mark.parametrize("n", [0, 1, 65535, 65536, 65537, 131073])
+def test_to_csv_text_matches_per_row_rendering(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    v = rng.standard_normal(n)
+    x[: min(n, _SPECIAL.size)] = _SPECIAL[:n]
+    v[-min(n, _SPECIAL.size):] = _SPECIAL[: min(n, _SPECIAL.size)]
+    batch = SampleBatch(x, v)
+    text = to_csv_text(batch)
+    assert text == _reference_to_csv_text(batch)
+    if n == 0:
+        assert text == "x,v\n"

@@ -1,5 +1,6 @@
 """Optimal scale, certificates, controller paths and optimum tracking."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -383,3 +384,37 @@ def test_track_csv_layout():
     assert lines[0] == TRACK_CSV_HEADER
     assert len(lines) == 11
     assert lines[1].split(",")[0] == "0"
+
+
+def _reference_track_to_csv(trace) -> str:
+    lines = [TRACK_CSV_HEADER]
+    lines.extend(
+        f"{k},{format(float(trace.t_true[k]), '.17g')},{format(float(trace.t_tracked[k]), '.17g')},"
+        f"{format(float(trace.tracking_error[k]), '.17g')},{trace.regimes[k].value}"
+        for k in range(len(trace))
+    )
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -1e300, 0.1, 1 / 3])
+
+
+@pytest.mark.parametrize("with_reference", [False, True], ids=["no-reference", "reference"])
+@pytest.mark.parametrize("n", [1, 65535, 65536, 65537, 131073])
+def test_track_to_csv_matches_per_row_rendering(n, with_reference):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    z = x + rng.standard_normal(n)
+    reference = np.tile([1.0, 2.0, 1.0], (n, 1)) if with_reference else None
+    trace = track_moving_optimum(SampleBatch(x, z), 0.99, reference=reference)
+    # special values at both ends of every filled column, and every regime label
+    k = min(n, _SPECIAL.size)
+    columns = {}
+    for name in ("t_true", "t_tracked", "tracking_error") if with_reference else ("t_tracked",):
+        column = getattr(trace, name).copy()
+        column[:k] = _SPECIAL[:k]
+        column[-k:] = _SPECIAL[:k][::-1]
+        columns[name] = column
+    labels = tuple(RegimeLabel)
+    trace = dataclasses.replace(trace, regimes=tuple(labels[i % 3] for i in range(n)), **columns)
+    assert track_to_csv(trace) == _reference_track_to_csv(trace)
