@@ -1,9 +1,15 @@
 """Streaming second-moment accumulation for paired (signal, candidate) draws.
 
-Every diagnostic in this toolkit is a function of six running sums over
-aligned pairs (x_i, v_i): n, Σx², Σv², Σx·v, Σx, Σv.  Summaries are plain
-immutable values, so parallel reduction is just a merge of independently
-built summaries; there is no interior mutability to synchronize.
+Every diagnostic in this toolkit is a function of eight running sums over
+aligned pairs (x_i, v_i) with errors e_i = v_i - x_i: n, Σx², Σv², Σx·v,
+Σx, Σv, Σe², Σv·e.  Summaries are plain immutable values, so parallel
+reduction is just a merge of independently built summaries; there is no
+interior mutability to synchronize.
+
+mse is read off Σe² and coupling off Σv·e rather than off differences of
+the power sums (Σv² - 2Σx·v + Σx² and Σv² - Σx·v), which cancel every digit
+when v tracks a high-power x closely; the direct sums keep their relative
+precision at any signal power, and Σe² is non-negative.
 
 Normalization is population style (divide by n).  That choice makes the
 derived statistics satisfy exact algebraic identities on the empirical
@@ -11,8 +17,7 @@ moments, in particular
 
     coupling = ev2 - exv = mse/2 + (ev2 - ex2)/2
 
-holds to rounding error, not approximately, because mse, coupling and the
-power gap are all read off the same six sums.
+holds to rounding error of the raw power sums, not approximately.
 """
 
 from __future__ import annotations
@@ -27,6 +32,10 @@ from .errors import EmptySummary, NonFiniteSample, PowerTriadError
 from .textio import fmt_rows
 
 CSV_HEADER = "x,v"
+
+# elements per block when the error sums are formed through a reused buffer,
+# so that a large batch gets no full-length temporary for its errors
+_ERR_BLOCK = 1 << 16
 
 
 class PairedSample(NamedTuple):
@@ -83,6 +92,8 @@ class MomentSummary:
     sum_xv: float = 0.0
     sum_x: float = 0.0
     sum_v: float = 0.0
+    sum_ee: float = 0.0
+    sum_ve: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -112,12 +123,26 @@ def _as_arrays(batch: BatchLike) -> tuple[np.ndarray, np.ndarray]:
     return arr[:, 0], arr[:, 1]
 
 
+def _error_sums(xs: np.ndarray, vs: np.ndarray) -> tuple[float, float]:
+    """Σe² and Σv·e with e = v - x, one bounded block at a time."""
+    buf = np.empty(min(xs.size, _ERR_BLOCK))
+    see = sve = 0.0
+    for lo in range(0, xs.size, _ERR_BLOCK):
+        hi = min(lo + _ERR_BLOCK, xs.size)
+        e = np.subtract(vs[lo:hi], xs[lo:hi], out=buf[: hi - lo])
+        see += float(np.dot(e, e))
+        sve += float(np.dot(vs[lo:hi], e))
+    return see, sve
+
+
 def accumulate(summary: MomentSummary, batch: BatchLike, *, compensated: bool = False) -> MomentSummary:
     """Return ``summary`` advanced by a batch of samples.
 
     The input summary is never modified.  ``compensated=True`` switches the
-    batch-local reduction to exact summation (worth it past ~1e7 samples of
-    mixed magnitude); merges between summaries stay plain either way.
+    batch-local reduction of the five power sums to exact summation (worth it
+    past ~1e7 samples of mixed magnitude); the error sums Σe² and Σv·e, which
+    do not cancel the way the power sums do, and merges between summaries
+    stay plain either way.
     Raises NonFiniteSample naming the first offending pair.
     """
     xs, vs = _as_arrays(batch)
@@ -139,6 +164,7 @@ def accumulate(summary: MomentSummary, batch: BatchLike, *, compensated: bool = 
         sxv = float(np.dot(xs, vs))
         sx = float(np.sum(xs))
         sv = float(np.sum(vs))
+    see, sve = _error_sums(xs, vs)
     return MomentSummary(
         n=summary.n + int(xs.size),
         sum_xx=summary.sum_xx + sxx,
@@ -146,6 +172,8 @@ def accumulate(summary: MomentSummary, batch: BatchLike, *, compensated: bool = 
         sum_xv=summary.sum_xv + sxv,
         sum_x=summary.sum_x + sx,
         sum_v=summary.sum_v + sv,
+        sum_ee=summary.sum_ee + see,
+        sum_ve=summary.sum_ve + sve,
     )
 
 
@@ -158,6 +186,8 @@ def merge(a: MomentSummary, b: MomentSummary) -> MomentSummary:
         sum_xv=a.sum_xv + b.sum_xv,
         sum_x=a.sum_x + b.sum_x,
         sum_v=a.sum_v + b.sum_v,
+        sum_ee=a.sum_ee + b.sum_ee,
+        sum_ve=a.sum_ve + b.sum_ve,
     )
 
 
@@ -170,10 +200,11 @@ def finalize(summary: MomentSummary) -> MomentStats:
     ev2 = summary.sum_vv / n
     exv = summary.sum_xv / n
     mean_e = (summary.sum_v - summary.sum_x) / n
-    mse = ev2 - 2.0 * exv + ex2
-    coupling = ev2 - exv
-    # mse is a squared quantity; anything below rounding noise signals corruption
-    if not mse >= -1e-12 * max(ex2, ev2):
+    mse = summary.sum_ee / n
+    coupling = summary.sum_ve / n
+    # the raw sums give the same squared quantity with cancellation; below
+    # rounding noise they cannot come from real pairs, so the summary is corrupt
+    if not (mse >= 0.0 and ev2 - 2.0 * exv + ex2 >= -1e-12 * max(ex2, ev2)):
         raise PowerTriadError("mse fell below rounding tolerance")
     return MomentStats(n=n, ex2=ex2, ev2=ev2, exv=exv, mean_e=mean_e, mse=mse, coupling=coupling)
 

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powertriad import (
@@ -34,9 +34,10 @@ def _close(a: float, b: float, rel: float, floor: float = 1.0) -> bool:
 
 
 def test_hand_checked_sums():
-    # (1,2), (-1,0): squares 1+1 and 4+0, cross products 2+0
+    # (1,2), (-1,0): squares 1+1 and 4+0, cross products 2+0, errors 1 and 1
     summary = accumulate(MomentSummary(), [(1.0, 2.0), (-1.0, 0.0)])
-    assert summary == MomentSummary(n=2, sum_xx=2.0, sum_vv=4.0, sum_xv=2.0, sum_x=0.0, sum_v=2.0)
+    assert summary == MomentSummary(n=2, sum_xx=2.0, sum_vv=4.0, sum_xv=2.0, sum_x=0.0, sum_v=2.0,
+                                    sum_ee=2.0, sum_ve=2.0)
 
 
 def test_hand_checked_stats():
@@ -101,6 +102,8 @@ def test_coupling_decomposition_identity(rows):
 
 
 @given(pair_lists, pair_lists)
+@example([(0.0, 0.0)], [(0.0, 0.0), (0.0, 1e-05), (194.0, 196.5246845964881)])
+@example([(0.0, 0.0)], [(0.0, 0.0), (0.0, 1e-05), (196.5, 196.5246845964881)])
 @settings(deadline=None)
 def test_merge_matches_concatenation(a, b):
     merged = finalize(merge(accumulate(MomentSummary(), a), accumulate(MomentSummary(), b)))
@@ -119,10 +122,26 @@ def test_merge_is_associative_and_commutative(a, b, c):
     left = merge(merge(sa, sb), sc)
     right = merge(sa, merge(sb, sc))
     swapped = merge(merge(sb, sa), sc)
-    for field in ("sum_xx", "sum_vv", "sum_xv", "sum_x", "sum_v"):
+    for field in ("sum_xx", "sum_vv", "sum_xv", "sum_x", "sum_v", "sum_ee", "sum_ve"):
         assert _close(getattr(left, field), getattr(right, field), 1e-12)
         assert _close(getattr(left, field), getattr(swapped, field), 1e-12)
     assert left.n == right.n == swapped.n
+
+
+@given(st.integers(0, 6), st.integers(-9, -1), st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=30)
+def test_mse_keeps_precision_at_high_power(offset_exp, err_exp, seed):
+    """An accurate estimate of a high-power signal keeps the digits of its mse and coupling."""
+    rng = np.random.default_rng(seed)
+    x = 10.0**offset_exp + rng.normal(0.0, 1.0, 2000)
+    v = x + 10.0**err_exp * rng.normal(0.0, 1.0, 2000)
+    reference = math.fsum((v - x) ** 2) / x.size
+    coupling = math.fsum(v * (v - x)) / x.size
+    for compensated in (False, True):
+        stats = stats_of(SampleBatch(x, v), compensated=compensated)
+        assert stats.mse >= 0.0
+        assert abs(stats.mse - reference) <= 1e-8 * reference
+        assert abs(stats.coupling - coupling) <= 1e-8 * abs(coupling)
 
 
 def test_shuffle_invariance():
@@ -150,7 +169,7 @@ def test_parallel_split_reduction_matches_serial():
     for part in parts[1:]:
         combined = merge(combined, part)
     assert combined.n == serial.n
-    for field in ("sum_xx", "sum_vv", "sum_xv", "sum_x", "sum_v"):
+    for field in ("sum_xx", "sum_vv", "sum_xv", "sum_x", "sum_v", "sum_ee", "sum_ve"):
         assert _close(getattr(combined, field), getattr(serial, field), 1e-12)
 
 
