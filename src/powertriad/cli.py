@@ -186,37 +186,37 @@ def _single_estimator(args: argparse.Namespace) -> Optional[zoo.EstimatorSpec]:
     return zoo.parse_estimator_spec(specs[0])
 
 
-def _verify_amplifier_on_batch(est: zoo.EstimatorSpec, batch: moments.SampleBatch) -> None:
-    scaled = est.c * est.c * float(np.dot(batch.v, batch.v))
-    if not scaled > float(np.dot(batch.x, batch.x)):
-        raise ValueError(f"amplifier(c={est.c:g}) is not power dominant on this input")
+def _estimate(est: zoo.EstimatorSpec, batch: moments.SampleBatch) -> moments.SampleBatch:
+    """Apply the estimator to the raw batch, refusing an amplifier that is not dominant on it."""
+    if est.kind == "amplifier":
+        zoo.verify_amplifier(est, batch)
+    return zoo.apply_estimator(est, batch)
 
 
-def _resolve_batch(args: argparse.Namespace) -> moments.SampleBatch:
-    """Load --input or generate --problem, then apply the estimator if any."""
+def _resolve(
+    args: argparse.Namespace, *, estimate: bool = True
+) -> tuple[moments.SampleBatch, Optional[zoo.ProblemSpec]]:
+    """Read --input or generate --problem; the spec is None for file input.
+
+    With ``estimate`` the command's single --estimator, if any, is applied.
+    Errors keep one order: the --input/--problem conflict, then the
+    estimator spec, then the input.
+    """
     if args.input and args.problem:
         raise ValueError("give either --input or --problem, not both")
-    est = _single_estimator(args)
+    est = _single_estimator(args) if estimate else None
     if args.input:
-        batch = moments.read_csv(args.input)
-        if est is not None:
-            if est.kind == "amplifier":
-                _verify_amplifier_on_batch(est, batch)
-            batch = zoo.apply_estimator(est, batch)
-        return batch
-    if not args.problem:
+        batch, problem = moments.read_csv(args.input), None
+    elif args.problem:
+        problem = _problem_of(args)
+        batch = zoo.generate(problem, args.samples)
+    else:
         raise ValueError("need --input or --problem")
-    problem = _problem_of(args)
-    batch = zoo.generate(problem, args.samples)
-    if est is not None:
-        if est.kind == "amplifier":
-            zoo.verify_amplifier(est, problem)
-        batch = zoo.apply_estimator(est, batch)
-    return batch
+    return (batch if est is None else _estimate(est, batch)), problem
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    stats = moments.stats_of(_resolve_batch(args))
+    stats = moments.stats_of(_resolve(args)[0])
     report = diagnostics.triad_report(stats, balance_tol=args.balance_tol,
                                       tol=args.degeneracy_tol)
     _emit(diagnostics.report_to_json(report) + "\n", args.out)
@@ -226,7 +226,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
-    stats = moments.stats_of(_resolve_batch(args))
+    stats = moments.stats_of(_resolve(args)[0])
     certificate = scaling.certify_optimum(scaling.ScalingProblem.from_stats(stats))
     doc = {
         "t_star": certificate.t_star,
@@ -253,7 +253,7 @@ def _trace_summary(trace: scaling.ScalingTrace) -> dict:
 
 
 def cmd_path(args: argparse.Namespace) -> int:
-    stats = moments.stats_of(_resolve_batch(args))
+    stats = moments.stats_of(_resolve(args)[0])
     problem = scaling.ScalingProblem.from_stats(stats)
     controller = (scaling.load_controller_config(args.controller)
                   if args.controller else scaling.ControllerConfig())
@@ -270,17 +270,10 @@ def cmd_path(args: argparse.Namespace) -> int:
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    if args.input and args.problem:
-        raise ValueError("give either --input or --problem, not both")
-    if args.input:
-        batch = moments.read_csv(args.input)
-        reference = None
-    elif args.problem:
-        problem = _problem_of(args)
-        batch = zoo.generate(problem, args.samples)
+    batch, problem = _resolve(args)
+    reference = None
+    if problem is not None:
         reference = zoo.population_moments(problem, np.arange(args.samples))
-    else:
-        raise ValueError("need --input or --problem")
     trace = scaling.track_moving_optimum(batch, args.forgetting, reference=reference,
                                          balance_tol=args.balance_tol)
     _emit(scaling.track_to_csv(trace), args.out)
@@ -292,15 +285,11 @@ def cmd_map(args: argparse.Namespace) -> int:
         raise ValueError("map works on generated problems; give --problem")
     if not args.problem:
         raise ValueError("need --problem")
-    problem = _problem_of(args)
-    batch = zoo.generate(problem, args.samples)
-    estimator_texts = args.estimator or list(DEFAULT_MAP_ESTIMATORS)
+    batch, _ = _resolve(args, estimate=False)
     points = []
-    for text in estimator_texts:
+    for text in args.estimator or DEFAULT_MAP_ESTIMATORS:
         est = zoo.parse_estimator_spec(text)
-        if est.kind == "amplifier":
-            zoo.verify_amplifier(est, problem)
-        stats = moments.stats_of(zoo.apply_estimator(est, batch))
+        stats = moments.stats_of(_estimate(est, batch))
         points.append(safezone_map.map_point(est.label, stats, balance_tol=args.balance_tol))
     scaling_problem = scaling.ScalingProblem.from_stats(moments.stats_of(batch))
     certificate = scaling.certify_optimum(scaling_problem)
@@ -334,8 +323,7 @@ def cmd_zoo(args: argparse.Namespace) -> int:
         return EXIT_OK
     if not args.problem:
         raise ValueError("zoo run needs --problem")
-    batch = _resolve_batch(args)
-    _emit(moments.to_csv_text(batch), args.out)
+    _emit(moments.to_csv_text(_resolve(args)[0]), args.out)
     return EXIT_OK
 
 

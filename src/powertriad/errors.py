@@ -41,9 +41,5 @@ class InvalidSpec(PowerTriadError):
     """A problem or estimator specification is malformed."""
 
 
-class NoClosedForm(PowerTriadError):
-    """The problem kind has no closed-form population optimum."""
-
-
 class EmptyInput(PowerTriadError):
     """A map builder received no points."""

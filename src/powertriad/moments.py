@@ -1,15 +1,16 @@
 """Streaming second-moment accumulation for paired (signal, candidate) draws.
 
-Every diagnostic in this toolkit is a function of eight running sums over
+Every diagnostic in this toolkit is a function of seven running sums over
 aligned pairs (x_i, v_i) with errors e_i = v_i - x_i: n, Σx², Σv², Σx·v,
-Σx, Σv, Σe², Σv·e.  Summaries are plain immutable values, so parallel
+Σe, Σe², Σv·e.  Summaries are plain immutable values, so parallel
 reduction is just a merge of independently built summaries; there is no
 interior mutability to synchronize.
 
-mse is read off Σe² and coupling off Σv·e rather than off differences of
-the power sums (Σv² - 2Σx·v + Σx² and Σv² - Σx·v), which cancel every digit
-when v tracks a high-power x closely; the direct sums keep their relative
-precision at any signal power, and Σe² is non-negative.
+mean_e is read off Σe, mse off Σe² and coupling off Σv·e rather than off
+differences of the power sums (Σv - Σx, Σv² - 2Σx·v + Σx² and Σv² - Σx·v),
+which cancel every digit when v tracks a high-power x closely; the direct
+sums keep their relative precision at any signal power, and Σe² is
+non-negative.
 
 Normalization is population style (divide by n).  That choice makes the
 derived statistics satisfy exact algebraic identities on the empirical
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -38,22 +38,12 @@ CSV_HEADER = "x,v"
 _ERR_BLOCK = 1 << 16
 
 
-class PairedSample(NamedTuple):
-    """One aligned draw: true signal x and candidate value v.
-
-    The candidate slot holds whatever is being judged against x: a finished
-    estimate, or a raw channel output that still awaits scaling.
-    """
-
-    x: float
-    v: float
-
-
 class SampleBatch:
-    """Aligned arrays of paired draws; the vectorized form of a sample list.
+    """Aligned arrays of paired draws: true signal x and candidate value v.
 
-    Arrays are copied on construction and frozen, so a batch behaves like a
-    value.  Iterating yields PairedSample tuples.
+    The candidate column holds whatever is being judged against x: a finished
+    estimate, or a raw channel output that still awaits scaling.  Arrays are
+    copied on construction and frozen, so a batch behaves like a value.
     """
 
     __slots__ = ("x", "v")
@@ -71,15 +61,8 @@ class SampleBatch:
     def __len__(self) -> int:
         return int(self.x.size)
 
-    def __iter__(self) -> Iterator[PairedSample]:
-        for x, v in zip(self.x, self.v):
-            yield PairedSample(float(x), float(v))
-
     def __repr__(self) -> str:
         return f"SampleBatch(n={len(self)})"
-
-
-BatchLike = Union[SampleBatch, Iterable[PairedSample]]
 
 
 @dataclass(frozen=True)
@@ -90,8 +73,7 @@ class MomentSummary:
     sum_xx: float = 0.0
     sum_vv: float = 0.0
     sum_xv: float = 0.0
-    sum_x: float = 0.0
-    sum_v: float = 0.0
+    sum_e: float = 0.0
     sum_ee: float = 0.0
     sum_ve: float = 0.0
 
@@ -113,39 +95,31 @@ class MomentStats:
     coupling: float
 
 
-def _as_arrays(batch: BatchLike) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(batch, SampleBatch):
-        return batch.x, batch.v
-    pairs = [(float(x), float(v)) for x, v in batch]
-    if not pairs:
-        return np.empty(0), np.empty(0)
-    arr = np.asarray(pairs, dtype=np.float64)
-    return arr[:, 0], arr[:, 1]
-
-
-def _error_sums(xs: np.ndarray, vs: np.ndarray) -> tuple[float, float]:
-    """Σe² and Σv·e with e = v - x, one bounded block at a time."""
+def _error_sums(xs: np.ndarray, vs: np.ndarray) -> tuple[float, float, float]:
+    """Σe, Σe² and Σv·e with e = v - x, one bounded block at a time."""
     buf = np.empty(min(xs.size, _ERR_BLOCK))
-    see = sve = 0.0
+    se = see = sve = 0.0
     for lo in range(0, xs.size, _ERR_BLOCK):
         hi = min(lo + _ERR_BLOCK, xs.size)
         e = np.subtract(vs[lo:hi], xs[lo:hi], out=buf[: hi - lo])
+        se += float(np.sum(e))
         see += float(np.dot(e, e))
         sve += float(np.dot(vs[lo:hi], e))
-    return see, sve
+    return se, see, sve
 
 
-def accumulate(summary: MomentSummary, batch: BatchLike, *, compensated: bool = False) -> MomentSummary:
+def accumulate(summary: MomentSummary, batch: SampleBatch, *,
+               compensated: bool = False) -> MomentSummary:
     """Return ``summary`` advanced by a batch of samples.
 
     The input summary is never modified.  ``compensated=True`` switches the
-    batch-local reduction of the five power sums to exact summation (worth it
-    past ~1e7 samples of mixed magnitude); the error sums Σe² and Σv·e, which
-    do not cancel the way the power sums do, and merges between summaries
-    stay plain either way.
+    batch-local reduction of the three power sums to exact summation (worth it
+    past ~1e7 samples of mixed magnitude); the error sums Σe, Σe² and Σv·e,
+    which do not cancel the way the power sums do, and merges between
+    summaries stay plain either way.
     Raises NonFiniteSample naming the first offending pair.
     """
-    xs, vs = _as_arrays(batch)
+    xs, vs = batch.x, batch.v
     if xs.size == 0:
         return summary
     finite = np.isfinite(xs) & np.isfinite(vs)
@@ -156,22 +130,17 @@ def accumulate(summary: MomentSummary, batch: BatchLike, *, compensated: bool = 
         sxx = math.fsum(xs * xs)
         svv = math.fsum(vs * vs)
         sxv = math.fsum(xs * vs)
-        sx = math.fsum(xs)
-        sv = math.fsum(vs)
     else:
         sxx = float(np.dot(xs, xs))
         svv = float(np.dot(vs, vs))
         sxv = float(np.dot(xs, vs))
-        sx = float(np.sum(xs))
-        sv = float(np.sum(vs))
-    see, sve = _error_sums(xs, vs)
+    se, see, sve = _error_sums(xs, vs)
     return MomentSummary(
         n=summary.n + int(xs.size),
         sum_xx=summary.sum_xx + sxx,
         sum_vv=summary.sum_vv + svv,
         sum_xv=summary.sum_xv + sxv,
-        sum_x=summary.sum_x + sx,
-        sum_v=summary.sum_v + sv,
+        sum_e=summary.sum_e + se,
         sum_ee=summary.sum_ee + see,
         sum_ve=summary.sum_ve + sve,
     )
@@ -184,8 +153,7 @@ def merge(a: MomentSummary, b: MomentSummary) -> MomentSummary:
         sum_xx=a.sum_xx + b.sum_xx,
         sum_vv=a.sum_vv + b.sum_vv,
         sum_xv=a.sum_xv + b.sum_xv,
-        sum_x=a.sum_x + b.sum_x,
-        sum_v=a.sum_v + b.sum_v,
+        sum_e=a.sum_e + b.sum_e,
         sum_ee=a.sum_ee + b.sum_ee,
         sum_ve=a.sum_ve + b.sum_ve,
     )
@@ -199,7 +167,7 @@ def finalize(summary: MomentSummary) -> MomentStats:
     ex2 = summary.sum_xx / n
     ev2 = summary.sum_vv / n
     exv = summary.sum_xv / n
-    mean_e = (summary.sum_v - summary.sum_x) / n
+    mean_e = summary.sum_e / n
     mse = summary.sum_ee / n
     coupling = summary.sum_ve / n
     # the raw sums give the same squared quantity with cancellation; below
@@ -209,7 +177,7 @@ def finalize(summary: MomentSummary) -> MomentStats:
     return MomentStats(n=n, ex2=ex2, ev2=ev2, exv=exv, mean_e=mean_e, mse=mse, coupling=coupling)
 
 
-def stats_of(batch: BatchLike, *, compensated: bool = False) -> MomentStats:
+def stats_of(batch: SampleBatch, *, compensated: bool = False) -> MomentStats:
     """One-shot convenience: accumulate a batch from empty and finalize."""
     return finalize(accumulate(MomentSummary(), batch, compensated=compensated))
 

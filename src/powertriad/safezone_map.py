@@ -54,29 +54,12 @@ class MapPoint:
 
 
 @dataclass(frozen=True)
-class HalfPlane:
-    """A region bounded by one axis-aligned inequality."""
-
-    axis: str
-    op: str
-    bound: float
-
-
-@dataclass(frozen=True)
-class MapGeometry:
-    balance_line: float
-    penalty_line: float
-    singularity: tuple[float, float]
-    safe_region: HalfPlane
-    forbidden_region: HalfPlane
-    ideal_path: tuple[tuple[float, float], tuple[float, float]]
-
-
-@dataclass(frozen=True)
 class MapDataset:
+    """Points of one map flavor; the ideal path runs from (0, 0) to (rho, 0)."""
+
     kind: str
     points: tuple[MapPoint, ...]
-    geometry: MapGeometry
+    rho: float
 
 
 @dataclass(frozen=True)
@@ -141,18 +124,11 @@ def region_of(point: MapPoint, balance_tol: float = BALANCE_TOL) -> str:
     return "safe"
 
 
-def _geometry(problem: Optional[ScalingProblem]) -> MapGeometry:
-    rho = 1.0
+def _rho(problem: Optional[ScalingProblem]) -> float:
+    """Squared correlation exz²/(ex2·ez2), the ideal path's end; 1 without a problem."""
     if problem is not None and problem.ex2 > 0.0 and problem.ez2 > 0.0:
-        rho = (problem.exz * problem.exz) / (problem.ex2 * problem.ez2)
-    return MapGeometry(
-        balance_line=BALANCE_RATIO,
-        penalty_line=PENALTY_LEVEL,
-        singularity=(BALANCE_RATIO, PENALTY_LEVEL),
-        safe_region=HalfPlane(axis="power_ratio", op="<=", bound=BALANCE_RATIO),
-        forbidden_region=HalfPlane(axis="power_ratio", op=">", bound=BALANCE_RATIO),
-        ideal_path=((0.0, 0.0), (rho, 0.0)),
-    )
+        return (problem.exz * problem.exz) / (problem.ex2 * problem.ez2)
+    return 1.0
 
 
 def build_left_map(points, problem: Optional[ScalingProblem] = None) -> MapDataset:
@@ -160,7 +136,7 @@ def build_left_map(points, problem: Optional[ScalingProblem] = None) -> MapDatas
     points = tuple(points)
     if not points:
         raise EmptyInput("a map needs at least one point")
-    return MapDataset(kind="left", points=points, geometry=_geometry(problem))
+    return MapDataset(kind="left", points=points, rho=_rho(problem))
 
 
 def build_right_map(points, problem: Optional[ScalingProblem] = None) -> MapDataset:
@@ -168,7 +144,7 @@ def build_right_map(points, problem: Optional[ScalingProblem] = None) -> MapData
     points = tuple(points)
     if not points:
         raise EmptyInput("a map needs at least one point")
-    return MapDataset(kind="right", points=points, geometry=_geometry(problem))
+    return MapDataset(kind="right", points=points, rho=_rho(problem))
 
 
 def emit_dataset(dataset: MapDataset) -> DatasetFiles:
@@ -186,23 +162,14 @@ def emit_dataset(dataset: MapDataset) -> DatasetFiles:
                 p.regime.value,
             )
         )
-    geometry = dataset.geometry
     sidecar = {
         "map": dataset.kind,
-        "balance_line": {"axis": "power_ratio", "value": geometry.balance_line},
-        "penalty_line": {"axis": "coupling_norm", "value": geometry.penalty_line},
-        "singularity": [geometry.singularity[0], geometry.singularity[1]],
-        "ideal_path": [list(geometry.ideal_path[0]), list(geometry.ideal_path[1])],
-        "safe_region": {
-            "axis": geometry.safe_region.axis,
-            "op": geometry.safe_region.op,
-            "bound": geometry.safe_region.bound,
-        },
-        "forbidden_region": {
-            "axis": geometry.forbidden_region.axis,
-            "op": geometry.forbidden_region.op,
-            "bound": geometry.forbidden_region.bound,
-        },
+        "balance_line": {"axis": "power_ratio", "value": BALANCE_RATIO},
+        "penalty_line": {"axis": "coupling_norm", "value": PENALTY_LEVEL},
+        "singularity": [BALANCE_RATIO, PENALTY_LEVEL],
+        "ideal_path": [[0.0, 0.0], [dataset.rho, 0.0]],
+        "safe_region": {"axis": "power_ratio", "op": "<=", "bound": BALANCE_RATIO},
+        "forbidden_region": {"axis": "power_ratio", "op": ">", "bound": BALANCE_RATIO},
     }
     return DatasetFiles(csv=buf.getvalue(), geometry=dumps_stable(sidecar) + "\n")
 
@@ -260,7 +227,6 @@ def _px(v: float) -> str:
 
 def render_svg(dataset: MapDataset, style: StyleConfig = StyleConfig()) -> str:
     """Render the dataset as a self-contained, deterministic SVG document."""
-    geometry = dataset.geometry
     finite_x = [p.power_ratio for p in dataset.points]
     finite_y = [p.coupling_norm for p in dataset.points if p.coupling_norm_defined]
     x_hi = max(1.5, 1.15 * max(finite_x)) if finite_x else 1.5
@@ -306,29 +272,27 @@ def render_svg(dataset: MapDataset, style: StyleConfig = StyleConfig()) -> str:
     )
 
     if dataset.kind == "right":
-        (ix0, iy0), (ix1, iy1) = geometry.ideal_path
         out.append(
-            f'<line class="path ideal-path" x1="{_px(sx(ix0))}" y1="{_px(sy(iy0))}" '
-            f'x2="{_px(sx(ix1))}" y2="{_px(sy(iy1))}" stroke="{style.ideal_color}" '
+            f'<line class="path ideal-path" x1="{_px(sx(0.0))}" y1="{_px(sy(0.0))}" '
+            f'x2="{_px(sx(dataset.rho))}" y2="{_px(sy(0.0))}" stroke="{style.ideal_color}" '
             f'stroke-width="3"/>'
         )
 
     out.append(
-        f'<line class="boundary balance-line" x1="{_px(sx(geometry.balance_line))}" '
-        f'y1="{_px(sy(y_lo))}" x2="{_px(sx(geometry.balance_line))}" y2="{_px(sy(y_hi))}" '
+        f'<line class="boundary balance-line" x1="{_px(sx(BALANCE_RATIO))}" '
+        f'y1="{_px(sy(y_lo))}" x2="{_px(sx(BALANCE_RATIO))}" y2="{_px(sy(y_hi))}" '
         f'stroke="{style.balance_color}" stroke-width="1.5"/>'
     )
     if dataset.kind == "right":
         out.append(
             f'<line class="boundary penalty-line" x1="{_px(sx(x_lo))}" '
-            f'y1="{_px(sy(geometry.penalty_line))}" x2="{_px(sx(x_hi))}" '
-            f'y2="{_px(sy(geometry.penalty_line))}" stroke="{style.penalty_color}" '
+            f'y1="{_px(sy(PENALTY_LEVEL))}" x2="{_px(sx(x_hi))}" '
+            f'y2="{_px(sy(PENALTY_LEVEL))}" stroke="{style.penalty_color}" '
             f'stroke-width="1.5" stroke-dasharray="6 4"/>'
         )
-        px, py = geometry.singularity
         out.append(
-            f'<circle class="marker singularity" cx="{_px(sx(px))}" cy="{_px(sy(py))}" '
-            f'r="5" fill="{style.singularity_color}"/>'
+            f'<circle class="marker singularity" cx="{_px(sx(BALANCE_RATIO))}" '
+            f'cy="{_px(sy(PENALTY_LEVEL))}" r="5" fill="{style.singularity_color}"/>'
         )
 
     # axes with ticks

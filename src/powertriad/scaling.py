@@ -29,7 +29,7 @@ import numpy as np
 
 from .diagnostics import BALANCE_TOL, RegimeLabel, classify_powers
 from .errors import DegenerateWindow, ZeroCandidatePower
-from .moments import BatchLike, MomentStats, _as_arrays
+from .moments import MomentStats, SampleBatch
 from .textio import fmt_float, fmt_rows, parse_kv
 
 # Consistency slack for empirical moments: exz² may exceed ex2·ez2 only by rounding.
@@ -271,7 +271,7 @@ def _ewma(u: np.ndarray, lam: float) -> np.ndarray:
 
 
 def track_moving_optimum(
-    stream: BatchLike,
+    stream: SampleBatch,
     forgetting: float,
     reference: Optional[Sequence[tuple[float, float, float]]] = None,
     balance_tol: float = BALANCE_TOL,
@@ -290,7 +290,7 @@ def track_moving_optimum(
     """
     if not 0.0 < forgetting <= 1.0:
         raise ValueError("forgetting must lie in (0, 1]")
-    x, z = _as_arrays(stream)
+    x, z = stream.x, stream.v
     n = int(x.size)
     if n == 0:
         raise ValueError("cannot track an empty stream")

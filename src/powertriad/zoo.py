@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidSpec, NoClosedForm, ZeroCandidatePower
+from .errors import InvalidSpec, ZeroCandidatePower
 from .moments import SampleBatch
 
 PROBLEM_KINDS = (
@@ -38,7 +38,6 @@ PROBLEM_KINDS = (
 )
 ESTIMATOR_KINDS = ("zero", "identity", "scale", "empirical_mmse", "amplifier")
 
-_TIME_VARYING = ("step_change", "drifting_power")
 _CHUNK = 1 << 16
 _SEED_LIMIT = 1 << 64
 
@@ -86,8 +85,8 @@ class EstimatorSpec:
     """One member of the reference estimator family.
 
     zero / identity / empirical_mmse take no parameter; scale and amplifier
-    carry the multiplier c.  Amplifiers demand c > 1; use verified_amplifier
-    to also confirm excess power on a pilot sample of the target problem.
+    carry the multiplier c.  Amplifiers demand c > 1; verify_amplifier also
+    confirms their excess power on the batch they are applied to.
     """
 
     kind: str
@@ -125,19 +124,6 @@ def population_moments(problem: ProblemSpec, k: np.ndarray) -> np.ndarray:
     """Closed-form (E[x²], E[z²], E[xz]) rows for global step indices k."""
     s = _signal_power_at(problem, np.asarray(k))
     return np.column_stack((s, s + problem.noise_power, s))
-
-
-def true_optimum(problem: ProblemSpec) -> Union[float, Callable[[int], float]]:
-    """The population-optimal scale; a schedule t*(k) for time-varying kinds."""
-    if problem.kind not in PROBLEM_KINDS:
-        raise NoClosedForm(f"no closed-form optimum for {problem.kind!r}")
-    if problem.kind in _TIME_VARYING:
-        def schedule(k: int) -> float:
-            s = float(_signal_power_at(problem, np.asarray([k]))[0])
-            return s / (s + problem.noise_power)
-
-        return schedule
-    return problem.signal_power / (problem.signal_power + problem.noise_power)
 
 
 def true_optimum_path(problem: ProblemSpec, n: int) -> np.ndarray:
@@ -213,24 +199,13 @@ def apply_estimator(estimator: EstimatorSpec, batch: SampleBatch) -> SampleBatch
     raise InvalidSpec(f"unknown estimator kind {estimator.kind!r}")
 
 
-def verify_amplifier(estimator: EstimatorSpec, problem: ProblemSpec, pilot_n: int = 4096) -> None:
-    """Confirm on a pilot sample that the amplifier really has excess power."""
+def verify_amplifier(estimator: EstimatorSpec, batch: SampleBatch) -> None:
+    """Confirm that the amplifier's estimate power c²·Σz² exceeds Σx² on this raw batch."""
     if estimator.kind != "amplifier":
-        raise InvalidSpec("only amplifier estimators need pilot verification")
-    pilot = generate(problem, pilot_n)
-    estimate_power = estimator.c * estimator.c * float(np.dot(pilot.v, pilot.v))
-    signal_power = float(np.dot(pilot.x, pilot.x))
-    if not estimate_power > signal_power:
-        raise InvalidSpec(
-            f"amplifier(c={estimator.c:g}) is not power dominant on a pilot of {problem.kind}"
-        )
-
-
-def verified_amplifier(c: float, problem: ProblemSpec, pilot_n: int = 4096) -> EstimatorSpec:
-    """Construct an amplifier and pilot-verify it against its target problem."""
-    spec = EstimatorSpec(kind="amplifier", c=c)
-    verify_amplifier(spec, problem, pilot_n)
-    return spec
+        raise InvalidSpec("only amplifier estimators need verification")
+    estimate_power = estimator.c * estimator.c * float(np.dot(batch.v, batch.v))
+    if not estimate_power > float(np.dot(batch.x, batch.x)):
+        raise InvalidSpec(f"amplifier(c={estimator.c!r}) is not power dominant on this input")
 
 
 _CALL_RE = re.compile(r"^\s*([a-z_][a-z0-9_]*)\s*(?:\((.*)\))?\s*$", re.DOTALL)

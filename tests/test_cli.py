@@ -48,6 +48,27 @@ def test_diagnose_exit_codes_by_estimator(capsys):
     assert report["verdict"]["satisfied"] is True
 
 
+FRAGILE = "gaussian_shrinkage(signal_power=4, noise_power=1e-6, seed=1)"
+
+
+def test_amplifier_is_checked_on_the_batch_it_scales(tmp_path, capsys):
+    """An amplifier that is not dominant on the data at hand exits 1, from either source."""
+    weak = _write(tmp_path / "weak.csv", "x,v\n2,1\n-2,-1\n")
+    errors = []
+    for source in (["--problem", FRAGILE, "--samples", "2"], ["--input", weak]):
+        assert main(["diagnose", *source, "--estimator", "amplifier(c=1.0000001)"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "amplifier(c=1.0000001)" in captured.err
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert main(["map", "--problem", FRAGILE, "--samples", "2",
+                 "--estimator", "amplifier(c=1.0000001)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == errors[0]
+
+
 def test_diagnose_dominant_csv_input(tmp_path, capsys):
     src = _write(tmp_path / "pairs.csv", DOMINANT_CSV)
     assert main(["diagnose", "--input", src]) == 3

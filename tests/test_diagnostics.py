@@ -20,9 +20,10 @@ from powertriad import (
 )
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
-pair_lists = st.lists(st.tuples(finite, finite), min_size=1, max_size=100)
+batches = st.lists(st.tuples(finite, finite), min_size=1, max_size=100).map(
+    lambda rows: SampleBatch([x for x, _ in rows], [v for _, v in rows]))
 
-DOMINANT_STATS = stats_of([(1.0, 2.0), (-1.0, 0.0)])
+DOMINANT_STATS = stats_of(SampleBatch([1.0, -1.0], [2.0, 0.0]))
 
 # Frozen output contract: key order and 17-digit number text must not drift.
 GOLDEN_REPORT = """{
@@ -60,7 +61,7 @@ def test_dominant_example_regime_and_verdict():
 
 def test_doubled_signal_pays_the_penalty():
     # v = 2x on unit-power x: coupling 2, mse 1, bound 0.5
-    stats = stats_of([(1.0, 2.0), (-1.0, -2.0)])
+    stats = stats_of(SampleBatch([1.0, -1.0], [2.0, -2.0]))
     assert stats.coupling == 2.0 and stats.mse == 1.0
     verdict = check_penalty(stats)
     assert verdict.regime is RegimeLabel.POWER_DOMINANT
@@ -68,7 +69,7 @@ def test_doubled_signal_pays_the_penalty():
 
 
 def test_zero_estimate_is_conservative_and_degenerate():
-    stats = stats_of([(1.0, 0.0), (-1.0, 0.0)])
+    stats = stats_of(SampleBatch([1.0, -1.0], [0.0, 0.0]))
     report = triad_report(stats)
     assert report.regime is RegimeLabel.POWER_CONSERVATIVE
     assert report.power_ratio == 0.0
@@ -78,7 +79,7 @@ def test_zero_estimate_is_conservative_and_degenerate():
 
 def test_half_scale_shrinkage_has_negative_coupling():
     # v = x/2: coupling = ev2 - exv = ex2/4 - ex2/2 < 0; bound still respected
-    stats = stats_of([(1.0, 0.5), (-1.0, -0.5)])
+    stats = stats_of(SampleBatch([1.0, -1.0], [0.5, -0.5]))
     verdict = check_penalty(stats)
     assert verdict.regime is RegimeLabel.POWER_CONSERVATIVE
     assert verdict.coupling == -0.25
@@ -88,7 +89,7 @@ def test_half_scale_shrinkage_has_negative_coupling():
 
 def test_exact_power_match_is_balance():
     # v = -x has the same power as x
-    stats = stats_of([(1.0, -1.0), (-1.0, 1.0)])
+    stats = stats_of(SampleBatch([1.0, -1.0], [-1.0, 1.0]))
     assert classify_regime(stats) is RegimeLabel.POWER_BALANCE
     verdict = check_penalty(stats)
     assert verdict.coupling == 2.0 and verdict.bound == 2.0
@@ -96,7 +97,7 @@ def test_exact_power_match_is_balance():
 
 
 def test_ideal_estimate_is_balance_with_zero_mse():
-    stats = stats_of([(1.0, 1.0), (-2.0, -2.0)])
+    stats = stats_of(SampleBatch([1.0, -2.0], [1.0, -2.0]))
     report = triad_report(stats)
     assert report.regime is RegimeLabel.POWER_BALANCE
     assert report.mse == 0.0 and report.coupling == 0.0
@@ -104,13 +105,13 @@ def test_ideal_estimate_is_balance_with_zero_mse():
 
 
 def test_zero_signal_power_is_rejected():
-    stats = stats_of([(0.0, 1.0), (0.0, -1.0)])
+    stats = stats_of(SampleBatch([0.0, 0.0], [1.0, -1.0]))
     with pytest.raises(ZeroSignalPower):
         classify_regime(stats)
 
 
 def test_balance_band_width_follows_tolerance():
-    stats = stats_of([(1.0, 1.0 + 3e-7), (-1.0, -1.0 - 3e-7)])
+    stats = stats_of(SampleBatch([1.0, -1.0], [1.0 + 3e-7, -1.0 - 3e-7]))
     assert classify_regime(stats) is RegimeLabel.POWER_BALANCE
     assert classify_regime(stats, balance_tol=1e-8) is RegimeLabel.POWER_DOMINANT
 
@@ -122,19 +123,19 @@ def test_negative_tolerances_are_rejected():
         check_penalty(DOMINANT_STATS, tol=-1.0)
 
 
-@given(pair_lists)
+@given(batches)
 @settings(deadline=None)
-def test_decomposition_residual_is_rounding_noise(rows):
-    stats = stats_of(rows)
+def test_decomposition_residual_is_rounding_noise(batch):
+    stats = stats_of(batch)
     parts = decompose_coupling(stats)
     assert abs(parts.residual) <= 1e-12 * max(1.0, abs(parts.coupling), stats.ex2, stats.ev2)
 
 
-@given(pair_lists)
+@given(batches)
 @settings(deadline=None)
-def test_strict_penalty_in_dominant_regime(rows):
+def test_strict_penalty_in_dominant_regime(batch):
     """Excess power plus non-negligible coupling forces coupling > mse/2."""
-    stats = stats_of(rows)
+    stats = stats_of(batch)
     if stats.ex2 <= 0.0:
         return
     verdict = check_penalty(stats, balance_tol=0.0)
@@ -142,19 +143,19 @@ def test_strict_penalty_in_dominant_regime(rows):
         assert verdict.coupling > verdict.bound
 
 
-@given(pair_lists)
+@given(batches)
 @settings(deadline=None)
-def test_conservative_and_balance_cap_the_coupling(rows):
-    stats = stats_of(rows)
+def test_conservative_and_balance_cap_the_coupling(batch):
+    stats = stats_of(batch)
     if stats.ex2 <= 0.0 or stats.ev2 > stats.ex2:
         return
     assert stats.coupling <= 0.5 * stats.mse + 1e-12 * max(1.0, stats.mse)
 
 
-@given(pair_lists)
+@given(batches)
 @settings(deadline=None)
-def test_triad_mse_splits_into_bias_and_variance(rows):
-    stats = stats_of(rows)
+def test_triad_mse_splits_into_bias_and_variance(batch):
+    stats = stats_of(batch)
     if stats.ex2 <= 0.0:
         return
     report = triad_report(stats)
@@ -164,14 +165,14 @@ def test_triad_mse_splits_into_bias_and_variance(rows):
     assert report.regime is report.verdict.regime
 
 
-@given(pair_lists, st.floats(min_value=0.1, max_value=32.0))
+@given(batches, st.floats(min_value=0.1, max_value=32.0))
 @settings(deadline=None, max_examples=50)
-def test_regime_is_scale_invariant(rows, scale):
+def test_regime_is_scale_invariant(batch, scale):
     """Scaling both columns by s leaves the regime unchanged, moments scale by s²."""
-    base = stats_of(rows)
+    base = stats_of(batch)
     if base.ex2 <= 0.0:
         return
-    scaled = stats_of([(scale * x, scale * v) for x, v in rows])
+    scaled = stats_of(SampleBatch(scale * batch.x, scale * batch.v))
     if scaled.ex2 <= 0.0:
         return  # extreme shrink can underflow the signal away
     assert classify_regime(base) is classify_regime(scaled)

@@ -13,7 +13,6 @@ from powertriad import (
     EmptySummary,
     MomentSummary,
     NonFiniteSample,
-    PairedSample,
     PowerTriadError,
     SampleBatch,
     accumulate,
@@ -26,7 +25,8 @@ from powertriad import (
 from powertriad.moments import to_csv_text
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
-pair_lists = st.lists(st.tuples(finite, finite), min_size=1, max_size=100)
+batches = st.lists(st.tuples(finite, finite), min_size=1, max_size=100).map(
+    lambda rows: SampleBatch([x for x, _ in rows], [v for _, v in rows]))
 
 
 def _close(a: float, b: float, rel: float, floor: float = 1.0) -> bool:
@@ -35,32 +35,32 @@ def _close(a: float, b: float, rel: float, floor: float = 1.0) -> bool:
 
 def test_hand_checked_sums():
     # (1,2), (-1,0): squares 1+1 and 4+0, cross products 2+0, errors 1 and 1
-    summary = accumulate(MomentSummary(), [(1.0, 2.0), (-1.0, 0.0)])
-    assert summary == MomentSummary(n=2, sum_xx=2.0, sum_vv=4.0, sum_xv=2.0, sum_x=0.0, sum_v=2.0,
+    summary = accumulate(MomentSummary(), SampleBatch([1.0, -1.0], [2.0, 0.0]))
+    assert summary == MomentSummary(n=2, sum_xx=2.0, sum_vv=4.0, sum_xv=2.0, sum_e=2.0,
                                     sum_ee=2.0, sum_ve=2.0)
 
 
 def test_hand_checked_stats():
-    stats = stats_of([(1.0, 2.0), (-1.0, 0.0)])
+    stats = stats_of(SampleBatch([1.0, -1.0], [2.0, 0.0]))
     assert (stats.ex2, stats.ev2, stats.exv) == (1.0, 2.0, 1.0)
     assert (stats.mse, stats.coupling, stats.mean_e) == (1.0, 1.0, 1.0)
 
 
 def test_accumulate_is_value_semantics():
     start = MomentSummary()
-    accumulate(start, [(3.0, 4.0)])
+    accumulate(start, SampleBatch([3.0], [4.0]))
     assert start == MomentSummary()
 
 
 def test_empty_batch_is_identity():
-    summary = accumulate(MomentSummary(), [(1.0, 2.0)])
-    assert accumulate(summary, []) == summary
+    summary = accumulate(MomentSummary(), SampleBatch([1.0], [2.0]))
+    assert accumulate(summary, SampleBatch([], [])) == summary
 
 
 def test_non_finite_sample_reports_first_index():
-    rows = [(0.0, 1.0), (1.0, math.nan), (math.inf, 0.0)]
+    batch = SampleBatch([0.0, 1.0, math.inf], [1.0, math.nan, 0.0])
     with pytest.raises(NonFiniteSample) as err:
-        accumulate(MomentSummary(), rows)
+        accumulate(MomentSummary(), batch)
     assert err.value.index == 1
 
 
@@ -86,34 +86,34 @@ def test_finalize_rejects_negative_mse_under_optimize_flag(child_env):
 
 
 def test_single_pair_stats():
-    stats = stats_of([(2.0, 3.0)])
+    stats = stats_of(SampleBatch([2.0], [3.0]))
     assert stats.n == 1
     assert stats.ex2 == 4.0 and stats.ev2 == 9.0 and stats.exv == 6.0
     assert stats.mse == 1.0  # (3-2)^2
 
 
-@given(pair_lists)
+@given(batches)
 @settings(deadline=None)
-def test_coupling_decomposition_identity(rows):
+def test_coupling_decomposition_identity(batch):
     """coupling always splits into half the mse plus half the power gap."""
-    stats = stats_of(rows)
+    stats = stats_of(batch)
     residual = stats.coupling - 0.5 * stats.mse - 0.5 * (stats.ev2 - stats.ex2)
     assert abs(residual) <= 1e-12 * max(1.0, stats.ex2, stats.ev2)
 
 
-@given(pair_lists, pair_lists)
-@example([(0.0, 0.0)], [(0.0, 0.0), (0.0, 1e-05), (194.0, 196.5246845964881)])
-@example([(0.0, 0.0)], [(0.0, 0.0), (0.0, 1e-05), (196.5, 196.5246845964881)])
+@given(batches, batches)
+@example(SampleBatch([0.0], [0.0]), SampleBatch([0.0, 0.0, 194.0], [0.0, 1e-05, 196.5246845964881]))
+@example(SampleBatch([0.0], [0.0]), SampleBatch([0.0, 0.0, 196.5], [0.0, 1e-05, 196.5246845964881]))
 @settings(deadline=None)
 def test_merge_matches_concatenation(a, b):
     merged = finalize(merge(accumulate(MomentSummary(), a), accumulate(MomentSummary(), b)))
-    together = stats_of(a + b)
+    together = stats_of(SampleBatch(np.concatenate((a.x, b.x)), np.concatenate((a.v, b.v))))
     for field in ("ex2", "ev2", "exv", "mse", "coupling", "mean_e"):
         assert _close(getattr(merged, field), getattr(together, field), 1e-12)
     assert merged.n == together.n
 
 
-@given(pair_lists, pair_lists, pair_lists)
+@given(batches, batches, batches)
 @settings(deadline=None, max_examples=50)
 def test_merge_is_associative_and_commutative(a, b, c):
     sa = accumulate(MomentSummary(), a)
@@ -122,7 +122,7 @@ def test_merge_is_associative_and_commutative(a, b, c):
     left = merge(merge(sa, sb), sc)
     right = merge(sa, merge(sb, sc))
     swapped = merge(merge(sb, sa), sc)
-    for field in ("sum_xx", "sum_vv", "sum_xv", "sum_x", "sum_v", "sum_ee", "sum_ve"):
+    for field in ("sum_xx", "sum_vv", "sum_xv", "sum_e", "sum_ee", "sum_ve"):
         assert _close(getattr(left, field), getattr(right, field), 1e-12)
         assert _close(getattr(left, field), getattr(swapped, field), 1e-12)
     assert left.n == right.n == swapped.n
@@ -131,17 +131,19 @@ def test_merge_is_associative_and_commutative(a, b, c):
 @given(st.integers(0, 6), st.integers(-9, -1), st.integers(0, 2**32 - 1))
 @settings(deadline=None, max_examples=30)
 def test_mse_keeps_precision_at_high_power(offset_exp, err_exp, seed):
-    """An accurate estimate of a high-power signal keeps the digits of its mse and coupling."""
+    """An accurate estimate of a high-power signal keeps the digits of mse, coupling and bias."""
     rng = np.random.default_rng(seed)
     x = 10.0**offset_exp + rng.normal(0.0, 1.0, 2000)
     v = x + 10.0**err_exp * rng.normal(0.0, 1.0, 2000)
     reference = math.fsum((v - x) ** 2) / x.size
     coupling = math.fsum(v * (v - x)) / x.size
+    mean_e = math.fsum(v - x) / x.size
     for compensated in (False, True):
         stats = stats_of(SampleBatch(x, v), compensated=compensated)
         assert stats.mse >= 0.0
         assert abs(stats.mse - reference) <= 1e-8 * reference
         assert abs(stats.coupling - coupling) <= 1e-8 * abs(coupling)
+        assert abs(stats.mean_e - mean_e) <= 1e-8 * float(np.mean(np.abs(v - x)))
 
 
 def test_shuffle_invariance():
@@ -169,16 +171,16 @@ def test_parallel_split_reduction_matches_serial():
     for part in parts[1:]:
         combined = merge(combined, part)
     assert combined.n == serial.n
-    for field in ("sum_xx", "sum_vv", "sum_xv", "sum_x", "sum_v", "sum_ee", "sum_ve"):
+    for field in ("sum_xx", "sum_vv", "sum_xv", "sum_e", "sum_ee", "sum_ve"):
         assert _close(getattr(combined, field), getattr(serial, field), 1e-12)
 
 
 def test_compensated_mode_recovers_cancelled_sum():
     # plain summation loses the 1.0 between two 1e16 terms; fsum keeps it
-    rows = [(1e16, 2.0), (1.0, 3.0), (-1e16, 4.0)]
-    exact = accumulate(MomentSummary(), rows, compensated=True)
-    assert exact.sum_x == 1.0
-    plain = accumulate(MomentSummary(), rows)
+    batch = SampleBatch([1e16, 1.0, -1e16], [1.0, 1.0, 1.0])
+    exact = accumulate(MomentSummary(), batch, compensated=True)
+    assert exact.sum_xv == 1.0
+    plain = accumulate(MomentSummary(), batch)
     assert plain.n == exact.n == 3
 
 
@@ -187,13 +189,15 @@ def test_compensated_mode_agrees_on_benign_data():
     batch = SampleBatch(rng.normal(0, 1, 500), rng.normal(0, 1, 500))
     a = accumulate(MomentSummary(), batch)
     b = accumulate(MomentSummary(), batch, compensated=True)
-    for field in ("sum_xx", "sum_vv", "sum_xv", "sum_x", "sum_v"):
+    for field in ("sum_xx", "sum_vv", "sum_xv", "sum_e"):
         assert _close(getattr(a, field), getattr(b, field), 1e-12)
 
 
-def test_batch_iteration_yields_paired_samples():
+def test_batch_holds_aligned_frozen_columns():
     batch = SampleBatch([1.0, -1.0], [2.0, 0.0])
-    assert list(batch) == [PairedSample(1.0, 2.0), PairedSample(-1.0, 0.0)]
+    assert batch.x.tolist() == [1.0, -1.0] and batch.v.tolist() == [2.0, 0.0]
+    assert batch.x.dtype == batch.v.dtype == np.float64
+    assert not batch.x.flags.writeable and not batch.v.flags.writeable
     assert len(batch) == 2
 
 

@@ -84,17 +84,20 @@ def test_empty_maps_are_rejected():
 
 def test_geometry_constants():
     dataset = build_right_map([map_point("z", ZEROED)], REFERENCE_PROBLEM)
-    g = dataset.geometry
-    assert g.balance_line == 1.0
-    assert g.penalty_line == 0.5
-    assert g.singularity == (1.0, 0.5)
-    assert g.singularity[0] == g.balance_line
-    assert g.singularity[1] == g.penalty_line
     # ideal path ends at the squared correlation of the problem
-    assert g.ideal_path == ((0.0, 0.0), (0.5, 0.0))
-    bare = build_left_map([map_point("z", ZEROED)]).geometry
-    assert bare.ideal_path == ((0.0, 0.0), (1.0, 0.0))
-    assert bare.safe_region.op == "<=" and bare.forbidden_region.op == ">"
+    assert dataset.rho == 0.5
+    g = json.loads(emit_dataset(dataset).geometry)
+    assert g["balance_line"]["value"] == 1.0
+    assert g["penalty_line"]["value"] == 0.5
+    assert g["singularity"] == [1.0, 0.5]
+    assert g["singularity"][0] == g["balance_line"]["value"]
+    assert g["singularity"][1] == g["penalty_line"]["value"]
+    assert g["ideal_path"] == [[0.0, 0.0], [0.5, 0.0]]
+    bare = build_left_map([map_point("z", ZEROED)])
+    assert bare.rho == 1.0
+    g = json.loads(emit_dataset(bare).geometry)
+    assert g["ideal_path"] == [[0.0, 0.0], [1.0, 0.0]]
+    assert g["safe_region"]["op"] == "<=" and g["forbidden_region"]["op"] == ">"
 
 
 def _amplifier_stats(c):

@@ -10,7 +10,6 @@ from powertriad import (
     PROBLEM_KINDS,
     EstimatorSpec,
     InvalidSpec,
-    NoClosedForm,
     ProblemSpec,
     SampleBatch,
     ZeroCandidatePower,
@@ -24,9 +23,7 @@ from powertriad import (
     parse_problem_spec,
     population_moments,
     stats_of,
-    true_optimum,
     true_optimum_path,
-    verified_amplifier,
 )
 from powertriad.scaling import ScalingProblem
 from powertriad.zoo import generate_chunk, verify_amplifier, with_seed
@@ -132,22 +129,13 @@ def test_drifting_schedule_bounds_and_truth():
 
 
 def test_true_optimum_closed_forms():
-    assert true_optimum(GAUSS) == 0.5
+    assert true_optimum_path(GAUSS, 4).tolist() == [0.5] * 4
     two_to_one = ProblemSpec(kind="heavy_tail", signal_power=2.0, noise_power=1.0, seed=0)
-    assert abs(true_optimum(two_to_one) - 2.0 / 3.0) < 1e-15
+    assert abs(true_optimum_path(two_to_one, 1)[0] - 2.0 / 3.0) < 1e-15
     drifting = ProblemSpec(kind="drifting_power", signal_power=1.0, noise_power=1.0, seed=0)
-    schedule = true_optimum(drifting)
-    assert callable(schedule)
-    assert schedule(0) == 0.5
-    assert abs(schedule(500) - 1.5 / 2.5) < 1e-12  # sine peak
-
-
-def test_unknown_kind_has_no_closed_form():
-    # bypass constructor validation to reach the defensive guard
-    broken = object.__new__(ProblemSpec)
-    object.__setattr__(broken, "kind", "mystery")
-    with pytest.raises(NoClosedForm):
-        true_optimum(broken)
+    schedule = true_optimum_path(drifting, 501)
+    assert schedule[0] == 0.5
+    assert abs(schedule[500] - 1.5 / 2.5) < 1e-12  # sine peak
 
 
 def test_population_moments_satisfy_channel_identity():
@@ -221,16 +209,19 @@ def test_problem_spec_validation():
 
 
 def test_amplifier_verification():
-    verify_amplifier(EstimatorSpec(kind="amplifier", c=2.0), GAUSS)  # no raise
-    spec = verified_amplifier(2.0, GAUSS)
-    assert spec.kind == "amplifier" and spec.c == 2.0
+    batch = generate(GAUSS, 4096)
+    verify_amplifier(EstimatorSpec(kind="amplifier", c=2.0), batch)  # no raise
     with pytest.raises(InvalidSpec):
-        verify_amplifier(EstimatorSpec(kind="scale", c=2.0), GAUSS)
-    # c barely above 1 on a near-noiseless channel can lose dominance on a tiny pilot
+        verify_amplifier(EstimatorSpec(kind="scale", c=2.0), batch)
+    # c barely above 1 on a near-noiseless channel can lose dominance on a tiny batch
     fragile = ProblemSpec(kind="gaussian_shrinkage", signal_power=4.0,
                           noise_power=1e-6, seed=1)
+    with pytest.raises(InvalidSpec, match=r"^amplifier\(c=1\.0000001\) is not power dominant"):
+        verify_amplifier(EstimatorSpec(kind="amplifier", c=1.0000001), generate(fragile, 2))
+    # the check is strict and reads the batch it is given: c²·Σz² = Σx² is refused
     with pytest.raises(InvalidSpec):
-        verify_amplifier(EstimatorSpec(kind="amplifier", c=1.0000001), fragile, pilot_n=2)
+        verify_amplifier(EstimatorSpec(kind="amplifier", c=2.0), SampleBatch([2.0], [1.0]))
+    verify_amplifier(EstimatorSpec(kind="amplifier", c=2.0), SampleBatch([2.0], [1.0 + 1e-9]))
 
 
 def test_amplifier_penalty_across_seeds():
