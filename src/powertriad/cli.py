@@ -177,46 +177,73 @@ def _problem_of(args: argparse.Namespace) -> zoo.ProblemSpec:
     return problem
 
 
-def _single_estimator(args: argparse.Namespace) -> Optional[zoo.EstimatorSpec]:
-    specs = getattr(args, "estimator", None)
-    if not specs:
-        return None
+def _estimators(args: argparse.Namespace) -> list[zoo.EstimatorSpec]:
+    """The command's --estimator, if any, after the --input/--problem conflict check."""
+    if args.input and args.problem:
+        raise ValueError("give either --input or --problem, not both")
+    specs = getattr(args, "estimator", None) or []
     if len(specs) > 1:
         raise ValueError("this command takes a single --estimator")
-    return zoo.parse_estimator_spec(specs[0])
+    return [zoo.parse_estimator_spec(text) for text in specs]
 
 
-def _estimate(est: zoo.EstimatorSpec, batch: moments.SampleBatch) -> moments.SampleBatch:
-    """Apply the estimator to the raw batch, refusing an amplifier that is not dominant on it."""
+def _read(
+    args: argparse.Namespace,
+) -> tuple[Optional[moments.SampleBatch], Optional[zoo.ProblemSpec]]:
+    """The parsed --input batch, or else the --problem spec."""
+    if args.input:
+        return moments.read_csv(args.input), None
+    if args.problem:
+        return None, _problem_of(args)
+    raise ValueError("need --input or --problem")
+
+
+def _summaries(
+    args: argparse.Namespace, estimators: list[zoo.EstimatorSpec]
+) -> tuple[moments.MomentSummary, list[moments.MomentSummary]]:
+    """Reduce the input chunk by chunk: its raw summary and one summary per estimator."""
+    batch, problem = _read(args)
+    source = (zoo.batch_source(batch) if problem is None
+              else zoo.problem_source(problem, args.samples))
+    return zoo.summarize(source, estimators)
+
+
+def _finalize(est: zoo.EstimatorSpec, raw: moments.MomentSummary,
+              summary: moments.MomentSummary) -> moments.MomentStats:
+    """An estimator's statistics, refusing an amplifier that is not dominant on the raw data."""
     if est.kind == "amplifier":
-        zoo.verify_amplifier(est, batch)
-    return zoo.apply_estimator(est, batch)
+        zoo.verify_amplifier(est, raw)
+    return moments.finalize(summary)
 
 
-def _resolve(
-    args: argparse.Namespace, *, estimate: bool = True
-) -> tuple[moments.SampleBatch, Optional[zoo.ProblemSpec]]:
-    """Read --input or generate --problem; the spec is None for file input.
+def _stats(args: argparse.Namespace) -> moments.MomentStats:
+    """Statistics of the command's single estimator on its input, or of the raw input.
 
-    With ``estimate`` the command's single --estimator, if any, is applied.
     Errors keep one order: the --input/--problem conflict, then the
     estimator spec, then the input.
     """
-    if args.input and args.problem:
-        raise ValueError("give either --input or --problem, not both")
-    est = _single_estimator(args) if estimate else None
-    if args.input:
-        batch, problem = moments.read_csv(args.input), None
-    elif args.problem:
-        problem = _problem_of(args)
+    estimators = _estimators(args)
+    raw, summaries = _summaries(args, estimators)
+    if not estimators:
+        return moments.finalize(raw)
+    return _finalize(estimators[0], raw, summaries[0])
+
+
+def _rows(args: argparse.Namespace) -> tuple[moments.SampleBatch, Optional[zoo.ProblemSpec]]:
+    """The full (x, v) rows that track and zoo run emit, the single --estimator applied."""
+    estimators = _estimators(args)
+    batch, problem = _read(args)
+    if batch is None:
         batch = zoo.generate(problem, args.samples)
-    else:
-        raise ValueError("need --input or --problem")
-    return (batch if est is None else _estimate(est, batch)), problem
+    for est in estimators:
+        if est.kind == "amplifier":
+            zoo.verify_amplifier(est, batch)
+        batch = zoo.apply_estimator(est, batch)
+    return batch, problem
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    stats = moments.stats_of(_resolve(args)[0])
+    stats = _stats(args)
     report = diagnostics.triad_report(stats, balance_tol=args.balance_tol,
                                       tol=args.degeneracy_tol)
     _emit(diagnostics.report_to_json(report) + "\n", args.out)
@@ -226,8 +253,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
-    stats = moments.stats_of(_resolve(args)[0])
-    certificate = scaling.certify_optimum(scaling.ScalingProblem.from_stats(stats))
+    certificate = scaling.certify_optimum(scaling.ScalingProblem.from_stats(_stats(args)))
     doc = {
         "t_star": certificate.t_star,
         "mse_at_star": certificate.mse_at_star,
@@ -253,8 +279,7 @@ def _trace_summary(trace: scaling.ScalingTrace) -> dict:
 
 
 def cmd_path(args: argparse.Namespace) -> int:
-    stats = moments.stats_of(_resolve(args)[0])
-    problem = scaling.ScalingProblem.from_stats(stats)
+    problem = scaling.ScalingProblem.from_stats(_stats(args))
     controller = (scaling.load_controller_config(args.controller)
                   if args.controller else scaling.ControllerConfig())
     trace = scaling.run_path(problem, controller, balance_tol=args.balance_tol)
@@ -270,7 +295,7 @@ def cmd_path(args: argparse.Namespace) -> int:
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    batch, problem = _resolve(args)
+    batch, problem = _rows(args)
     reference = None
     if problem is not None:
         reference = zoo.population_moments(problem, np.arange(args.samples))
@@ -285,13 +310,14 @@ def cmd_map(args: argparse.Namespace) -> int:
         raise ValueError("map works on generated problems; give --problem")
     if not args.problem:
         raise ValueError("need --problem")
-    batch, _ = _resolve(args, estimate=False)
-    points = []
-    for text in args.estimator or DEFAULT_MAP_ESTIMATORS:
-        est = zoo.parse_estimator_spec(text)
-        stats = moments.stats_of(_estimate(est, batch))
-        points.append(safezone_map.map_point(est.label, stats, balance_tol=args.balance_tol))
-    scaling_problem = scaling.ScalingProblem.from_stats(moments.stats_of(batch))
+    # every spec is parsed before the draw: the one pass reduces them all
+    estimators = [zoo.parse_estimator_spec(text)
+                  for text in args.estimator or DEFAULT_MAP_ESTIMATORS]
+    raw, summaries = _summaries(args, estimators)
+    points = [safezone_map.map_point(est.label, _finalize(est, raw, summary),
+                                     balance_tol=args.balance_tol)
+              for est, summary in zip(estimators, summaries)]
+    scaling_problem = scaling.ScalingProblem.from_stats(moments.finalize(raw))
     certificate = scaling.certify_optimum(scaling_problem)
     points.append(safezone_map.map_point_from_certificate(
         "optimum", scaling_problem, certificate, balance_tol=args.balance_tol))
@@ -323,7 +349,7 @@ def cmd_zoo(args: argparse.Namespace) -> int:
         return EXIT_OK
     if not args.problem:
         raise ValueError("zoo run needs --problem")
-    _emit(moments.to_csv_text(_resolve(args)[0]), args.out)
+    _emit(moments.to_csv_text(_rows(args)[0]), args.out)
     return EXIT_OK
 
 

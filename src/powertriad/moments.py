@@ -4,7 +4,9 @@ Every diagnostic in this toolkit is a function of seven running sums over
 aligned pairs (x_i, v_i) with errors e_i = v_i - x_i: n, Σx², Σv², Σx·v,
 Σe, Σe², Σv·e.  Summaries are plain immutable values, so parallel
 reduction is just a merge of independently built summaries; there is no
-interior mutability to synchronize.
+interior mutability to synchronize.  map_chunks reduces CHUNK-sized pieces
+on worker threads, one per usable CPU, and hands the results back in chunk
+order, so a merge in that order does not depend on scheduling.
 
 mean_e is read off Σe, mse off Σe² and coupling off Σv·e rather than off
 differences of the power sums (Σv - Σx, Σv² - 2Σx·v + Σx² and Σv² - Σx·v),
@@ -24,7 +26,9 @@ holds to rounding error of the raw power sums, not approximately.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -33,9 +37,10 @@ from .textio import fmt_rows
 
 CSV_HEADER = "x,v"
 
-# elements per block when the error sums are formed through a reused buffer,
-# so that a large batch gets no full-length temporary for its errors
-_ERR_BLOCK = 1 << 16
+# samples per chunk: the unit of generation (one Philox substream each), of
+# parallel reduction, and of the error sums' reused buffer, so that a large
+# batch gets no full-length temporary for its errors
+CHUNK = 1 << 16
 
 
 class SampleBatch:
@@ -57,6 +62,16 @@ class SampleBatch:
         v.setflags(write=False)
         self.x = x
         self.v = v
+
+    @classmethod
+    def _adopt(cls, x: np.ndarray, v: np.ndarray) -> "SampleBatch":
+        """Freeze two fresh float64 arrays in place, without the copy."""
+        batch = cls.__new__(cls)
+        x.setflags(write=False)
+        v.setflags(write=False)
+        batch.x = x
+        batch.v = v
+        return batch
 
     def __len__(self) -> int:
         return int(self.x.size)
@@ -95,17 +110,36 @@ class MomentStats:
     coupling: float
 
 
-def _error_sums(xs: np.ndarray, vs: np.ndarray) -> tuple[float, float, float]:
-    """Σe, Σe² and Σv·e with e = v - x, one bounded block at a time."""
-    buf = np.empty(min(xs.size, _ERR_BLOCK))
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # einsum rather than np.dot: a BLAS dot on 65536 doubles can stall for
+    # milliseconds in OpenBLAS's thread hand-off, and it does not scale on threads
+    return float(np.einsum("i,i->", a, b))
+
+
+def _summary(xs: np.ndarray, vs: np.ndarray, offset: int = 0) -> MomentSummary:
+    """The sums of aligned arrays whose first pair sits at input position ``offset``.
+
+    The error sums Σe, Σe² and Σv·e (e = v - x) are formed one bounded block
+    at a time.  Raises NonFiniteSample naming the first offending pair by its
+    input position.
+    """
+    sxx, svv = _dot(xs, xs), _dot(vs, vs)
+    # a NaN or infinity anywhere makes one of these non-negative sums non-finite
+    if not math.isfinite(sxx + svv):
+        finite = np.isfinite(xs) & np.isfinite(vs)
+        if not bool(finite.all()):
+            i = int(np.argmin(finite))
+            raise NonFiniteSample(offset + i, float(xs[i]), float(vs[i]))
+    buf = np.empty(min(xs.size, CHUNK))
     se = see = sve = 0.0
-    for lo in range(0, xs.size, _ERR_BLOCK):
-        hi = min(lo + _ERR_BLOCK, xs.size)
+    for lo in range(0, xs.size, CHUNK):
+        hi = min(lo + CHUNK, xs.size)
         e = np.subtract(vs[lo:hi], xs[lo:hi], out=buf[: hi - lo])
         se += float(np.sum(e))
-        see += float(np.dot(e, e))
-        sve += float(np.dot(vs[lo:hi], e))
-    return se, see, sve
+        see += _dot(e, e)
+        sve += _dot(vs[lo:hi], e)
+    return MomentSummary(n=int(xs.size), sum_xx=sxx, sum_vv=svv, sum_xv=_dot(xs, vs),
+                         sum_e=se, sum_ee=see, sum_ve=sve)
 
 
 def accumulate(summary: MomentSummary, batch: SampleBatch, *,
@@ -122,28 +156,46 @@ def accumulate(summary: MomentSummary, batch: SampleBatch, *,
     xs, vs = batch.x, batch.v
     if xs.size == 0:
         return summary
-    finite = np.isfinite(xs) & np.isfinite(vs)
-    if not bool(finite.all()):
-        index = int(np.argmin(finite))
-        raise NonFiniteSample(index, float(xs[index]), float(vs[index]))
+    part = _summary(xs, vs)
+    sxx, svv, sxv = part.sum_xx, part.sum_vv, part.sum_xv
     if compensated:
         sxx = math.fsum(xs * xs)
         svv = math.fsum(vs * vs)
         sxv = math.fsum(xs * vs)
-    else:
-        sxx = float(np.dot(xs, xs))
-        svv = float(np.dot(vs, vs))
-        sxv = float(np.dot(xs, vs))
-    se, see, sve = _error_sums(xs, vs)
     return MomentSummary(
-        n=summary.n + int(xs.size),
+        n=summary.n + part.n,
         sum_xx=summary.sum_xx + sxx,
         sum_vv=summary.sum_vv + svv,
         sum_xv=summary.sum_xv + sxv,
-        sum_e=summary.sum_e + se,
-        sum_ee=summary.sum_ee + see,
-        sum_ve=summary.sum_ve + sve,
+        sum_e=summary.sum_e + part.sum_e,
+        sum_ee=summary.sum_ee + part.sum_ee,
+        sum_ve=summary.sum_ve + part.sum_ve,
     )
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_chunks(fn: Callable[[int], object], chunks: Iterable[int]) -> list:
+    """[fn(i) for i in chunks], run on one worker thread per usable CPU.
+
+    Results come back in the order of ``chunks`` whatever the schedule.  A
+    failing call cancels the calls that have not started, and the first
+    failure in that order is raised.  One chunk, or one CPU, runs inline
+    without a pool.  fn runs off the calling thread, so it must not call
+    anything that is not thread-safe, such as a tracer's wrappers around the
+    public functions: give it private helpers only.
+    """
+    chunks = list(chunks)
+    workers = min(len(chunks), _usable_cpus())
+    if workers <= 1:
+        return [fn(i) for i in chunks]
+    from concurrent.futures import ThreadPoolExecutor  # only multi-chunk inputs pay the import
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, chunks))
 
 
 def merge(a: MomentSummary, b: MomentSummary) -> MomentSummary:

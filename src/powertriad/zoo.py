@@ -15,6 +15,10 @@ problem seed.  A stream is the concatenation of fixed-size chunks, chunk i
 drawn from the substream Philox(key=seed).jumped(i); per-chunk parallel
 generation therefore reproduces the sequential stream bit for bit, and equal
 (spec, seed, n) triples always yield identical samples.
+
+summarize reduces a problem, drawn chunk by chunk, or a parsed batch, read
+through chunk views, to its raw summary plus one summary per estimator
+without building any full-length array: every estimator is c·z on the chunk.
 """
 
 from __future__ import annotations
@@ -22,12 +26,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Callable
+from functools import reduce
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidSpec, ZeroCandidatePower
-from .moments import SampleBatch
+from .moments import CHUNK, MomentSummary, SampleBatch, _dot, _summary, map_chunks, merge
 
 PROBLEM_KINDS = (
     "gaussian_shrinkage",
@@ -38,7 +43,6 @@ PROBLEM_KINDS = (
 )
 ESTIMATOR_KINDS = ("zero", "identity", "scale", "empirical_mmse", "amplifier")
 
-_CHUNK = 1 << 16
 _SEED_LIMIT = 1 << 64
 
 
@@ -132,50 +136,58 @@ def true_optimum_path(problem: ProblemSpec, n: int) -> np.ndarray:
     return moments[:, 2] / moments[:, 1]
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed).jumped(chunk_index))
-
-
-def generate_chunk(problem: ProblemSpec, chunk_index: int, chunk_size: int = _CHUNK) -> SampleBatch:
-    """Draw one substream chunk covering global indices [i·size, (i+1)·size)."""
-    if chunk_size < 1:
-        raise InvalidSpec("chunk_size must be positive")
-    rng = _chunk_rng(problem.seed, chunk_index)
-    lo = chunk_index * chunk_size
-    k = np.arange(lo, lo + chunk_size)
-    s = _signal_power_at(problem, k)
+def _draw(problem: ProblemSpec, chunk_index: int, chunk_size: int = CHUNK):
+    """Chunk i's (x, z) arrays: global indices [i·size, (i+1)·size)."""
+    rng = np.random.Generator(np.random.Philox(key=problem.seed).jumped(chunk_index))
+    s = problem.signal_power  # a scalar gives the same doubles where s(k) is constant
+    if problem.kind in ("step_change", "drifting_power"):
+        lo = chunk_index * chunk_size
+        s = _signal_power_at(problem, np.arange(lo, lo + chunk_size))
     if problem.kind == "deterministic_parameter":
         x = np.full(chunk_size, math.sqrt(problem.signal_power))
     elif problem.kind == "heavy_tail":
         # double-exponential signal: variance 2b² means scale b = sqrt(s/2)
-        x = rng.laplace(0.0, np.sqrt(s / 2.0))
+        x = rng.laplace(0.0, np.sqrt(s / 2.0), chunk_size)
     else:
         x = np.sqrt(s) * rng.standard_normal(chunk_size)
-    z = x + math.sqrt(problem.noise_power) * rng.standard_normal(chunk_size)
-    return SampleBatch(x, z)
+    z = rng.standard_normal(chunk_size)
+    z *= math.sqrt(problem.noise_power)
+    z += x  # x + σ·noise, in place
+    return x, z
+
+
+def generate_chunk(problem: ProblemSpec, chunk_index: int, chunk_size: int = CHUNK) -> SampleBatch:
+    """Draw one substream chunk covering global indices [i·size, (i+1)·size)."""
+    if chunk_size < 1:
+        raise InvalidSpec("chunk_size must be positive")
+    return SampleBatch._adopt(*_draw(problem, chunk_index, chunk_size))
 
 
 def generate(problem: ProblemSpec, n: int) -> SampleBatch:
     """Draw n aligned (x, z) pairs; pure function of (problem, n)."""
-    if n < 0:
-        raise InvalidSpec("sample count cannot be negative")
+    n, chunk = problem_source(problem, n)
     xs = np.empty(n)
     zs = np.empty(n)
-    for i in range(0, (n + _CHUNK - 1) // _CHUNK):
-        chunk = generate_chunk(problem, i)
-        lo = i * _CHUNK
-        hi = min(n, lo + _CHUNK)
-        xs[lo:hi] = chunk.x[: hi - lo]
-        zs[lo:hi] = chunk.v[: hi - lo]
-    return SampleBatch(xs, zs)
+
+    def fill(i: int) -> None:
+        x, z = chunk(i)
+        lo, hi = i * CHUNK, min(n, (i + 1) * CHUNK)
+        xs[lo:hi] = x[: hi - lo]
+        zs[lo:hi] = z[: hi - lo]
+
+    map_chunks(fill, range(-(-n // CHUNK)))
+    return SampleBatch._adopt(xs, zs)
+
+
+def _fit(sum_xv: float, sum_vv: float) -> float:
+    if sum_vv <= 0.0:
+        raise ZeroCandidatePower("candidate power is zero; cannot fit a scale")
+    return sum_xv / sum_vv
 
 
 def fit_scale(batch: SampleBatch) -> float:
     """Least-squares multiplier Σxv/Σv² of the candidate column."""
-    denom = float(np.dot(batch.v, batch.v))
-    if denom <= 0.0:
-        raise ZeroCandidatePower("candidate power is zero; cannot fit a scale")
-    return float(np.dot(batch.x, batch.v)) / denom
+    return _fit(float(np.dot(batch.x, batch.v)), float(np.dot(batch.v, batch.v)))
 
 
 def apply_estimator(estimator: EstimatorSpec, batch: SampleBatch) -> SampleBatch:
@@ -191,21 +203,107 @@ def apply_estimator(estimator: EstimatorSpec, batch: SampleBatch) -> SampleBatch
     if estimator.kind in ("scale", "amplifier"):
         return SampleBatch(batch.x, estimator.c * batch.v)
     if estimator.kind == "empirical_mmse":
-        if len(batch) < 2:
-            raise InvalidSpec("empirical_mmse needs at least 2 samples to split")
-        half = len(batch) // 2
+        half = _half(len(batch))
         c = fit_scale(SampleBatch(batch.x[:half], batch.v[:half]))
         return SampleBatch(batch.x[half:], c * batch.v[half:])
     raise InvalidSpec(f"unknown estimator kind {estimator.kind!r}")
 
 
-def verify_amplifier(estimator: EstimatorSpec, batch: SampleBatch) -> None:
-    """Confirm that the amplifier's estimate power c²·Σz² exceeds Σx² on this raw batch."""
+def _half(n: int) -> int:
+    """Where empirical_mmse's evaluation half starts."""
+    if n < 2:
+        raise InvalidSpec("empirical_mmse needs at least 2 samples to split")
+    return n // 2
+
+
+def verify_amplifier(estimator: EstimatorSpec, raw) -> None:
+    """Confirm that the amplifier's estimate power c²·Σz² exceeds Σx² on the raw data.
+
+    ``raw`` is that data as a SampleBatch, or its MomentSummary.
+    """
     if estimator.kind != "amplifier":
         raise InvalidSpec("only amplifier estimators need verification")
-    estimate_power = estimator.c * estimator.c * float(np.dot(batch.v, batch.v))
-    if not estimate_power > float(np.dot(batch.x, batch.x)):
+    if isinstance(raw, SampleBatch):
+        raw = MomentSummary(sum_xx=_dot(raw.x, raw.x), sum_vv=_dot(raw.v, raw.v))
+    if not estimator.c * estimator.c * raw.sum_vv > raw.sum_xx:
         raise InvalidSpec(f"amplifier(c={estimator.c!r}) is not power dominant on this input")
+
+
+Chunks = Callable[[int], tuple[np.ndarray, np.ndarray]]
+
+
+def problem_source(problem: ProblemSpec, n: int) -> tuple[int, Chunks]:
+    """n pairs of a generated problem, drawn one chunk at a time."""
+    if n < 0:
+        raise InvalidSpec("sample count cannot be negative")
+    return n, lambda i: _draw(problem, i)
+
+
+def batch_source(batch: SampleBatch) -> tuple[int, Chunks]:
+    """The pairs of a batch, read through CHUNK-row views."""
+    return len(batch), lambda i: (batch.x[i * CHUNK:(i + 1) * CHUNK],
+                                  batch.v[i * CHUNK:(i + 1) * CHUNK])
+
+
+def _estimate(estimator: EstimatorSpec, z: np.ndarray) -> np.ndarray:
+    """v = c·z for an estimator with a fixed multiplier, as apply_estimator computes it."""
+    if estimator.kind == "zero":
+        return np.zeros_like(z)
+    return z if estimator.kind == "identity" else estimator.c * z
+
+
+def summarize(
+    source: tuple[int, Chunks], estimators: Sequence[EstimatorSpec]
+) -> tuple[MomentSummary, list[MomentSummary]]:
+    """The raw summary of a source's (x, z) pairs, and the summary of each estimator's (x, v).
+
+    Each chunk is drawn once and reduced on its own, on worker threads, and
+    the parts merge in chunk order on this thread, so every bit of the result
+    depends only on the data and the estimators.  empirical_mmse fits
+    c = Σxz/Σz² on the raw sums of the first half, as apply_estimator does,
+    and is summed over the second half in a second pass, in which only the
+    chunk holding n//2 is drawn again.  A non-finite pair raises
+    NonFiniteSample with its position in the source and its raw x and z.
+    """
+    n, chunk = source
+    fitted = any(e.kind == "empirical_mmse" for e in estimators)
+    fixed = [e for e in estimators if e.kind != "empirical_mmse"]
+    half = _half(n) if fitted else n
+
+    def part(i: int, whole: bool, c: Optional[float]):
+        """(raw, [fixed estimators], first-half raw, c·z over the second half) of chunk i."""
+        lo = i * CHUNK
+        x, z = chunk(i)
+        x, z = x[: n - lo], z[: n - lo]
+        raw = head = tail = None
+        ests = []
+        if whole:
+            raw = _summary(x, z, lo)
+            ests = [_summary(x, _estimate(e, z), lo) for e in fixed]
+            if fitted and lo < half:
+                head = raw if lo + x.size <= half else _summary(x[: half - lo], z[: half - lo])
+        if c is not None:
+            cut = max(half - lo, 0)
+            tail = _summary(x[cut:], c * z[cut:], lo + cut)
+        return raw, ests, head, tail
+
+    def total(summaries) -> MomentSummary:
+        return reduce(merge, summaries, MomentSummary())
+
+    first = -(-half // CHUNK)  # the chunks that meet the first half
+    parts = map_chunks(lambda i: part(i, True, None), range(first))
+    tail = None
+    if fitted:
+        head = total(p[2] for p in parts)
+        c = _fit(head.sum_xv, head.sum_vv)
+        again = [first - 1] if half % CHUNK else []
+        rest = map_chunks(lambda i: part(i, i >= first, c),
+                          again + list(range(first, -(-n // CHUNK))))
+        tail = total(p[3] for p in rest)
+        parts += rest[len(again):]
+    sums = iter([total(p[1][j] for p in parts) for j in range(len(fixed))])
+    return (total(p[0] for p in parts),
+            [tail if e.kind == "empirical_mmse" else next(sums) for e in estimators])
 
 
 _CALL_RE = re.compile(r"^\s*([a-z_][a-z0-9_]*)\s*(?:\((.*)\))?\s*$", re.DOTALL)

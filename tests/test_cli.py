@@ -316,3 +316,45 @@ def test_diagnose_on_csv_without_rows_prints_only_the_error(tmp_path, child_env,
     assert result.stdout == ""
     assert result.stderr.startswith("error: cannot finalize ")
     assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+
+
+def test_map_parses_every_estimator_before_the_problem(capsys):
+    """Both bad: map reports the estimator spec, as diagnose does."""
+    assert main(["map", "--problem", "nope", "--estimator", "bogus"]) == 1
+    map_err = capsys.readouterr().err
+    assert main(["diagnose", "--problem", "nope", "--estimator", "bogus"]) == 1
+    assert map_err == capsys.readouterr().err == "error: unknown estimator kind 'bogus'\n"
+
+
+@pytest.mark.parametrize("estimator", [[], ["--estimator", "empirical_mmse"]],
+                         ids=["raw", "empirical_mmse"])
+def test_non_finite_pair_is_named_by_its_input_position(tmp_path, capsys, estimator):
+    """A NaN at CSV row 70001 (chunk 2, and past empirical_mmse's half) is index 70000."""
+    rows = [f"{i / 1000!r},{i / 500!r}" for i in range(100_000)]
+    rows[70_000] = "nan,0.25"
+    src = _write(tmp_path / "pairs.csv", "x,v\n" + "\n".join(rows) + "\n")
+    assert main(["diagnose", "--input", src, *estimator]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: non-finite sample at index 70000: x=nan, v=0.25\n"
+
+
+def test_multi_chunk_commands_are_byte_identical_across_runs(tmp_path, capsys):
+    """n = 3·65536 + 17 runs on the worker pool; two runs agree to the byte."""
+    gen = ["--problem", "gaussian_shrinkage(noise_power=0.5, seed=3)",
+           "--samples", str(3 * 65_536 + 17)]
+    for argv in (["diagnose", *gen, "--estimator", "scale(c=0.7)"],
+                 ["diagnose", *gen, "--estimator", "empirical_mmse"],
+                 ["scale", *gen]):
+        outputs = []
+        for _ in range(2):
+            main(argv)
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == ""
+    maps = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        assert main(["map", *gen, "--estimator", "zero", "--estimator", "empirical_mmse",
+                     "--estimator", "amplifier(c=2)", "--out", str(tmp_path / sub / "m")]) == 0
+        maps.append({p.name: p.read_bytes() for p in (tmp_path / sub).iterdir()})
+    assert len(maps[0]) == 6 and maps[0] == maps[1]

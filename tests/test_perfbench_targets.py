@@ -3,6 +3,9 @@
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
+import threading
 
 import powertriad.cli  # noqa: F401  (install() wraps every loaded powertriad module)
 
@@ -34,3 +37,43 @@ def test_tracer_installs_and_undoes():
     finally:
         undo()
     assert powertriad.cli.main is original
+
+
+def test_traced_multi_chunk_run_keeps_every_span_on_the_calling_thread(capsys):
+    """The tracer keeps one span stack; chunk workers must never enter a wrapped function."""
+    tracing = _load_tracing()
+    threads = set()
+
+    class Tracer(tracing.Tracer):
+        def open(self, name):
+            threads.add(threading.get_ident())
+            return super().open(name)
+
+    tracer = Tracer()
+    undo = tracing.install(tracer)
+    try:
+        code = powertriad.cli.main(["diagnose", "--problem", "gaussian_shrinkage",
+                                    "--samples", str(3 * 65_536 + 17),
+                                    "--estimator", "amplifier(c=2)"])
+    finally:
+        undo()
+    assert code == 3 and capsys.readouterr().err == ""
+    assert threads == {threading.get_ident()}
+    assert tracer.stack == []
+    spans = tracer.as_records()
+    assert spans and spans[0]["name"] == "cli.main"
+    for span in spans:
+        assert span["end"] >= span["start"] > 0.0, span  # closed
+        if span["parent"] >= 0:
+            parent = spans[span["parent"]]
+            assert parent["start"] <= span["start"] and span["end"] <= parent["end"], span
+
+
+def test_import_loads_no_thread_pool(child_env):
+    """The worker pool is imported on first multi-chunk use, so start-up time cannot drift."""
+    code = ("import powertriad, powertriad.cli, sys; "
+            "print('concurrent.futures' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=child_env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

@@ -1,6 +1,7 @@
 """Synthetic problem generators and reference estimators."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,23 +11,29 @@ from powertriad import (
     PROBLEM_KINDS,
     EstimatorSpec,
     InvalidSpec,
+    MomentSummary,
+    NonFiniteSample,
     ProblemSpec,
     SampleBatch,
     ZeroCandidatePower,
+    accumulate,
     apply_estimator,
     certify_optimum,
     check_penalty,
     fit_scale,
     generate,
     map_point,
+    merge,
     parse_estimator_spec,
     parse_problem_spec,
     population_moments,
     stats_of,
     true_optimum_path,
 )
+from powertriad import moments
 from powertriad.scaling import ScalingProblem
-from powertriad.zoo import generate_chunk, verify_amplifier, with_seed
+from powertriad.zoo import (batch_source, generate_chunk, problem_source, summarize,
+                            verify_amplifier, with_seed)
 from powertriad.moments import to_csv_text
 
 GAUSS = ProblemSpec(kind="gaussian_shrinkage", signal_power=1.0, noise_power=1.0, seed=42)
@@ -274,3 +281,74 @@ def test_safe_zone_invariant_across_the_zoo():
                 apply_estimator(EstimatorSpec(kind="scale", c=cert.t_star),
                                 generate(spec, 400))))
             assert point.power_ratio <= 1.0 + 1e-12, (kind, seed)
+
+
+# three full chunks and 17 more samples: the pool path with a partial last chunk,
+# and n//2 = 98312 falls inside chunk 1
+POOL_N = 3 * 65_536 + 17
+
+
+def _sequential_reference(problem, n, estimators):
+    """summarize's result rebuilt from public generate_chunk + accumulate + merge in chunk order."""
+    chunks = []
+    for i in range(-(-n // 65_536)):
+        batch = generate_chunk(problem, i)
+        m = min(65_536, n - i * 65_536)
+        chunks.append((i * 65_536, batch.x[:m], batch.v[:m]))
+
+    def total(parts):
+        out = MomentSummary()
+        for part in parts:
+            out = merge(out, part)
+        return out
+
+    def summary(x, v):
+        return accumulate(MomentSummary(), SampleBatch(x, v))
+
+    raw = total(summary(x, z) for _, x, z in chunks)
+    half = n // 2
+    head = total(summary(x[: half - lo], z[: half - lo]) for lo, x, z in chunks if lo < half)
+    c = head.sum_xv / head.sum_vv
+    out = []
+    for est in estimators:
+        if est.kind == "empirical_mmse":
+            cuts = [(max(half - lo, 0), x, z) for lo, x, z in chunks if lo + x.size > half]
+            out.append(total(summary(x[cut:], c * z[cut:]) for cut, x, z in cuts))
+        else:
+            out.append(total(summary(x, apply_estimator(est, SampleBatch(x, z)).v)
+                             for _, x, z in chunks))
+    return raw, out
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])
+def test_summarize_is_bit_equal_to_the_sequential_reduction(monkeypatch, workers):
+    monkeypatch.setattr(moments, "_usable_cpus", lambda: workers)
+    estimators = [EstimatorSpec(kind="scale", c=0.7), EstimatorSpec(kind="amplifier", c=2.0),
+                  EstimatorSpec(kind="empirical_mmse")]
+    expected = _sequential_reference(GAUSS, POOL_N, estimators)
+    assert summarize(problem_source(GAUSS, POOL_N), estimators) == expected
+    # the parsed-input source reads the same pairs through chunk views
+    assert summarize(batch_source(generate(GAUSS, POOL_N)), estimators) == expected
+
+
+def test_generate_is_the_concatenated_chunks(monkeypatch):
+    # more workers than cores, switching often: each chunk must land in its own slice
+    monkeypatch.setattr(moments, "_usable_cpus", lambda: 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        whole = generate(GAUSS, POOL_N)
+    finally:
+        sys.setswitchinterval(interval)
+    chunks = [generate_chunk(GAUSS, i) for i in range(4)]
+    assert np.array_equal(whole.x, np.concatenate([c.x for c in chunks])[:POOL_N])
+    assert np.array_equal(whole.v, np.concatenate([c.v for c in chunks])[:POOL_N])
+
+
+def test_a_failing_chunk_raises_the_first_failure_in_chunk_order(monkeypatch):
+    monkeypatch.setattr(moments, "_usable_cpus", lambda: 2)
+    x = np.ones(POOL_N)
+    x[[70_000, 190_000]] = np.nan
+    with pytest.raises(NonFiniteSample) as err:
+        summarize(batch_source(SampleBatch(x, np.ones(POOL_N))), [])
+    assert err.value.index == 70_000
