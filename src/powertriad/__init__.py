@@ -45,7 +45,6 @@ from .moments import (
 from .safezone_map import (
     MapDataset,
     MapPoint,
-    StyleConfig,
     build_left_map,
     build_right_map,
     emit_dataset,
@@ -73,7 +72,6 @@ from .zoo import (
     EstimatorSpec,
     ProblemSpec,
     apply_estimator,
-    fit_scale,
     generate,
     parse_estimator_spec,
     parse_problem_spec,
@@ -82,66 +80,3 @@ from .zoo import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BALANCE_TOL",
-    "ControllerConfig",
-    "CouplingDecomposition",
-    "DEGENERACY_TOL",
-    "DegenerateWindow",
-    "ESTIMATOR_KINDS",
-    "EmptyInput",
-    "EmptySummary",
-    "EstimatorSpec",
-    "InvalidSpec",
-    "MapDataset",
-    "MapPoint",
-    "MomentStats",
-    "MomentSummary",
-    "NonFiniteSample",
-    "PROBLEM_KINDS",
-    "PenaltyVerdict",
-    "PowerTriadError",
-    "ProblemSpec",
-    "RegimeLabel",
-    "SampleBatch",
-    "ScalingCertificate",
-    "ScalingProblem",
-    "ScalingTrace",
-    "StyleConfig",
-    "TrackTrace",
-    "TriadReport",
-    "ZeroCandidatePower",
-    "ZeroSignalPower",
-    "accumulate",
-    "apply_estimator",
-    "balance_scale",
-    "build_left_map",
-    "build_right_map",
-    "certify_optimum",
-    "check_penalty",
-    "classify_regime",
-    "decompose_coupling",
-    "emit_dataset",
-    "finalize",
-    "fit_scale",
-    "generate",
-    "map_point",
-    "map_point_from_certificate",
-    "merge",
-    "mse_of_t",
-    "optimal_scale",
-    "parse_dataset_csv",
-    "parse_estimator_spec",
-    "parse_problem_spec",
-    "population_moments",
-    "read_csv",
-    "render_svg",
-    "report_to_json",
-    "run_path",
-    "stats_of",
-    "track_moving_optimum",
-    "triad_report",
-    "true_optimum_path",
-    "write_csv",
-]

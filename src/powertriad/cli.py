@@ -237,7 +237,7 @@ def _rows(args: argparse.Namespace) -> tuple[moments.SampleBatch, Optional[zoo.P
         batch = zoo.generate(problem, args.samples)
     for est in estimators:
         if est.kind == "amplifier":
-            zoo.verify_amplifier(est, batch)
+            zoo.verify_amplifier(est, zoo.summarize(zoo.batch_source(batch), [])[0])
         batch = zoo.apply_estimator(est, batch)
     return batch, problem
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -38,8 +38,8 @@ from .textio import fmt_rows
 CSV_HEADER = "x,v"
 
 # samples per chunk: the unit of generation (one Philox substream each), of
-# parallel reduction, and of the error sums' reused buffer, so that a large
-# batch gets no full-length temporary for its errors
+# every reduction, whose chunk sums add in order whatever reduces them, and of
+# the errors' reused buffer, so that a large batch gets no full-length temporary
 CHUNK = 1 << 16
 
 
@@ -119,58 +119,47 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 def _summary(xs: np.ndarray, vs: np.ndarray, offset: int = 0) -> MomentSummary:
     """The sums of aligned arrays whose first pair sits at input position ``offset``.
 
-    The error sums Σe, Σe² and Σv·e (e = v - x) are formed one bounded block
-    at a time.  Raises NonFiniteSample naming the first offending pair by its
-    input position.
+    The arrays are reduced CHUNK pairs at a time and the chunks' sums are
+    added in order, which is what merging the chunks' summaries does; so an
+    array of any length gets the bits that summarize merges from its chunks.
+    Raises NonFiniteSample naming the first offending pair by its input
+    position.
     """
-    sxx, svv = _dot(xs, xs), _dot(vs, vs)
-    # a NaN or infinity anywhere makes one of these non-negative sums non-finite
-    if not math.isfinite(sxx + svv):
-        finite = np.isfinite(xs) & np.isfinite(vs)
-        if not bool(finite.all()):
-            i = int(np.argmin(finite))
-            raise NonFiniteSample(offset + i, float(xs[i]), float(vs[i]))
     buf = np.empty(min(xs.size, CHUNK))
-    se = see = sve = 0.0
+    sxx = svv = sxv = se = see = sve = 0.0
     for lo in range(0, xs.size, CHUNK):
-        hi = min(lo + CHUNK, xs.size)
-        e = np.subtract(vs[lo:hi], xs[lo:hi], out=buf[: hi - lo])
-        se += float(np.sum(e))
-        see += _dot(e, e)
-        sve += _dot(vs[lo:hi], e)
-    return MomentSummary(n=int(xs.size), sum_xx=sxx, sum_vv=svv, sum_xv=_dot(xs, vs),
+        x, v = xs[lo:lo + CHUNK], vs[lo:lo + CHUNK]
+        bxx, bvv = _dot(x, x), _dot(v, v)
+        # a NaN or infinity anywhere makes one of these non-negative sums non-finite
+        if not math.isfinite(bxx + bvv):
+            finite = np.isfinite(x) & np.isfinite(v)
+            if not bool(finite.all()):
+                i = int(np.argmin(finite))
+                raise NonFiniteSample(offset + lo + i, float(x[i]), float(v[i]))
+        e = np.subtract(v, x, out=buf[: x.size])
+        sxx, svv, sxv = sxx + bxx, svv + bvv, sxv + _dot(x, v)
+        se, see, sve = se + float(np.sum(e)), see + _dot(e, e), sve + _dot(v, e)
+    return MomentSummary(n=int(xs.size), sum_xx=sxx, sum_vv=svv, sum_xv=sxv,
                          sum_e=se, sum_ee=see, sum_ve=sve)
 
 
 def accumulate(summary: MomentSummary, batch: SampleBatch, *,
                compensated: bool = False) -> MomentSummary:
-    """Return ``summary`` advanced by a batch of samples.
+    """Return ``summary`` merged with the batch's summary.
 
-    The input summary is never modified.  ``compensated=True`` switches the
-    batch-local reduction of the three power sums to exact summation (worth it
-    past ~1e7 samples of mixed magnitude); the error sums Σe, Σe² and Σv·e,
-    which do not cancel the way the power sums do, and merges between
-    summaries stay plain either way.
+    The input summary is never modified.  ``compensated=True`` replaces the
+    batch's three power sums by exact summation (worth it past ~1e7 samples
+    of mixed magnitude); the error sums Σe, Σe² and Σv·e, which do not
+    cancel the way the power sums do, and merges between summaries stay
+    plain either way.
     Raises NonFiniteSample naming the first offending pair.
     """
     xs, vs = batch.x, batch.v
-    if xs.size == 0:
-        return summary
     part = _summary(xs, vs)
-    sxx, svv, sxv = part.sum_xx, part.sum_vv, part.sum_xv
     if compensated:
-        sxx = math.fsum(xs * xs)
-        svv = math.fsum(vs * vs)
-        sxv = math.fsum(xs * vs)
-    return MomentSummary(
-        n=summary.n + part.n,
-        sum_xx=summary.sum_xx + sxx,
-        sum_vv=summary.sum_vv + svv,
-        sum_xv=summary.sum_xv + sxv,
-        sum_e=summary.sum_e + part.sum_e,
-        sum_ee=summary.sum_ee + part.sum_ee,
-        sum_ve=summary.sum_ve + part.sum_ve,
-    )
+        part = replace(part, sum_xx=math.fsum(xs * xs), sum_vv=math.fsum(vs * vs),
+                       sum_xv=math.fsum(xs * vs))
+    return merge(summary, part)
 
 
 def _usable_cpus() -> int:
@@ -230,7 +219,10 @@ def finalize(summary: MomentSummary) -> MomentStats:
 
 
 def stats_of(batch: SampleBatch, *, compensated: bool = False) -> MomentStats:
-    """One-shot convenience: accumulate a batch from empty and finalize."""
+    """One-shot convenience: accumulate a batch from empty and finalize.
+
+    Uncompensated, it is bit for bit zoo.summarize's raw summary of the batch, finalized.
+    """
     return finalize(accumulate(MomentSummary(), batch, compensated=compensated))
 
 

@@ -33,6 +33,13 @@ DATASET_CSV_HEADER = ("label", "power_ratio", "coupling_norm", "coupling_raw", "
 BALANCE_RATIO = 1.0
 PENALTY_LEVEL = 0.5
 
+# the SVG canvas in pixels, its colors and its text font
+WIDTH, HEIGHT, MARGIN = 720, 540, 64.0
+BACKGROUND, SAFE_FILL, FORBIDDEN_FILL, AXIS_COLOR = "#ffffff", "#c8e6c9", "#ffcdd2", "#333333"
+BALANCE_COLOR, PENALTY_COLOR, SINGULARITY_COLOR = "#2e7d32", "#8b0000", "#d32f2f"
+IDEAL_COLOR, POINT_FILL = "#1565c0", "#263238"
+FONT = 'font-family="sans-serif" font-size="12"'
+
 
 @dataclass(frozen=True)
 class MapPoint:
@@ -60,24 +67,6 @@ class MapDataset:
     kind: str
     points: tuple[MapPoint, ...]
     rho: float
-
-
-@dataclass(frozen=True)
-class StyleConfig:
-    width: int = 720
-    height: int = 540
-    margin: float = 64.0
-    background: str = "#ffffff"
-    safe_fill: str = "#c8e6c9"
-    forbidden_fill: str = "#ffcdd2"
-    axis_color: str = "#333333"
-    balance_color: str = "#2e7d32"
-    penalty_color: str = "#8b0000"
-    singularity_color: str = "#d32f2f"
-    ideal_color: str = "#1565c0"
-    point_fill: str = "#263238"
-    font_family: str = "sans-serif"
-    font_size: float = 12.0
 
 
 class DatasetFiles(NamedTuple):
@@ -225,7 +214,7 @@ def _px(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_svg(dataset: MapDataset, style: StyleConfig = StyleConfig()) -> str:
+def render_svg(dataset: MapDataset) -> str:
     """Render the dataset as a self-contained, deterministic SVG document."""
     finite_x = [p.power_ratio for p in dataset.points]
     finite_y = [p.coupling_norm for p in dataset.points if p.coupling_norm_defined]
@@ -234,7 +223,7 @@ def render_svg(dataset: MapDataset, style: StyleConfig = StyleConfig()) -> str:
     y_lo = min(-0.25, *(1.15 * y for y in finite_y)) if finite_y else -0.25
     x_lo = 0.0
 
-    w, h, m = float(style.width), float(style.height), style.margin
+    w, h, m = float(WIDTH), float(HEIGHT), MARGIN
 
     def sx(v: float) -> float:
         return m + (v - x_lo) / (x_hi - x_lo) * (w - 2.0 * m)
@@ -244,14 +233,14 @@ def render_svg(dataset: MapDataset, style: StyleConfig = StyleConfig()) -> str:
 
     out: list[str] = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{style.width}" '
-        f'height="{style.height}" viewBox="0 0 {style.width} {style.height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
     )
     title = "Power-regime map" if dataset.kind == "left" else "Scaling-geometry map"
     out.append(f"<title>{escape(title)}</title>")
     out.append(
-        f'<rect class="background" x="0" y="0" width="{style.width}" '
-        f'height="{style.height}" fill="{style.background}"/>'
+        f'<rect class="background" x="0" y="0" width="{WIDTH}" '
+        f'height="{HEIGHT}" fill="{BACKGROUND}"/>'
     )
 
     # regions: green safe area, red forbidden half-plane beyond the balance line
@@ -263,81 +252,80 @@ def render_svg(dataset: MapDataset, style: StyleConfig = StyleConfig()) -> str:
     out.append(
         f'<rect class="region region-safe" x="{_px(sx(x_lo))}" y="{_px(safe_top)}" '
         f'width="{_px(sx(BALANCE_RATIO) - sx(x_lo))}" height="{_px(safe_bottom - safe_top)}" '
-        f'fill="{style.safe_fill}"/>'
+        f'fill="{SAFE_FILL}"/>'
     )
     out.append(
         f'<rect class="region region-forbidden" x="{_px(sx(BALANCE_RATIO))}" y="{_px(sy(y_hi))}" '
         f'width="{_px(sx(x_hi) - sx(BALANCE_RATIO))}" height="{_px(sy(y_lo) - sy(y_hi))}" '
-        f'fill="{style.forbidden_fill}"/>'
+        f'fill="{FORBIDDEN_FILL}"/>'
     )
 
     if dataset.kind == "right":
         out.append(
             f'<line class="path ideal-path" x1="{_px(sx(0.0))}" y1="{_px(sy(0.0))}" '
-            f'x2="{_px(sx(dataset.rho))}" y2="{_px(sy(0.0))}" stroke="{style.ideal_color}" '
+            f'x2="{_px(sx(dataset.rho))}" y2="{_px(sy(0.0))}" stroke="{IDEAL_COLOR}" '
             f'stroke-width="3"/>'
         )
 
     out.append(
         f'<line class="boundary balance-line" x1="{_px(sx(BALANCE_RATIO))}" '
         f'y1="{_px(sy(y_lo))}" x2="{_px(sx(BALANCE_RATIO))}" y2="{_px(sy(y_hi))}" '
-        f'stroke="{style.balance_color}" stroke-width="1.5"/>'
+        f'stroke="{BALANCE_COLOR}" stroke-width="1.5"/>'
     )
     if dataset.kind == "right":
         out.append(
             f'<line class="boundary penalty-line" x1="{_px(sx(x_lo))}" '
             f'y1="{_px(sy(PENALTY_LEVEL))}" x2="{_px(sx(x_hi))}" '
-            f'y2="{_px(sy(PENALTY_LEVEL))}" stroke="{style.penalty_color}" '
+            f'y2="{_px(sy(PENALTY_LEVEL))}" stroke="{PENALTY_COLOR}" '
             f'stroke-width="1.5" stroke-dasharray="6 4"/>'
         )
         out.append(
             f'<circle class="marker singularity" cx="{_px(sx(BALANCE_RATIO))}" '
-            f'cy="{_px(sy(PENALTY_LEVEL))}" r="5" fill="{style.singularity_color}"/>'
+            f'cy="{_px(sy(PENALTY_LEVEL))}" r="5" fill="{SINGULARITY_COLOR}"/>'
         )
 
     # axes with ticks
     out.append(
         f'<line class="axis" x1="{_px(sx(x_lo))}" y1="{_px(sy(y_lo))}" x2="{_px(sx(x_hi))}" '
-        f'y2="{_px(sy(y_lo))}" stroke="{style.axis_color}" stroke-width="1"/>'
+        f'y2="{_px(sy(y_lo))}" stroke="{AXIS_COLOR}" stroke-width="1"/>'
     )
     out.append(
         f'<line class="axis" x1="{_px(sx(x_lo))}" y1="{_px(sy(y_lo))}" x2="{_px(sx(x_lo))}" '
-        f'y2="{_px(sy(y_hi))}" stroke="{style.axis_color}" stroke-width="1"/>'
+        f'y2="{_px(sy(y_hi))}" stroke="{AXIS_COLOR}" stroke-width="1"/>'
     )
-    font = f'font-family="{style.font_family}" font-size="{style.font_size:g}"'
     for tick in _ticks(x_lo, x_hi):
         out.append(
             f'<line class="tick" x1="{_px(sx(tick))}" y1="{_px(sy(y_lo))}" '
-            f'x2="{_px(sx(tick))}" y2="{_px(sy(y_lo) + 5)}" stroke="{style.axis_color}" '
+            f'x2="{_px(sx(tick))}" y2="{_px(sy(y_lo) + 5)}" stroke="{AXIS_COLOR}" '
             f'stroke-width="1"/>'
         )
         out.append(
             f'<text class="tick-label" x="{_px(sx(tick))}" y="{_px(sy(y_lo) + 18)}" '
-            f'{font} fill="{style.axis_color}" text-anchor="middle">{tick:g}</text>'
+            f'{FONT} fill="{AXIS_COLOR}" text-anchor="middle">{tick:g}</text>'
         )
     for tick in _ticks(y_lo, y_hi):
         out.append(
             f'<line class="tick" x1="{_px(sx(x_lo) - 5)}" y1="{_px(sy(tick))}" '
-            f'x2="{_px(sx(x_lo))}" y2="{_px(sy(tick))}" stroke="{style.axis_color}" '
+            f'x2="{_px(sx(x_lo))}" y2="{_px(sy(tick))}" stroke="{AXIS_COLOR}" '
             f'stroke-width="1"/>'
         )
         out.append(
             f'<text class="tick-label" x="{_px(sx(x_lo) - 8)}" y="{_px(sy(tick) + 4)}" '
-            f'{font} fill="{style.axis_color}" text-anchor="end">{tick:g}</text>'
+            f'{FONT} fill="{AXIS_COLOR}" text-anchor="end">{tick:g}</text>'
         )
     out.append(
         f'<text class="axis-label" x="{_px((sx(x_lo) + sx(x_hi)) / 2)}" y="{_px(h - 16)}" '
-        f'{font} fill="{style.axis_color}" text-anchor="middle">power ratio '
+        f'{FONT} fill="{AXIS_COLOR}" text-anchor="middle">power ratio '
         f"(estimate / signal)</text>"
     )
     out.append(
-        f'<text class="axis-label" x="18" y="{_px((sy(y_lo) + sy(y_hi)) / 2)}" {font} '
-        f'fill="{style.axis_color}" text-anchor="middle" '
+        f'<text class="axis-label" x="18" y="{_px((sy(y_lo) + sy(y_hi)) / 2)}" {FONT} '
+        f'fill="{AXIS_COLOR}" text-anchor="middle" '
         f'transform="rotate(-90 18 {_px((sy(y_lo) + sy(y_hi)) / 2)})">coupling / mse</text>'
     )
     out.append(
-        f'<text class="map-title" x="{_px(w / 2)}" y="{_px(m - 20)}" {font} '
-        f'fill="{style.axis_color}" text-anchor="middle" font-weight="bold">'
+        f'<text class="map-title" x="{_px(w / 2)}" y="{_px(m - 20)}" {FONT} '
+        f'fill="{AXIS_COLOR}" text-anchor="middle" font-weight="bold">'
         f"{escape(title)}</text>"
     )
 
@@ -348,18 +336,18 @@ def render_svg(dataset: MapDataset, style: StyleConfig = StyleConfig()) -> str:
             cls += " point-undefined"
             marker = (
                 f'<circle class="{cls}" cx="{_px(sx(p.power_ratio))}" cy="{_px(sy(y))}" '
-                f'r="4" fill="none" stroke="{style.point_fill}" stroke-width="1.5" '
+                f'r="4" fill="none" stroke="{POINT_FILL}" stroke-width="1.5" '
                 f'stroke-dasharray="2 2"/>'
             )
         else:
             marker = (
                 f'<circle class="{cls}" cx="{_px(sx(p.power_ratio))}" cy="{_px(sy(y))}" '
-                f'r="4" fill="{style.point_fill}"/>'
+                f'r="4" fill="{POINT_FILL}"/>'
             )
         out.append(marker)
         out.append(
             f'<text class="point-label" x="{_px(sx(p.power_ratio) + 7)}" '
-            f'y="{_px(sy(y) - 7)}" {font} fill="{style.point_fill}">{escape(p.label)}</text>'
+            f'y="{_px(sy(y) - 7)}" {FONT} fill="{POINT_FILL}">{escape(p.label)}</text>'
         )
 
     out.append("</svg>")

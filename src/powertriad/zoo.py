@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidSpec, ZeroCandidatePower
-from .moments import CHUNK, MomentSummary, SampleBatch, _dot, _summary, map_chunks, merge
+from .moments import CHUNK, MomentSummary, SampleBatch, _summary, map_chunks, merge
 
 PROBLEM_KINDS = (
     "gaussian_shrinkage",
@@ -136,31 +136,29 @@ def true_optimum_path(problem: ProblemSpec, n: int) -> np.ndarray:
     return moments[:, 2] / moments[:, 1]
 
 
-def _draw(problem: ProblemSpec, chunk_index: int, chunk_size: int = CHUNK):
-    """Chunk i's (x, z) arrays: global indices [i·size, (i+1)·size)."""
+def _draw(problem: ProblemSpec, chunk_index: int):
+    """Chunk i's (x, z) arrays: global indices [i·CHUNK, (i+1)·CHUNK)."""
     rng = np.random.Generator(np.random.Philox(key=problem.seed).jumped(chunk_index))
     s = problem.signal_power  # a scalar gives the same doubles where s(k) is constant
     if problem.kind in ("step_change", "drifting_power"):
-        lo = chunk_index * chunk_size
-        s = _signal_power_at(problem, np.arange(lo, lo + chunk_size))
+        lo = chunk_index * CHUNK
+        s = _signal_power_at(problem, np.arange(lo, lo + CHUNK))
     if problem.kind == "deterministic_parameter":
-        x = np.full(chunk_size, math.sqrt(problem.signal_power))
+        x = np.full(CHUNK, math.sqrt(problem.signal_power))
     elif problem.kind == "heavy_tail":
         # double-exponential signal: variance 2b² means scale b = sqrt(s/2)
-        x = rng.laplace(0.0, np.sqrt(s / 2.0), chunk_size)
+        x = rng.laplace(0.0, np.sqrt(s / 2.0), CHUNK)
     else:
-        x = np.sqrt(s) * rng.standard_normal(chunk_size)
-    z = rng.standard_normal(chunk_size)
+        x = np.sqrt(s) * rng.standard_normal(CHUNK)
+    z = rng.standard_normal(CHUNK)
     z *= math.sqrt(problem.noise_power)
     z += x  # x + σ·noise, in place
     return x, z
 
 
-def generate_chunk(problem: ProblemSpec, chunk_index: int, chunk_size: int = CHUNK) -> SampleBatch:
-    """Draw one substream chunk covering global indices [i·size, (i+1)·size)."""
-    if chunk_size < 1:
-        raise InvalidSpec("chunk_size must be positive")
-    return SampleBatch._adopt(*_draw(problem, chunk_index, chunk_size))
+def generate_chunk(problem: ProblemSpec, chunk_index: int) -> SampleBatch:
+    """Draw one substream chunk covering global indices [i·CHUNK, (i+1)·CHUNK)."""
+    return SampleBatch._adopt(*_draw(problem, chunk_index))
 
 
 def generate(problem: ProblemSpec, n: int) -> SampleBatch:
@@ -185,9 +183,11 @@ def _fit(sum_xv: float, sum_vv: float) -> float:
     return sum_xv / sum_vv
 
 
-def fit_scale(batch: SampleBatch) -> float:
-    """Least-squares multiplier Σxv/Σv² of the candidate column."""
-    return _fit(float(np.dot(batch.x, batch.v)), float(np.dot(batch.v, batch.v)))
+def _estimate(estimator: EstimatorSpec, z: np.ndarray) -> np.ndarray:
+    """v = c·z for an estimator with a fixed multiplier (c is 0 for zero, 1 for identity)."""
+    if estimator.kind == "zero":
+        return np.zeros_like(z)
+    return z if estimator.kind == "identity" else estimator.c * z
 
 
 def apply_estimator(estimator: EstimatorSpec, batch: SampleBatch) -> SampleBatch:
@@ -195,18 +195,15 @@ def apply_estimator(estimator: EstimatorSpec, batch: SampleBatch) -> SampleBatch
 
     empirical_mmse fits its multiplier on the first half of the batch and
     emits only the second half, so the fit never sees its evaluation data.
+    Its c comes from the chunk sums of the first half, as in summarize, so a
+    non-finite pair there raises NonFiniteSample.
     """
-    if estimator.kind == "zero":
-        return SampleBatch(batch.x, np.zeros(len(batch)))
-    if estimator.kind == "identity":
-        return SampleBatch(batch.x, batch.v)
-    if estimator.kind in ("scale", "amplifier"):
-        return SampleBatch(batch.x, estimator.c * batch.v)
-    if estimator.kind == "empirical_mmse":
-        half = _half(len(batch))
-        c = fit_scale(SampleBatch(batch.x[:half], batch.v[:half]))
-        return SampleBatch(batch.x[half:], c * batch.v[half:])
-    raise InvalidSpec(f"unknown estimator kind {estimator.kind!r}")
+    if estimator.kind != "empirical_mmse":
+        return SampleBatch(batch.x, _estimate(estimator, batch.v))
+    half = _half(len(batch))
+    head = _summary(batch.x[:half], batch.v[:half])
+    c = _fit(head.sum_xv, head.sum_vv)
+    return SampleBatch(batch.x[half:], c * batch.v[half:])
 
 
 def _half(n: int) -> int:
@@ -216,15 +213,10 @@ def _half(n: int) -> int:
     return n // 2
 
 
-def verify_amplifier(estimator: EstimatorSpec, raw) -> None:
-    """Confirm that the amplifier's estimate power c²·Σz² exceeds Σx² on the raw data.
-
-    ``raw`` is that data as a SampleBatch, or its MomentSummary.
-    """
+def verify_amplifier(estimator: EstimatorSpec, raw: MomentSummary) -> None:
+    """Confirm that the amplifier's estimate power c²·Σz² exceeds Σx² in the raw summary."""
     if estimator.kind != "amplifier":
         raise InvalidSpec("only amplifier estimators need verification")
-    if isinstance(raw, SampleBatch):
-        raw = MomentSummary(sum_xx=_dot(raw.x, raw.x), sum_vv=_dot(raw.v, raw.v))
     if not estimator.c * estimator.c * raw.sum_vv > raw.sum_xx:
         raise InvalidSpec(f"amplifier(c={estimator.c!r}) is not power dominant on this input")
 
@@ -243,13 +235,6 @@ def batch_source(batch: SampleBatch) -> tuple[int, Chunks]:
     """The pairs of a batch, read through CHUNK-row views."""
     return len(batch), lambda i: (batch.x[i * CHUNK:(i + 1) * CHUNK],
                                   batch.v[i * CHUNK:(i + 1) * CHUNK])
-
-
-def _estimate(estimator: EstimatorSpec, z: np.ndarray) -> np.ndarray:
-    """v = c·z for an estimator with a fixed multiplier, as apply_estimator computes it."""
-    if estimator.kind == "zero":
-        return np.zeros_like(z)
-    return z if estimator.kind == "identity" else estimator.c * z
 
 
 def summarize(

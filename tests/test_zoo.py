@@ -20,7 +20,7 @@ from powertriad import (
     apply_estimator,
     certify_optimum,
     check_penalty,
-    fit_scale,
+    finalize,
     generate,
     map_point,
     merge,
@@ -175,7 +175,12 @@ def test_empirical_mmse_calibration_split():
     n_fit = len(batch) // 2
     assert len(out) == len(batch) - n_fit
     assert np.array_equal(out.x, batch.x[n_fit:])
-    fitted = fit_scale(SampleBatch(batch.x[:n_fit], batch.v[:n_fit]))
+    # c = Σxv/Σv² of the first half, from per-chunk sums merged in order as summarize does
+    head = MomentSummary()
+    for lo in range(0, n_fit, 65_536):
+        hi = min(lo + 65_536, n_fit)
+        head = merge(head, accumulate(MomentSummary(), SampleBatch(batch.x[lo:hi], batch.v[lo:hi])))
+    fitted = head.sum_xv / head.sum_vv
     assert np.array_equal(out.v, fitted * batch.v[n_fit:])
     assert abs(fitted - 0.5) < 0.01  # population optimum for unit signal, unit noise
 
@@ -185,9 +190,18 @@ def test_empirical_mmse_needs_two_samples():
         apply_estimator(EstimatorSpec(kind="empirical_mmse"), SampleBatch([1.0], [1.0]))
 
 
-def test_fit_scale_rejects_dead_candidate():
+def test_empirical_mmse_rejects_dead_candidate():
+    # the first half, which fits c, has no candidate power; the second half has
     with pytest.raises(ZeroCandidatePower):
-        fit_scale(SampleBatch([1.0, -1.0], [0.0, 0.0]))
+        apply_estimator(EstimatorSpec(kind="empirical_mmse"),
+                        SampleBatch([1.0, -1.0, 1.0, -1.0], [0.0, 0.0, 1.0, -1.0]))
+
+
+def test_empirical_mmse_names_a_non_finite_pair_in_its_fit_half():
+    with pytest.raises(NonFiniteSample) as err:
+        apply_estimator(EstimatorSpec(kind="empirical_mmse"),
+                        SampleBatch([1.0, math.nan, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]))
+    assert err.value.index == 1
 
 
 def test_estimator_spec_validation():
@@ -215,20 +229,25 @@ def test_problem_spec_validation():
         ProblemSpec(kind="cauchy")
 
 
+def _raw(batch):
+    return summarize(batch_source(batch), [])[0]
+
+
 def test_amplifier_verification():
-    batch = generate(GAUSS, 4096)
-    verify_amplifier(EstimatorSpec(kind="amplifier", c=2.0), batch)  # no raise
+    raw = _raw(generate(GAUSS, 4096))
+    verify_amplifier(EstimatorSpec(kind="amplifier", c=2.0), raw)  # no raise
     with pytest.raises(InvalidSpec):
-        verify_amplifier(EstimatorSpec(kind="scale", c=2.0), batch)
+        verify_amplifier(EstimatorSpec(kind="scale", c=2.0), raw)
     # c barely above 1 on a near-noiseless channel can lose dominance on a tiny batch
     fragile = ProblemSpec(kind="gaussian_shrinkage", signal_power=4.0,
                           noise_power=1e-6, seed=1)
     with pytest.raises(InvalidSpec, match=r"^amplifier\(c=1\.0000001\) is not power dominant"):
-        verify_amplifier(EstimatorSpec(kind="amplifier", c=1.0000001), generate(fragile, 2))
-    # the check is strict and reads the batch it is given: c²·Σz² = Σx² is refused
+        verify_amplifier(EstimatorSpec(kind="amplifier", c=1.0000001), _raw(generate(fragile, 2)))
+    # the check is strict and reads the summary it is given: c²·Σz² = Σx² is refused
     with pytest.raises(InvalidSpec):
-        verify_amplifier(EstimatorSpec(kind="amplifier", c=2.0), SampleBatch([2.0], [1.0]))
-    verify_amplifier(EstimatorSpec(kind="amplifier", c=2.0), SampleBatch([2.0], [1.0 + 1e-9]))
+        verify_amplifier(EstimatorSpec(kind="amplifier", c=2.0), _raw(SampleBatch([2.0], [1.0])))
+    verify_amplifier(EstimatorSpec(kind="amplifier", c=2.0),
+                     _raw(SampleBatch([2.0], [1.0 + 1e-9])))
 
 
 def test_amplifier_penalty_across_seeds():
@@ -329,6 +348,12 @@ def test_summarize_is_bit_equal_to_the_sequential_reduction(monkeypatch, workers
     assert summarize(problem_source(GAUSS, POOL_N), estimators) == expected
     # the parsed-input source reads the same pairs through chunk views
     assert summarize(batch_source(generate(GAUSS, POOL_N)), estimators) == expected
+
+
+def test_stats_of_a_batch_is_its_summarized_reduction():
+    # the library's one-shot path and the command line's chunk reducer add the same sums
+    batch = generate(GAUSS, POOL_N)
+    assert stats_of(batch) == finalize(summarize(batch_source(batch), [])[0])
 
 
 def test_generate_is_the_concatenated_chunks(monkeypatch):
