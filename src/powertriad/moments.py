@@ -116,6 +116,53 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
+# _exact_sum's binning pass: the elements per pass, and a significand's two halves
+_BINNED = CHUNK >> 2  # 128 KiB scratch arrays stay in cache and off fresh pages on each call
+_LOW = (1 << 26) - 1
+_HIGH = ((1 << 52) - 1) ^ _LOW
+
+
+def _exact_sum(a: np.ndarray) -> float:
+    """math.fsum(a) for a float64 array: the correctly rounded sum, without a loop per element.
+
+    Each element is (sign, exponent field e, 53-bit significand s), worth
+    s·2^(max(e,1)-1) units of 2^-1074.  The halves s >> 26 and s mod 2^26 are
+    added into one bin per sign and e with np.bincount; a bin takes at most
+    2^14 halves below 2^27 per pass, so its float64 total is an exact integer.
+    The bins are then added as Python ints and divided once, which rounds
+    correctly (Neal, "Fast exact summation using small and large
+    superaccumulators", 2015).  Unlike fsum it returns +0.0 for a zero sum,
+    the right value where fsum overflows in between, and raises
+    OverflowError only when the sum itself overflows.  Input with an
+    infinity or NaN is left to fsum.
+    """
+    bits = np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+    size = min(bits.size, _BINNED)
+    index, half, weight = np.empty(size, np.uint64), np.empty(size, np.int64), np.empty(size)
+    highs, lows = np.zeros(4096, np.int64), np.zeros(4096, np.int64)  # bin = sign·2048 + e
+    for lo in range(0, bits.size, _BINNED):
+        b = bits[lo:lo + _BINNED]
+        k = b.size
+        i = np.right_shift(b.view(np.uint64), np.uint64(52), out=index[:k]).view(np.int64)
+        # s >> 26 with the implicit bit, as a double: 2^26 + (the 52 stored bits >> 26)
+        np.bitwise_or(np.bitwise_and(b, _HIGH, out=half[:k]), 1049 << 52, out=half[:k])
+        h = np.bincount(i, weights=half[:k].view(np.float64), minlength=4096)
+        if h[2047] or h[4095]:  # every element adds at least 2^26 to its bin
+            return math.fsum(a)
+        highs += h.astype(np.int64)
+        np.copyto(weight[:k], np.bitwise_and(b, _LOW, out=half[:k]), casting="unsafe")
+        lows += np.bincount(i, weights=weight[:k], minlength=4096).astype(np.int64)
+    for e in (0, 2048):  # zeros and subnormals have no implicit bit
+        if highs[e]:
+            highs[e] -= int(np.count_nonzero(bits.view(np.uint64) >> np.uint64(52) == e)) << 26
+    high, low = highs[:2048] - highs[2048:], lows[:2048] - lows[2048:]
+    used = np.flatnonzero(high | low)
+    total = 0
+    for e, h, l in zip(used.tolist(), high[used].tolist(), low[used].tolist()):
+        total += ((h << 26) + l) << max(e - 1, 0)
+    return total / (1 << 1074)
+
+
 def _summary(xs: np.ndarray, vs: np.ndarray, offset: int = 0) -> MomentSummary:
     """The sums of aligned arrays whose first pair sits at input position ``offset``.
 
@@ -148,17 +195,17 @@ def accumulate(summary: MomentSummary, batch: SampleBatch, *,
     """Return ``summary`` merged with the batch's summary.
 
     The input summary is never modified.  ``compensated=True`` replaces the
-    batch's three power sums by exact summation (worth it past ~1e7 samples
-    of mixed magnitude); the error sums Σe, Σe² and Σv·e, which do not
-    cancel the way the power sums do, and merges between summaries stay
-    plain either way.
+    batch's three power sums by their correctly rounded values, the ones
+    math.fsum gives, at about 1 ms per 65536-pair chunk; the error sums Σe,
+    Σe² and Σv·e, which do not cancel the way the power sums do, and merges
+    between summaries stay plain either way.
     Raises NonFiniteSample naming the first offending pair.
     """
     xs, vs = batch.x, batch.v
     part = _summary(xs, vs)
     if compensated:
-        part = replace(part, sum_xx=math.fsum(xs * xs), sum_vv=math.fsum(vs * vs),
-                       sum_xv=math.fsum(xs * vs))
+        part = replace(part, sum_xx=_exact_sum(xs * xs), sum_vv=_exact_sum(vs * vs),
+                       sum_xv=_exact_sum(xs * vs))
     return merge(summary, part)
 
 

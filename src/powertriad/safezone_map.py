@@ -20,7 +20,6 @@ import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
-from xml.sax.saxutils import escape
 
 from .diagnostics import BALANCE_TOL, RegimeLabel, classify_powers, classify_regime
 from .errors import EmptyInput
@@ -214,6 +213,11 @@ def _px(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _escape(text: str) -> str:
+    # what xml.sax.saxutils.escape does, without the import of urllib and http it brings
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def render_svg(dataset: MapDataset) -> str:
     """Render the dataset as a self-contained, deterministic SVG document."""
     finite_x = [p.power_ratio for p in dataset.points]
@@ -237,7 +241,7 @@ def render_svg(dataset: MapDataset) -> str:
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
     )
     title = "Power-regime map" if dataset.kind == "left" else "Scaling-geometry map"
-    out.append(f"<title>{escape(title)}</title>")
+    out.append(f"<title>{_escape(title)}</title>")
     out.append(
         f'<rect class="background" x="0" y="0" width="{WIDTH}" '
         f'height="{HEIGHT}" fill="{BACKGROUND}"/>'
@@ -326,7 +330,7 @@ def render_svg(dataset: MapDataset) -> str:
     out.append(
         f'<text class="map-title" x="{_px(w / 2)}" y="{_px(m - 20)}" {FONT} '
         f'fill="{AXIS_COLOR}" text-anchor="middle" font-weight="bold">'
-        f"{escape(title)}</text>"
+        f"{_escape(title)}</text>"
     )
 
     for p in dataset.points:
@@ -347,7 +351,7 @@ def render_svg(dataset: MapDataset) -> str:
         out.append(marker)
         out.append(
             f'<text class="point-label" x="{_px(sx(p.power_ratio) + 7)}" '
-            f'y="{_px(sy(y) - 7)}" {FONT} fill="{POINT_FILL}">{escape(p.label)}</text>'
+            f'y="{_px(sy(y) - 7)}" {FONT} fill="{POINT_FILL}">{_escape(p.label)}</text>'
         )
 
     out.append("</svg>")

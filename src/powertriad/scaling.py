@@ -256,17 +256,36 @@ def _ewma(u: np.ndarray, lam: float) -> np.ndarray:
     """Overwrite each row of u with its EWMA m_i = λ·m_(i-1) + (1-λ)·u_i, m_(-1) = 0.
 
     Per block of b steps m_i = (1-λ)·λ^i·cumsum(u_r·λ^-r) + carry·λ^(i+1); b keeps
-    λ^-r below e^41 (about 2^59) and the block temporaries at most 2^14 columns wide.
+    λ^-r below e^41 (about 2^59) and is at most 2^14.  The blocks in about 2^13
+    columns go through numpy together; only the carry from block to block,
+    carry_j = last_j + carry_(j-1)·λ^b, is a loop over Python floats.  It rounds
+    as a pass one block at a time does, so the bits do not depend on the grouping.
     """
-    b = min(max(1, int(41.0 / -math.log(lam))), 1 << 14, u.shape[1])
+    rows, n = u.shape
+    b = min(max(1, int(41.0 / -math.log(lam))), 1 << 14, n)
     r = np.arange(b)
     grow, shrink, decay = lam ** -r, (1.0 - lam) * lam ** r, lam ** (r + 1)
-    carry = 0.0
-    for start in range(0, u.shape[1], b):
-        block = u[:, start:start + b]
-        k = block.shape[1]
-        block[...] = np.cumsum(block * grow[:k], axis=1) * shrink[:k] + carry * decay[:k]
-        carry = block[:, -1:]
+    carry = [0.0] * rows
+    whole = n - n % b
+    # whole blocks, about 2^13 columns at a time (wider temporaries leave the cache
+    # and slow λ near 1), then the short last block
+    step = max(1, (1 << 13) // b) * b
+    spans = [(lo, min(lo + step, whole)) for lo in range(0, whole, step)]
+    for lo, hi in spans + ([(whole, n)] if whole < n else []):
+        k = min(b, hi - lo)
+        part = np.cumsum(u[:, lo:hi].reshape(rows, -1, k) * grow[:k], axis=2)
+        part *= shrink[:k]
+        d = float(decay[k - 1])
+        starts = []
+        for row, ends in enumerate(part[:, :, -1].tolist()):
+            c, cs = carry[row], []
+            for end in ends:
+                cs.append(c)
+                c = end + c * d
+            starts.append(cs)
+            carry[row] = c
+        part += np.array(starts)[:, :, None] * decay[:k]
+        u[:, lo:hi] = part.reshape(rows, hi - lo)
     return u
 
 

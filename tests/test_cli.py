@@ -307,6 +307,17 @@ def test_import_loads_no_scipy(child_env):
     assert scipy_modules == "[]"
 
 
+def test_import_loads_no_network_or_xml_stack(child_env):
+    """Every CLI start pays the package import: it must not pull in xml.sax and, through it, urllib."""
+    heavy = ["xml.sax", "urllib.request", "http.client", "email.parser", "ssl"]
+    code = ("import powertriad, powertriad.cli, sys; "
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=child_env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("body", ["", "\n\n \n"], ids=["header-only", "blank-lines"])
 def test_diagnose_on_csv_without_rows_prints_only_the_error(tmp_path, child_env, body):
     src = _write(tmp_path / "pairs.csv", "x,v\n" + body)

@@ -1,6 +1,7 @@
 """Accumulate/merge/finalize behavior of the moment summaries."""
 
 import math
+import re
 import subprocess
 import sys
 
@@ -22,7 +23,7 @@ from powertriad import (
     stats_of,
     write_csv,
 )
-from powertriad.moments import to_csv_text
+from powertriad.moments import CHUNK, _exact_sum, to_csv_text
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 batches = st.lists(st.tuples(finite, finite), min_size=1, max_size=100).map(
@@ -191,6 +192,77 @@ def test_compensated_mode_agrees_on_benign_data():
     b = accumulate(MomentSummary(), batch, compensated=True)
     for field in ("sum_xx", "sum_vv", "sum_xv", "sum_e"):
         assert _close(getattr(a, field), getattr(b, field), 1e-12)
+
+
+# up to 120 terms of magnitude at most 1e300 cannot overflow, so fsum always has an answer
+_summands = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.sampled_from([1e300, -1e300, 5e-324, -5e-324, 2.2250738585072009e-308, 0.0, -0.0]))
+
+
+@st.composite
+def _cancelling_arrays(draw):
+    """Finite floats of any exponent, subnormals included, some together with their negation."""
+    values = draw(st.lists(_summands, max_size=60))
+    k = draw(st.integers(0, len(values)))
+    return np.array(draw(st.permutations(values + [-v for v in values[:k]])), dtype=np.float64)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_cancelling_arrays())
+@example(np.array([1e16, 1.0, -1e16]))
+@example(np.array([5e-324, 1e300, -1e300, -0.0]))
+def test_exact_sum_is_fsum(a):
+    assert _exact_sum(a) == math.fsum(a)
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
+def test_exact_sum_is_fsum_across_chunks(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    a[n - n // 3:] = -a[: n // 3]  # exact cancellations
+    a[::11] = rng.integers(-2**52, 2**52, a[::11].size) * 5e-324  # subnormals
+    a[::13] = 0.0
+    assert _exact_sum(a) == math.fsum(a)
+    squares = (1e3 + rng.standard_normal(n)) ** 2
+    assert _exact_sum(squares) == math.fsum(squares)
+
+
+@pytest.mark.parametrize("special", [[np.nan], [np.inf], [np.inf, -np.inf], [-np.inf, np.nan]])
+def test_exact_sum_leaves_non_finite_input_to_fsum(special):
+    # the specials sit in a later binning pass than the first
+    a = np.concatenate([np.ones(CHUNK), special, [2.0]])
+    try:
+        expected = math.fsum(a)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+            _exact_sum(a)
+    else:
+        got = _exact_sum(a)
+        assert got == expected or math.isnan(got) and math.isnan(expected)
+
+
+def test_exact_sum_needs_no_finite_intermediate():
+    a = np.array([1e308, 1e308, -1e308])
+    with pytest.raises(OverflowError):
+        math.fsum(a)
+    assert _exact_sum(a) == 1e308
+    with pytest.raises(OverflowError):
+        _exact_sum(np.array([1e308, 1e308]))
+
+
+def test_compensated_power_sums_are_fsum_and_error_sums_plain():
+    n = 3 * CHUNK + 17
+    rng = np.random.default_rng(17)
+    x = 1e3 + rng.standard_normal(n)
+    batch = SampleBatch(x, x + 1e-6 * rng.standard_normal(n))
+    exact = accumulate(MomentSummary(), batch, compensated=True)
+    assert exact.sum_xx == math.fsum(batch.x * batch.x)
+    assert exact.sum_vv == math.fsum(batch.v * batch.v)
+    assert exact.sum_xv == math.fsum(batch.x * batch.v)
+    plain = accumulate(MomentSummary(), batch)
+    assert (exact.n, exact.sum_e, exact.sum_ee, exact.sum_ve) == (
+        plain.n, plain.sum_e, plain.sum_ee, plain.sum_ve)
 
 
 def test_batch_holds_aligned_frozen_columns():

@@ -358,6 +358,31 @@ def test_tracking_matches_pure_python_recurrence(lam, n):
     assert err.value.index == 0
 
 
+def _ewma_one_block_at_a_time(u, lam):
+    """_ewma's block recurrence with one numpy pass per block of b steps."""
+    b = min(max(1, int(41.0 / -math.log(lam))), 1 << 14, u.shape[1])
+    r = np.arange(b)
+    grow, shrink, decay = lam ** -r, (1.0 - lam) * lam ** r, lam ** (r + 1)
+    carry = 0.0
+    for start in range(0, u.shape[1], b):
+        block = u[:, start:start + b]
+        k = block.shape[1]
+        block[...] = np.cumsum(block * grow[:k], axis=1) * shrink[:k] + carry * decay[:k]
+        carry = block[:, -1:]
+    return u
+
+
+@pytest.mark.parametrize("lam", [0.999999, 0.99, 0.9, 0.5, 0.01, 1e-300])
+@pytest.mark.parametrize("n", [1, 2, 7, 4079, 4080, 100003])
+def test_ewma_groups_blocks_without_changing_a_bit(lam, n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(0.0, 1.0, n)
+    z = x + rng.normal(0.0, 0.5, n)
+    u = np.stack((x * z, z * z, x * x))
+    got = _ewma(u.copy(), lam)
+    assert got.tobytes() == _ewma_one_block_at_a_time(u.copy(), lam).tobytes()
+
+
 @pytest.mark.parametrize("lam", [1e-300, 0.5])
 def test_dead_window_index_after_underflow_matches_recurrence(lam):
     # a live window that then sees only zeros underflows to exactly 0 where the recurrence does
