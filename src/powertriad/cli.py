@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from typing import Callable, Optional
 
 import numpy as np
@@ -163,11 +164,13 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        _write_atomic(out, text)
-    else:
-        sys.stdout.write(text)
+def _emit(out: Optional[str], *files: tuple[str, str]) -> None:
+    """Write each (suffix, text) to out + suffix atomically, or every text to stdout in order."""
+    for suffix, text in files:
+        if out:
+            _write_atomic(out + suffix, text)
+        else:
+            sys.stdout.write(text)
 
 
 def _problem_of(args: argparse.Namespace) -> zoo.ProblemSpec:
@@ -246,7 +249,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     stats = _stats(args)
     report = diagnostics.triad_report(stats, balance_tol=args.balance_tol,
                                       tol=args.degeneracy_tol)
-    _emit(diagnostics.report_to_json(report) + "\n", args.out)
+    _emit(args.out, ("", diagnostics.report_to_json(report) + "\n"))
     if report.regime is diagnostics.RegimeLabel.POWER_DOMINANT:
         return EXIT_POWER_DOMINANT
     return EXIT_OK
@@ -254,15 +257,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 def cmd_scale(args: argparse.Namespace) -> int:
     certificate = scaling.certify_optimum(scaling.ScalingProblem.from_stats(_stats(args)))
-    doc = {
-        "t_star": certificate.t_star,
-        "mse_at_star": certificate.mse_at_star,
-        "orthogonality_residual": certificate.orthogonality_residual,
-        "power_at_star": certificate.power_at_star,
-        "conservation_margin": certificate.conservation_margin,
-        "collinear": certificate.collinear,
-    }
-    _emit(dumps_stable(doc) + "\n", args.out)
+    _emit(args.out, ("", dumps_stable(asdict(certificate)) + "\n"))
     return EXIT_OK
 
 
@@ -283,14 +278,8 @@ def cmd_path(args: argparse.Namespace) -> int:
     controller = (scaling.load_controller_config(args.controller)
                   if args.controller else scaling.ControllerConfig())
     trace = scaling.run_path(problem, controller, balance_tol=args.balance_tol)
-    csv_text = scaling.trace_to_csv(trace)
-    json_text = dumps_stable(_trace_summary(trace)) + "\n"
-    if args.out:
-        _write_atomic(args.out + ".csv", csv_text)
-        _write_atomic(args.out + ".json", json_text)
-    else:
-        sys.stdout.write(csv_text)
-        sys.stdout.write(json_text)
+    _emit(args.out, (".csv", scaling.trace_to_csv(trace)),
+          (".json", dumps_stable(_trace_summary(trace)) + "\n"))
     return EXIT_OK
 
 
@@ -301,7 +290,7 @@ def cmd_track(args: argparse.Namespace) -> int:
         reference = zoo.population_moments(problem, np.arange(args.samples))
     trace = scaling.track_moving_optimum(batch, args.forgetting, reference=reference,
                                          balance_tol=args.balance_tol)
-    _emit(scaling.track_to_csv(trace), args.out)
+    _emit(args.out, ("", scaling.track_to_csv(trace)))
     return EXIT_OK
 
 
@@ -331,11 +320,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         files = safezone_map.emit_dataset(dataset)
         rendered = {"csv": files.csv, "json": files.geometry,
                     "svg": safezone_map.render_svg(dataset)}
-        for fmt in formats:
-            if args.out:
-                _write_atomic(f"{args.out}_{name}.{fmt}", rendered[fmt])
-            else:
-                sys.stdout.write(rendered[fmt])
+        _emit(args.out, *((f"_{name}.{fmt}", rendered[fmt]) for fmt in formats))
     return EXIT_OK
 
 
@@ -345,11 +330,11 @@ def cmd_zoo(args: argparse.Namespace) -> int:
         lines.extend(f"  {kind}" for kind in zoo.PROBLEM_KINDS)
         lines.append("estimator kinds:")
         lines.extend(f"  {kind}" for kind in zoo.ESTIMATOR_KINDS)
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(args.out, ("", "\n".join(lines) + "\n"))
         return EXIT_OK
     if not args.problem:
         raise ValueError("zoo run needs --problem")
-    _emit(moments.to_csv_text(_rows(args)[0]), args.out)
+    _emit(args.out, ("", moments.to_csv_text(_rows(args)[0])))
     return EXIT_OK
 
 

@@ -26,7 +26,7 @@ is granted inside a relative tolerance band around ev2 = ex2 (default 1e-6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .errors import ZeroSignalPower
@@ -46,6 +46,10 @@ class RegimeLabel(str, Enum):
     POWER_BALANCE = "power_balance"
 
 
+# Labels in the order of regime_index's codes.
+REGIMES = (RegimeLabel.POWER_CONSERVATIVE, RegimeLabel.POWER_BALANCE, RegimeLabel.POWER_DOMINANT)
+
+
 @dataclass(frozen=True)
 class CouplingDecomposition:
     """The two halves of the coupling: half the mse plus half the power gap."""
@@ -63,6 +67,7 @@ class PenaltyVerdict:
     In the dominant regime the law is coupling > bound (strict) unless the
     coupling is degenerate; in the conservative/balance regimes it is
     coupling <= bound.  ``negative_coupling`` is informational only.
+    Field order is the key order of its JSON object.
     """
 
     regime: RegimeLabel
@@ -75,7 +80,10 @@ class PenaltyVerdict:
 
 @dataclass(frozen=True)
 class TriadReport:
-    """Bias, error variance and power ratio of an estimate, with verdict."""
+    """Bias, error variance and power ratio of an estimate, with verdict.
+
+    Field order is the key order of report_to_json's document.
+    """
 
     bias: float
     error_variance: float
@@ -84,6 +92,13 @@ class TriadReport:
     coupling: float
     regime: RegimeLabel
     verdict: PenaltyVerdict
+
+
+def regime_index(ex2, ev2, balance_tol):
+    """Index into REGIMES of ev2 against ex2, elementwise on arrays; NaN is conservative."""
+    gap = ev2 - ex2
+    band = balance_tol * ex2
+    return (gap > band) * 2 + (abs(gap) <= band)
 
 
 def classify_powers(ex2: float, ev2: float, balance_tol: float = BALANCE_TOL) -> RegimeLabel:
@@ -96,13 +111,7 @@ def classify_powers(ex2: float, ev2: float, balance_tol: float = BALANCE_TOL) ->
         raise ValueError("balance_tol must be non-negative")
     if ex2 <= 0.0:
         raise ZeroSignalPower("signal mean power is zero; regimes are undefined")
-    gap = ev2 - ex2
-    band = balance_tol * ex2
-    if abs(gap) <= band:
-        return RegimeLabel.POWER_BALANCE
-    if gap > band:
-        return RegimeLabel.POWER_DOMINANT
-    return RegimeLabel.POWER_CONSERVATIVE
+    return REGIMES[regime_index(ex2, ev2, balance_tol)]
 
 
 def classify_regime(stats: MomentStats, balance_tol: float = BALANCE_TOL) -> RegimeLabel:
@@ -181,30 +190,6 @@ def triad_report(
     )
 
 
-def verdict_as_dict(verdict: PenaltyVerdict) -> dict:
-    return {
-        "regime": verdict.regime.value,
-        "coupling": verdict.coupling,
-        "bound": verdict.bound,
-        "satisfied": verdict.satisfied,
-        "degenerate": verdict.degenerate,
-        "negative_coupling": verdict.negative_coupling,
-    }
-
-
-def report_as_dict(report: TriadReport) -> dict:
-    # Key order is part of the output contract; golden files diff against it.
-    return {
-        "bias": report.bias,
-        "error_variance": report.error_variance,
-        "power_ratio": report.power_ratio,
-        "mse": report.mse,
-        "coupling": report.coupling,
-        "regime": report.regime.value,
-        "verdict": verdict_as_dict(report.verdict),
-    }
-
-
 def report_to_json(report: TriadReport) -> str:
     """Single-record JSON document with stable key order."""
-    return dumps_stable(report_as_dict(report))
+    return dumps_stable(asdict(report))

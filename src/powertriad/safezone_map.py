@@ -105,13 +105,6 @@ def map_point_from_certificate(
     )
 
 
-def region_of(point: MapPoint, balance_tol: float = BALANCE_TOL) -> str:
-    """Region membership under the same tolerance the regimes use."""
-    if point.power_ratio > BALANCE_RATIO * (1.0 + balance_tol):
-        return "forbidden"
-    return "safe"
-
-
 def _rho(problem: Optional[ScalingProblem]) -> float:
     """Squared correlation exz²/(ex2·ez2), the ideal path's end; 1 without a problem."""
     if problem is not None and problem.ex2 > 0.0 and problem.ez2 > 0.0:

@@ -22,15 +22,15 @@ forgotten moments m <- λ·m + (1-λ)·u.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .diagnostics import BALANCE_TOL, RegimeLabel, classify_powers
+from .diagnostics import BALANCE_TOL, REGIMES, RegimeLabel, classify_powers, regime_index
 from .errors import DegenerateWindow, ZeroCandidatePower
 from .moments import MomentStats, SampleBatch
-from .textio import fmt_float, fmt_rows, parse_kv
+from .textio import fmt_rows, parse_kv
 
 # Consistency slack for empirical moments: exz² may exceed ex2·ez2 only by rounding.
 MOMENT_CONSISTENCY_TOL = 1e-12
@@ -40,10 +40,6 @@ COLLINEAR_TOL = 1e-9
 CONTROLLER_KINDS = ("gradient", "momentum", "projected")
 TRACE_CSV_HEADER = "k,t,mse,regime"
 TRACK_CSV_HEADER = "k,t_true,t_tracked,tracking_error,regime"
-_REGIME_BY_CODE = np.array(
-    [RegimeLabel.POWER_CONSERVATIVE, RegimeLabel.POWER_BALANCE, RegimeLabel.POWER_DOMINANT],
-    dtype=object,
-)
 
 
 @dataclass(frozen=True)
@@ -72,7 +68,10 @@ class ScalingProblem:
 
 @dataclass(frozen=True)
 class ScalingCertificate:
-    """Numerical evidence that the fitted scale is safe and optimal."""
+    """Numerical evidence that the fitted scale is safe and optimal.
+
+    Field order is the key order of the ``scale`` command's JSON document.
+    """
 
     t_star: float
     mse_at_star: float
@@ -313,15 +312,16 @@ def track_moving_optimum(
     n = int(x.size)
     if n == 0:
         raise ValueError("cannot track an empty stream")
-    u_xz = x * z
-    u_zz = z * z
+    m = np.empty((3, n))
+    np.multiply(x, z, out=m[0])
+    np.multiply(z, z, out=m[1])
+    np.multiply(x, x, out=m[2])
     if forgetting == 1.0:
-        counts = np.arange(1, n + 1, dtype=np.float64)
-        m_xz = np.cumsum(u_xz) / counts
-        m_zz = np.cumsum(u_zz) / counts
-        m_xx = np.cumsum(x * x) / counts
+        np.cumsum(m, axis=1, out=m)
+        m /= np.arange(1, n + 1, dtype=np.float64)
     else:
-        m_xz, m_zz, m_xx = _ewma(np.stack((u_xz, u_zz, x * x)), forgetting)
+        _ewma(m, forgetting)
+    m_xz, m_zz, m_xx = m
     dead = m_zz <= 0.0
     if bool(dead.any()):
         raise DegenerateWindow(int(np.argmax(dead)))
@@ -330,21 +330,13 @@ def track_moving_optimum(
         ref = np.asarray(reference, dtype=np.float64)
         if ref.shape != (n, 3):
             raise ValueError("reference must supply (ex2, ez2, exz) per step")
-        ref_ex2 = ref[:, 0]
-        ref_ez2 = ref[:, 1]
-        t_true = ref[:, 2] / ref_ez2
-        error = np.abs(t_hat - t_true)
-        power = t_hat * t_hat * ref_ez2
-        gap = power - ref_ex2
-        band = balance_tol * ref_ex2
+        ex2, ez2, t_true = ref[:, 0], ref[:, 1], ref[:, 2] / ref[:, 1]
     else:
-        t_true = np.full(n, np.nan)
-        error = np.full(n, np.nan)
-        power = t_hat * t_hat * m_zz
-        gap = power - m_xx
-        band = balance_tol * m_xx
-    codes = np.where(gap > band, 1, np.where(np.abs(gap) <= band, 0, -1))
-    regimes = tuple(_REGIME_BY_CODE[codes + 1].tolist())
+        ex2, ez2, t_true = m_xx, m_zz, np.full(n, np.nan)
+    error = t_hat - t_true
+    np.abs(error, out=error)
+    codes = regime_index(ex2, t_hat * t_hat * ez2, balance_tol)
+    regimes = tuple(np.array(REGIMES, dtype=object)[codes].tolist())
     return TrackTrace(
         forgetting=forgetting,
         t_true=t_true,
@@ -356,25 +348,18 @@ def track_moving_optimum(
 
 def parse_controller_config(text: str) -> ControllerConfig:
     """Build a ControllerConfig from flat ``key = value`` text."""
-    coercers: dict[str, Callable[[str], object]] = {
-        "kind": str,
-        "eta": float,
-        "beta": float,
-        "t0": float,
-        "conv_tol": float,
-        "max_steps": int,
-    }
-    fields: dict[str, object] = {}
+    coercers = {f.name: type(f.default) for f in fields(ControllerConfig)}
+    values: dict[str, object] = {}
     for key, value in parse_kv(text):
         if key not in coercers:
             raise ValueError(f"unknown controller key {key!r}")
-        if key in fields:
+        if key in values:
             raise ValueError(f"duplicate controller key {key!r}")
         try:
-            fields[key] = coercers[key](value)
+            values[key] = coercers[key](value)
         except ValueError:
             raise ValueError(f"bad value for controller key {key!r}: {value!r}") from None
-    return ControllerConfig(**fields)
+    return ControllerConfig(**values)
 
 
 def load_controller_config(path) -> ControllerConfig:
@@ -384,11 +369,10 @@ def load_controller_config(path) -> ControllerConfig:
 
 def trace_to_csv(trace: ScalingTrace) -> str:
     """Serialize the iterates as ``k,t,mse,regime`` rows."""
-    lines = [TRACE_CSV_HEADER]
-    lines.extend(
-        f"{s.k},{fmt_float(s.t)},{fmt_float(s.mse)},{s.regime.value}" for s in trace.iterates
-    )
-    return "\n".join(lines) + "\n"
+    steps = trace.iterates
+    return TRACE_CSV_HEADER + "\n" + fmt_rows(
+        "%d,%.17g,%.17g,%s\n", len(steps),
+        lambda s: zip(*((st.k, st.t, st.mse, st.regime._value_) for st in steps[s])))
 
 
 def track_to_csv(trace: TrackTrace) -> str:

@@ -13,6 +13,7 @@ import math
 from itertools import chain
 
 ROW_BLOCK = 65536
+INDENT = 2
 
 
 def fmt_float(value: float) -> str:
@@ -29,20 +30,20 @@ def fmt_rows(template: str, n: int, columns) -> str:
     return "".join(blocks)
 
 
-def dumps_stable(obj, indent: int = 2) -> str:
+def dumps_stable(obj) -> str:
     """Serialize nested dict/list/scalar data to JSON with fixed key order.
 
     dicts are emitted in insertion order; floats via fmt_float.  Rejects
     non-finite floats, which have no JSON representation.
     """
     parts: list[str] = []
-    _write_json(obj, parts, indent, 0)
+    _write_json(obj, parts, 0)
     return "".join(parts)
 
 
-def _write_json(obj, parts: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    child_pad = " " * (indent * (level + 1))
+def _write_json(obj, parts: list[str], level: int) -> None:
+    pad = " " * (INDENT * level)
+    child_pad = " " * (INDENT * (level + 1))
     if isinstance(obj, dict):
         if not obj:
             parts.append("{}")
@@ -50,7 +51,7 @@ def _write_json(obj, parts: list[str], indent: int, level: int) -> None:
         parts.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             parts.append(child_pad + json.dumps(str(key)) + ": ")
-            _write_json(value, parts, indent, level + 1)
+            _write_json(value, parts, level + 1)
             parts.append(",\n" if i < len(obj) - 1 else "\n")
         parts.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -60,7 +61,7 @@ def _write_json(obj, parts: list[str], indent: int, level: int) -> None:
         parts.append("[\n")
         for i, value in enumerate(obj):
             parts.append(child_pad)
-            _write_json(value, parts, indent, level + 1)
+            _write_json(value, parts, level + 1)
             parts.append(",\n" if i < len(obj) - 1 else "\n")
         parts.append(pad + "]")
     elif isinstance(obj, bool):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import reduce
 from typing import Callable, Optional, Sequence
 
@@ -318,30 +318,22 @@ def _parse_call(text: str) -> tuple[str, dict[str, str]]:
     return name, params
 
 
-_PROBLEM_COERCERS: dict[str, Callable[[str], object]] = {
-    "signal_power": float,
-    "noise_power": float,
-    "seed": int,
-    "change_index": int,
-    "change_factor": float,
-    "drift_amplitude": float,
-    "drift_period": float,
-}
+_PROBLEM_COERCERS = {f.name: type(f.default) for f in fields(ProblemSpec) if f.name != "kind"}
 
 
 def parse_problem_spec(text: str) -> ProblemSpec:
     """Parse ``kind(param=value, ...)`` text, e.g. gaussian_shrinkage(noise_power=0.5)."""
     kind, raw = _parse_call(text)
-    fields: dict[str, object] = {}
+    values: dict[str, object] = {}
     for key, value in raw.items():
         coerce = _PROBLEM_COERCERS.get(key)
         if coerce is None:
             raise InvalidSpec(f"unknown problem parameter {key!r}")
         try:
-            fields[key] = coerce(value)
+            values[key] = coerce(value)
         except ValueError:
             raise InvalidSpec(f"bad value for problem parameter {key!r}: {value!r}") from None
-    return ProblemSpec(kind=kind, **fields)
+    return ProblemSpec(kind=kind, **values)
 
 
 def parse_estimator_spec(text: str) -> EstimatorSpec:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, files, determinism."""
 
+import dataclasses
 import json
 import os
 import stat
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 from powertriad.cli import main
+from powertriad.scaling import ScalingCertificate
 
 DOMINANT_CSV = "x,v\n1,2\n-1,0\n"   # ex2=1, ev2=2, exv=1
 
@@ -97,6 +99,10 @@ def test_scale_certificate(tmp_path, capsys):
     src = _write(tmp_path / "pairs.csv", "x,v\n1,2\n-1,0\n")
     assert main(["scale", "--input", src]) == 0
     doc = json.loads(capsys.readouterr().out)
+    # key order is part of the output contract, and it is the dataclass's field order
+    assert list(doc) == ["t_star", "mse_at_star", "orthogonality_residual", "power_at_star",
+                         "conservation_margin", "collinear"]
+    assert list(doc) == [f.name for f in dataclasses.fields(ScalingCertificate)]
     assert doc["t_star"] == 0.5
     assert doc["mse_at_star"] == 0.5
     assert doc["collinear"] is False

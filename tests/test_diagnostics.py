@@ -1,6 +1,7 @@
 """Regime classification, coupling decomposition and penalty verdicts."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from powertriad import (
     decompose_coupling,
     report_to_json,
     stats_of,
+    track_moving_optimum,
     triad_report,
 )
+from powertriad.diagnostics import REGIMES, classify_powers, regime_index
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 batches = st.lists(st.tuples(finite, finite), min_size=1, max_size=100).map(
@@ -208,3 +211,76 @@ def test_monte_carlo_amplifier_lands_dominant():
     # population values: coupling 6, mse 5
     assert abs(report.coupling - 6.0) < 0.3
     assert abs(report.mse - 5.0) < 0.3
+
+
+def _if_chain(ex2, ev2, tol):
+    """The scalar regime rule as classify_powers used to spell it out."""
+    gap = ev2 - ex2
+    band = tol * ex2
+    if abs(gap) <= band:
+        return RegimeLabel.POWER_BALANCE
+    if gap > band:
+        return RegimeLabel.POWER_DOMINANT
+    return RegimeLabel.POWER_CONSERVATIVE
+
+
+def _nested_where(ex2, ev2, tol):
+    """The array regime rule as track_moving_optimum used to spell it out."""
+    gap = ev2 - ex2
+    band = tol * ex2
+    codes = np.where(gap > band, 1, np.where(np.abs(gap) <= band, 0, -1))
+    labels = np.array([RegimeLabel.POWER_CONSERVATIVE, RegimeLabel.POWER_BALANCE,
+                       RegimeLabel.POWER_DOMINANT], dtype=object)
+    return labels[codes + 1].tolist()
+
+
+def _edge_pairs(tol):
+    """(ex2, ev2) up to 3 ulps either side of both band edges ex2·(1 ± tol), then NaN,
+    ±inf and zero signal power; no ev2 is zero, so each can serve as a reference ez2."""
+    pairs = []
+    for ex2 in (1.0, 0.1, 7.0 / 3.0, 3.7e-300, 2.5e10):
+        for edge in (ex2 * (1.0 + tol), ex2 * (1.0 - tol)):
+            for k in range(-3, 4):
+                ev2 = edge
+                for _ in range(abs(k)):
+                    ev2 = math.nextafter(ev2, math.copysign(math.inf, k))
+                pairs.append((ex2, ev2))
+    pairs += [(1.0, math.nan), (math.nan, 1.0), (math.nan, math.nan), (1.0, math.inf),
+              (1.0, -math.inf), (0.0, 1.0), (0.0, 1e-300), (0.0, -1e-300)]
+    ex2, ev2 = np.array(pairs).T
+    return ex2, ev2
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-6, -1e-6])
+def test_regime_index_is_the_former_scalar_and_array_rules(tol):
+    ex2, ev2 = _edge_pairs(tol)
+    want = [_if_chain(a, b, tol) for a, b in zip(ex2.tolist(), ev2.tolist())]
+    assert [REGIMES[regime_index(a, b, tol)] for a, b in zip(ex2.tolist(), ev2.tolist())] == want
+    assert [REGIMES[i] for i in regime_index(ex2, ev2, tol).tolist()] == want
+    assert _nested_where(ex2, ev2, tol) == want
+    # the edges fall on every side: a negative band holds no balance
+    assert len(set(want)) == (3 if tol >= 0.0 else 2)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-6])
+def test_tracked_labels_agree_with_classify_powers(tol):
+    ex2, ev2 = _edge_pairs(tol)
+    n = ex2.size
+    # x = z = 1 at λ = 1 tracks t = 1 exactly, so step k's power is the reference's ez2
+    reference = np.column_stack((ex2, ev2, np.ones(n)))
+    trace = track_moving_optimum(SampleBatch(np.ones(n), np.ones(n)), 1.0,
+                                 reference=reference, balance_tol=tol)
+    assert (trace.t_tracked == 1.0).all()
+    pairs = list(zip(ex2.tolist(), ev2.tolist()))
+    assert list(trace.regimes) == [_if_chain(a, b, tol) for a, b in pairs]
+    assert list(trace.regimes) == _nested_where(ex2, ev2, tol)
+    # classify_powers refuses a zero signal power; every other step must agree with it
+    assert ([r for (a, _), r in zip(pairs, trace.regimes) if not a <= 0.0]
+            == [classify_powers(a, b, tol) for a, b in pairs if not a <= 0.0])
+
+
+def test_tracked_window_without_signal_power_is_balance():
+    # x = 0 for two steps: the window's ex2 and its tracked power t²·ez2 are both 0
+    trace = track_moving_optimum(SampleBatch([0.0, 0.0, 1.0], [1.0, 1.0, 1.0]), 1.0)
+    assert trace.regimes == (RegimeLabel.POWER_BALANCE, RegimeLabel.POWER_BALANCE,
+                             RegimeLabel.POWER_CONSERVATIVE)

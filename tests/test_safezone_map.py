@@ -23,7 +23,6 @@ from powertriad import (
     render_svg,
     stats_of,
 )
-from powertriad.safezone_map import region_of
 
 REFERENCE_PROBLEM = ScalingProblem(ex2=1.0, ez2=2.0, exz=1.0)
 DOUBLED = stats_of(SampleBatch([1.0, -1.0], [2.0, -2.0]))   # v = 2x
@@ -37,13 +36,11 @@ def test_hand_computed_points():
     assert doubled.coupling_norm == 2.0      # coupling 2 over mse 1
     assert doubled.coupling_raw == 2.0
     assert doubled.regime is RegimeLabel.POWER_DOMINANT
-    assert region_of(doubled) == "forbidden"
 
     zeroed = map_point("zeroed", ZEROED)
     assert zeroed.power_ratio == 0.0
     assert zeroed.coupling_norm == 0.0
     assert zeroed.regime is RegimeLabel.POWER_CONSERVATIVE
-    assert region_of(zeroed) == "safe"
 
 
 def test_certified_optimum_lands_on_ideal_path():
@@ -61,18 +58,6 @@ def test_perfect_estimate_has_undefined_norm():
     assert not point.coupling_norm_defined
     assert point.coupling_raw == 0.0
     assert point.regime is RegimeLabel.POWER_BALANCE
-
-
-def test_region_matches_regime_on_random_points():
-    rng = np.random.default_rng(99)
-    for _ in range(200):
-        x = rng.normal(0.0, 1.0, 50)
-        v = rng.uniform(-2.0, 2.0) * x + rng.normal(0.0, rng.uniform(0.0, 1.0), 50)
-        point = map_point("p", stats_of(SampleBatch(x, v)))
-        if point.regime is RegimeLabel.POWER_DOMINANT:
-            assert region_of(point) == "forbidden"
-        else:
-            assert region_of(point) == "safe"
 
 
 def test_empty_maps_are_rejected():

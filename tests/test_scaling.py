@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,11 @@ from powertriad import (
     ZeroCandidatePower,
     balance_scale,
     certify_optimum,
+    generate,
     mse_of_t,
     optimal_scale,
+    parse_problem_spec,
+    population_moments,
     run_path,
     stats_of,
     track_moving_optimum,
@@ -26,6 +30,7 @@ from powertriad import (
 from powertriad.scaling import (
     TRACE_CSV_HEADER,
     TRACK_CSV_HEADER,
+    TraceStep,
     _ewma,
     load_controller_config,
     parse_controller_config,
@@ -236,6 +241,19 @@ def test_controller_config_parsing():
                                       conv_tol=1e-8, max_steps=42)
 
 
+def test_every_controller_key_parses_to_its_type():
+    texts = {str: "momentum", float: "0.5", int: "7"}
+    want = {"kind": str, "eta": float, "beta": float, "t0": float, "conv_tol": float,
+            "max_steps": int}
+    assert [f.name for f in dataclasses.fields(ControllerConfig)] == list(want)
+    for key, kind in want.items():
+        value = getattr(parse_controller_config(f"{key} = {texts[kind]}"), key)
+        assert type(value) is kind and value == kind(texts[kind]), key
+    # an integer written as a float is refused, not truncated
+    with pytest.raises(ValueError, match=r"^bad value for controller key 'max_steps': '1\.5'$"):
+        parse_controller_config("max_steps = 1.5")
+
+
 def test_controller_config_defaults_and_errors(tmp_path):
     assert parse_controller_config("") == ControllerConfig()
     with pytest.raises(ValueError, match="unknown controller key"):
@@ -394,6 +412,22 @@ def test_dead_window_index_after_underflow_matches_recurrence(lam):
     assert err.value.index == first_dead > 0
 
 
+@pytest.mark.parametrize("lam", [1.0, 0.99])
+def test_tracking_peak_memory_is_bounded(lam):
+    """The moments are formed in place in one (3, n) stack: 12 float arrays of n at most."""
+    n = 1 << 17
+    problem = parse_problem_spec("drifting_power")
+    batch = generate(problem, n)
+    reference = population_moments(problem, np.arange(n))
+    tracemalloc.start()
+    try:
+        track_moving_optimum(batch, lam, reference=reference)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 8 * n
+
+
 def test_tracking_validates_forgetting():
     batch = SampleBatch([1.0], [1.0])
     for bad in (0.0, -0.5, 1.5):
@@ -443,3 +477,21 @@ def test_track_to_csv_matches_per_row_rendering(n, with_reference):
     labels = tuple(RegimeLabel)
     trace = dataclasses.replace(trace, regimes=tuple(labels[i % 3] for i in range(n)), **columns)
     assert track_to_csv(trace) == _reference_track_to_csv(trace)
+
+
+def _reference_trace_to_csv(trace) -> str:
+    lines = [TRACE_CSV_HEADER]
+    lines.extend(f"{s.k},{format(float(s.t), '.17g')},{format(float(s.mse), '.17g')},"
+                 f"{s.regime.value}" for s in trace.iterates)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 65536, 65537])
+def test_trace_to_csv_matches_per_row_rendering(n):
+    trace = run_path(REFERENCE_PROBLEM, ControllerConfig(max_steps=3, conv_tol=1e-12))
+    labels = tuple(RegimeLabel)
+    values = np.resize(np.concatenate((_SPECIAL, [s.t for s in trace.iterates])), 2 * n)
+    steps = tuple(TraceStep(k, t, mse, labels[k % 3])
+                  for k, t, mse in zip(range(n), values[:n].tolist(), values[n:].tolist()))
+    trace = dataclasses.replace(trace, iterates=steps)
+    assert trace_to_csv(trace) == _reference_trace_to_csv(trace)

@@ -1,5 +1,6 @@
 """Synthetic problem generators and reference estimators."""
 
+import dataclasses
 import math
 import sys
 
@@ -274,6 +275,21 @@ def test_parse_problem_spec():
         parse_problem_spec("gaussian_shrinkage(seed=soon)")
     with pytest.raises(InvalidSpec):
         parse_problem_spec("mystery(seed=1)")
+
+
+def test_every_problem_parameter_parses_to_its_type():
+    texts = {float: "2", int: "3"}
+    want = {"signal_power": float, "noise_power": float, "seed": int, "change_index": int,
+            "change_factor": float, "drift_amplitude": float, "drift_period": float}
+    assert [f.name for f in dataclasses.fields(ProblemSpec)] == ["kind", *want]
+    for key, kind in want.items():
+        text = "0.5" if key == "drift_amplitude" else texts[kind]
+        value = getattr(parse_problem_spec(f"heavy_tail({key}={text})"), key)
+        assert type(value) is kind and value == kind(text), key
+    for key in ("seed", "change_index"):
+        with pytest.raises(InvalidSpec,
+                           match=rf"^bad value for problem parameter '{key}': '1\.5'$"):
+            parse_problem_spec(f"step_change({key}=1.5)")
 
 
 def test_parse_estimator_spec():
