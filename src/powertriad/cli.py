@@ -15,8 +15,8 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import asdict
-from typing import Callable, Optional
+from dataclasses import asdict, fields
+from typing import Optional
 
 import numpy as np
 
@@ -38,22 +38,6 @@ _EPILOG = (
     "1 runtime error, 2 usage error. "
     "Precedence: defaults < flags < --config file."
 )
-
-# config keys accepted per --config; estimator values may be ';'-separated
-_CONFIG_COERCERS: dict[str, Callable[[str], object]] = {
-    "input": str,
-    "problem": str,
-    "estimator": lambda v: [part.strip() for part in v.split(";") if part.strip()],
-    "controller": str,
-    "samples": int,
-    "seed": int,
-    "balance_tol": float,
-    "degeneracy_tol": float,
-    "format": str,
-    "out": str,
-    "forgetting": float,
-}
-
 
 def _add_common(parser: argparse.ArgumentParser, *, estimators: str = "single") -> None:
     parser.add_argument("--input", help="CSV file of x,v pairs")
@@ -123,6 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv",), default="csv")
     p.set_defaults(func=cmd_zoo)
 
+    for p in sub.choices.values():
+        # the keys a --config file may set: the command's own options, checked as its flags are
+        p.set_defaults(options={a.dest: a for a in p._actions
+                                if a.option_strings and a.dest not in ("help", "config")})
     return parser
 
 
@@ -134,17 +122,19 @@ def _apply_config(args: argparse.Namespace) -> None:
     estimators: list[str] = []
     for key, value in pairs:
         key = key.replace("-", "_")
-        coerce = _CONFIG_COERCERS.get(key)
-        if coerce is None or not hasattr(args, key):
+        option = args.options.get(key)
+        if option is None:
             raise ValueError(f"{args.config}: unknown config key {key!r}")
+        if key == "estimator":  # a ';'-separated list
+            estimators.extend(part.strip() for part in value.split(";") if part.strip())
+            continue
         try:
-            coerced = coerce(value)
+            coerced = (option.type or str)(value)
+            if option.choices is not None and coerced not in option.choices:
+                raise ValueError
         except ValueError:
             raise ValueError(f"{args.config}: bad value for {key!r}: {value!r}") from None
-        if key == "estimator":
-            estimators.extend(coerced)
-        else:
-            setattr(args, key, coerced)
+        setattr(args, key, coerced)
     if estimators:
         args.estimator = estimators
 
@@ -261,25 +251,15 @@ def cmd_scale(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _trace_summary(trace: scaling.ScalingTrace) -> dict:
-    return {
-        "t_star": trace.t_star,
-        "t_balance": trace.t_balance,
-        "converged": trace.converged,
-        "steps_to_converge": trace.steps_to_converge,
-        "max_overshoot": trace.max_overshoot,
-        "forbidden_steps": trace.forbidden_steps,
-        "iterates": len(trace.iterates),
-    }
-
-
 def cmd_path(args: argparse.Namespace) -> int:
     problem = scaling.ScalingProblem.from_stats(_stats(args))
     controller = (scaling.load_controller_config(args.controller)
                   if args.controller else scaling.ControllerConfig())
     trace = scaling.run_path(problem, controller, balance_tol=args.balance_tol)
+    summary = {f.name: getattr(trace, f.name) for f in fields(trace)}
+    summary["iterates"] = len(trace.iterates)
     _emit(args.out, (".csv", scaling.trace_to_csv(trace)),
-          (".json", dumps_stable(_trace_summary(trace)) + "\n"))
+          (".json", dumps_stable(summary) + "\n"))
     return EXIT_OK
 
 

@@ -101,14 +101,19 @@ def regime_index(ex2, ev2, balance_tol):
     return (gap > band) * 2 + (abs(gap) <= band)
 
 
+def _check_tol(name: str, value: float) -> None:
+    """Refuse a tolerance that is not a number >= 0 (NaN included)."""
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be non-negative")
+
+
 def classify_powers(ex2: float, ev2: float, balance_tol: float = BALANCE_TOL) -> RegimeLabel:
     """Classify from the two mean powers alone.
 
     Requires ex2 > 0: with a zero-power signal every ratio and regime is
     undefined.  balance_tol = 0 degrades to the exact trichotomy.
     """
-    if balance_tol < 0.0:
-        raise ValueError("balance_tol must be non-negative")
+    _check_tol("balance_tol", balance_tol)
     if ex2 <= 0.0:
         raise ZeroSignalPower("signal mean power is zero; regimes are undefined")
     return REGIMES[regime_index(ex2, ev2, balance_tol)]
@@ -146,9 +151,8 @@ def check_penalty(
     the conservative/balance cap is allowed tol of absolute slack.
     A degenerate dominant coupling satisfies the verdict vacuously.
     """
-    if tol < 0.0:
-        raise ValueError("tol must be non-negative")
     regime = classify_regime(stats, balance_tol)
+    _check_tol("tol", tol)
     bound = 0.5 * stats.mse
     degenerate = abs(stats.coupling) <= tol * max(1.0, stats.mse)
     if regime is RegimeLabel.POWER_DOMINANT:
@@ -175,7 +179,6 @@ def triad_report(
     error_variance is derived as mse - bias², so the decomposition
     mse = bias² + error_variance holds exactly by construction.
     """
-    regime = classify_regime(stats, balance_tol)
     verdict = check_penalty(stats, tol=tol, balance_tol=balance_tol)
     bias = stats.mean_e
     error_variance = stats.mse - bias * bias
@@ -185,7 +188,7 @@ def triad_report(
         power_ratio=stats.ev2 / stats.ex2,
         mse=stats.mse,
         coupling=stats.coupling,
-        regime=regime,
+        regime=verdict.regime,
         verdict=verdict,
     )
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .diagnostics import BALANCE_TOL, RegimeLabel, classify_powers, classify_regime
+from .diagnostics import BALANCE_TOL, RegimeLabel, classify_powers
 from .errors import EmptyInput
 from .moments import MomentStats
 from .scaling import ScalingCertificate, ScalingProblem
@@ -73,17 +73,18 @@ class DatasetFiles(NamedTuple):
     geometry: str
 
 
+def _point(label: str, ex2: float, ev2: float, coupling: float, mse: float,
+           balance_tol: float) -> MapPoint:
+    """An estimate's point; classified before the ratio, so ex2 <= 0 raises ZeroSignalPower."""
+    regime = classify_powers(ex2, ev2, balance_tol)
+    norm = coupling / mse if mse > 0.0 else math.nan
+    return MapPoint(label=label, power_ratio=ev2 / ex2, coupling_norm=norm,
+                    coupling_raw=coupling, regime=regime)
+
+
 def map_point(label: str, stats: MomentStats, balance_tol: float = BALANCE_TOL) -> MapPoint:
     """Place one finalized estimate on the map."""
-    regime = classify_regime(stats, balance_tol)
-    norm = stats.coupling / stats.mse if stats.mse > 0.0 else math.nan
-    return MapPoint(
-        label=label,
-        power_ratio=stats.ev2 / stats.ex2,
-        coupling_norm=norm,
-        coupling_raw=stats.coupling,
-        regime=regime,
-    )
+    return _point(label, stats.ex2, stats.ev2, stats.coupling, stats.mse, balance_tol)
 
 
 def map_point_from_certificate(
@@ -93,39 +94,29 @@ def map_point_from_certificate(
     balance_tol: float = BALANCE_TOL,
 ) -> MapPoint:
     """Place a certified optimum; lands on the y = 0 ideal path."""
-    regime = classify_powers(problem.ex2, certificate.power_at_star, balance_tol)
-    mse = certificate.mse_at_star
-    norm = certificate.orthogonality_residual / mse if mse > 0.0 else math.nan
-    return MapPoint(
-        label=label,
-        power_ratio=certificate.power_at_star / problem.ex2,
-        coupling_norm=norm,
-        coupling_raw=certificate.orthogonality_residual,
-        regime=regime,
-    )
+    return _point(label, problem.ex2, certificate.power_at_star,
+                  certificate.orthogonality_residual, certificate.mse_at_star, balance_tol)
 
 
-def _rho(problem: Optional[ScalingProblem]) -> float:
-    """Squared correlation exz²/(ex2·ez2), the ideal path's end; 1 without a problem."""
+def _build(kind: str, points, problem: Optional[ScalingProblem]) -> MapDataset:
+    """A map of the points whose ideal path ends at rho = exz²/(ex2·ez2), 1 without a problem."""
+    points = tuple(points)
+    if not points:
+        raise EmptyInput("a map needs at least one point")
+    rho = 1.0
     if problem is not None and problem.ex2 > 0.0 and problem.ez2 > 0.0:
-        return (problem.exz * problem.exz) / (problem.ex2 * problem.ez2)
-    return 1.0
+        rho = (problem.exz * problem.exz) / (problem.ex2 * problem.ez2)
+    return MapDataset(kind=kind, points=points, rho=rho)
 
 
 def build_left_map(points, problem: Optional[ScalingProblem] = None) -> MapDataset:
     """Operating-point chart: safe band versus forbidden half-plane."""
-    points = tuple(points)
-    if not points:
-        raise EmptyInput("a map needs at least one point")
-    return MapDataset(kind="left", points=points, rho=_rho(problem))
+    return _build("left", points, problem)
 
 
 def build_right_map(points, problem: Optional[ScalingProblem] = None) -> MapDataset:
     """Optimization-geometry chart: penalty line, singularity, ideal path."""
-    points = tuple(points)
-    if not points:
-        raise EmptyInput("a map needs at least one point")
-    return MapDataset(kind="right", points=points, rho=_rho(problem))
+    return _build("right", points, problem)
 
 
 def emit_dataset(dataset: MapDataset) -> DatasetFiles:

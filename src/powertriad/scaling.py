@@ -27,7 +27,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .diagnostics import BALANCE_TOL, REGIMES, RegimeLabel, classify_powers, regime_index
+from .diagnostics import (BALANCE_TOL, REGIMES, RegimeLabel, _check_tol, classify_powers,
+                          regime_index)
 from .errors import DegenerateWindow, ZeroCandidatePower
 from .moments import MomentStats, SampleBatch
 from .textio import fmt_rows, parse_kv
@@ -96,15 +97,17 @@ class ScalingTrace:
     when the run never converges it holds the max_steps sentinel and
     ``converged`` is False (the flag disambiguates convergence exactly on the
     final step).  forbidden_steps counts iterates classified power_dominant.
+    Field order is the key order of the ``path`` command's JSON summary,
+    which gives the iterates as their count.
     """
 
-    iterates: tuple[TraceStep, ...]
     t_star: float
     t_balance: float
+    converged: bool
     steps_to_converge: int
     max_overshoot: float
     forbidden_steps: int
-    converged: bool
+    iterates: tuple[TraceStep, ...]
 
 
 @dataclass(frozen=True)
@@ -129,6 +132,9 @@ class ControllerConfig:
             raise ValueError("conv_tol must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
+        for name in ("eta", "t0", "conv_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -308,6 +314,7 @@ def track_moving_optimum(
     """
     if not 0.0 < forgetting <= 1.0:
         raise ValueError("forgetting must lie in (0, 1]")
+    _check_tol("balance_tol", balance_tol)
     x, z = stream.x, stream.v
     n = int(x.size)
     if n == 0:

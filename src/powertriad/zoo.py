@@ -82,6 +82,9 @@ class ProblemSpec:
             raise InvalidSpec("drift_amplitude must lie in [0, 1)")
         if not self.drift_period > 0.0:
             raise InvalidSpec("drift_period must be positive")
+        for name in ("signal_power", "noise_power", "change_factor", "drift_period"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSpec(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,18 @@
 import dataclasses
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from powertriad.cli import main
-from powertriad.scaling import ScalingCertificate
+from powertriad.moments import SampleBatch, read_csv
+from powertriad.scaling import ScalingCertificate, ScalingTrace
+from powertriad.zoo import batch_source, summarize
 
 DOMINANT_CSV = "x,v\n1,2\n-1,0\n"   # ex2=1, ev2=2, exv=1
 
@@ -125,6 +129,17 @@ def test_path_writes_trace_and_summary(tmp_path, capsys):
     assert summary["steps_to_converge"] == 26
     assert summary["forbidden_steps"] == 0
     assert summary["t_star"] == 0.5
+
+
+def test_path_summary_keys_are_the_trace_fields(tmp_path, capsys):
+    src = _write(tmp_path / "pairs.csv", DOMINANT_CSV)
+    assert main(["path", "--input", src, "--out", str(tmp_path / "run")]) == 0
+    summary = json.loads((tmp_path / "run.json").read_text())
+    assert list(summary) == ["t_star", "t_balance", "converged", "steps_to_converge",
+                             "max_overshoot", "forbidden_steps", "iterates"]
+    assert list(summary) == [f.name for f in dataclasses.fields(ScalingTrace)]
+    csv_rows = (tmp_path / "run.csv").read_text().strip().split("\n")[1:]
+    assert summary["iterates"] == len(csv_rows)
 
 
 def test_path_stdout_concatenates_csv_then_summary(tmp_path, capsys):
@@ -375,3 +390,132 @@ def test_multi_chunk_commands_are_byte_identical_across_runs(tmp_path, capsys):
                      "--estimator", "amplifier(c=2)", "--out", str(tmp_path / sub / "m")]) == 0
         maps.append({p.name: p.read_bytes() for p in (tmp_path / sub).iterdir()})
     assert len(maps[0]) == 6 and maps[0] == maps[1]
+
+
+def test_zoo_run_amplifier_doubles_the_candidate(tmp_path):
+    gen = ["--problem", "gaussian_shrinkage(seed=3)", "--samples", "9"]
+    assert main(["zoo", "run", *gen, "--out", str(tmp_path / "raw.csv")]) == 0
+    assert main(["zoo", "run", *gen, "--estimator", "amplifier(c=2)",
+                 "--out", str(tmp_path / "amp.csv")]) == 0
+    raw, amp = read_csv(str(tmp_path / "raw.csv")), read_csv(str(tmp_path / "amp.csv"))
+    assert np.array_equal(amp.x, raw.x)
+    assert np.array_equal(amp.v, 2.0 * raw.v)
+
+
+def test_zoo_run_empirical_mmse_emits_the_scaled_second_half(tmp_path, capsys):
+    """The rows are (x, c·z) of the second half, c = Σxz/Σz² of the first, as diagnose uses."""
+    gen = ["--problem", "gaussian_shrinkage(noise_power=0.5, seed=3)", "--samples", "9"]
+    assert main(["zoo", "run", *gen, "--out", str(tmp_path / "raw.csv")]) == 0
+    mmse_csv = str(tmp_path / "mmse.csv")
+    assert main(["zoo", "run", *gen, "--estimator", "empirical_mmse", "--out", mmse_csv]) == 0
+    raw, mmse = read_csv(str(tmp_path / "raw.csv")), read_csv(mmse_csv)
+    head = summarize(batch_source(SampleBatch(raw.x[:4], raw.v[:4])), [])[0]
+    c = head.sum_xv / head.sum_vv
+    assert np.array_equal(mmse.x, raw.x[4:])
+    assert np.array_equal(mmse.v, c * raw.v[4:])
+    code = main(["diagnose", *gen, "--estimator", "empirical_mmse"])
+    direct = capsys.readouterr()
+    assert main(["diagnose", "--input", mmse_csv]) == code
+    assert capsys.readouterr() == direct
+
+
+def test_map_and_zoo_run_name_their_missing_input(tmp_path, capsys):
+    src = _write(tmp_path / "pairs.csv", DOMINANT_CSV)
+    for argv, message in (
+            (["map", "--input", src], "map works on generated problems; give --problem"),
+            (["map"], "need --problem"),
+            (["zoo", "run"], "zoo run needs --problem")):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_config_value_of_the_wrong_type_fails(tmp_path, capsys):
+    cfg = _write(tmp_path / "run.cfg", "samples = x\n")
+    assert main(["diagnose", "--problem", "gaussian_shrinkage", "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: bad value for 'samples': 'x'\n"
+
+
+def test_config_format_outside_its_choices_fails(tmp_path, capsys):
+    """format = yaml used to crash map with a KeyError and let diagnose exit 3."""
+    cfg = _write(tmp_path / "run.cfg", "format = yaml\n")
+    gen = ["--problem", "gaussian_shrinkage", "--samples", "100"]
+    for argv in (["map", *gen, "--out", str(tmp_path / "m")],
+                 ["diagnose", *gen, "--estimator", "amplifier(c=2)"]):
+        assert main([*argv, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}: bad value for 'format': 'yaml'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+COMMANDS = ("diagnose", "scale", "path", "track", "map", "zoo")
+
+
+def _argv(command):
+    return ["zoo", "run"] if command == "zoo" else [command]
+
+
+def _options(command, capsys):
+    """The long option names that ``command --help`` lists."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    return set(re.findall(r"^ +(?:-h, )?--([a-z][a-z-]*)", capsys.readouterr().out, re.M))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_config_keys_are_the_command_options(tmp_path, monkeypatch, capsys, command):
+    """A config file takes exactly the command's options, less help and config."""
+    monkeypatch.chdir(tmp_path)
+    own = _options(command, capsys) - {"help", "config"}
+    every = set().union(*(_options(c, capsys) for c in COMMANDS))
+    for name in sorted(every | {"action", "command", "func", "options", "volume"}):
+        (tmp_path / "run.cfg").write_text(f"{name} = x\n")
+        assert main([*_argv(command), "--config", "run.cfg"]) == 1  # no input given
+        err = capsys.readouterr().err
+        key = name.replace("-", "_")
+        assert (err == f"error: run.cfg: unknown config key {key!r}\n") == (name not in own), err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_config_values_are_checked_as_their_flags(tmp_path, monkeypatch, capsys, command):
+    """A config value is refused with 'bad value for' exactly when its flag refuses it."""
+    monkeypatch.chdir(tmp_path)
+    for name in sorted(_options(command, capsys) - {"help", "config"}):
+        for value in ("x", "1.5", "yaml", "json", "csv"):
+            try:
+                flag_ok = main([*_argv(command), f"--{name}", value]) == 1  # no input given
+            except SystemExit as exc:
+                assert exc.code == 2
+                flag_ok = False
+            capsys.readouterr()
+            (tmp_path / "run.cfg").write_text(f"{name} = {value}\n")
+            assert main([*_argv(command), "--config", "run.cfg"]) == 1
+            err = capsys.readouterr().err
+            key = name.replace("-", "_")
+            bad = f"error: run.cfg: bad value for {key!r}: {value!r}\n"
+            assert (err == bad) == (not flag_ok), (name, value, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "--problem", "gaussian_shrinkage", "--samples", "1000",
+     "--estimator", "amplifier(c=2)", "--balance-tol", "nan"],
+    ["track", "--problem", "gaussian_shrinkage", "--samples", "1000", "--balance-tol", "-1"],
+], ids=["diagnose-nan", "track-negative"])
+def test_balance_tol_must_be_a_non_negative_number(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: balance_tol must be non-negative\n"
+
+
+def test_non_finite_spec_numbers_exit_one(tmp_path, capsys):
+    assert main(["track", "--problem", "gaussian_shrinkage(noise_power=nan)",
+                 "--samples", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: noise_power must be finite\n"
+    controller = _write(tmp_path / "controller.cfg", "t0 = nan\n")
+    assert main(["path", "--problem", "gaussian_shrinkage", "--samples", "100",
+                 "--controller", controller]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: t0 must be finite\n"

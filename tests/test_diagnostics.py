@@ -126,6 +126,16 @@ def test_negative_tolerances_are_rejected():
         check_penalty(DOMINANT_STATS, tol=-1.0)
 
 
+def test_nan_tolerances_are_rejected():
+    """NaN fails every comparison, so a `tol < 0` check used to let it through."""
+    with pytest.raises(ValueError, match="^balance_tol must be non-negative$"):
+        classify_powers(1.0, 4.0, math.nan)
+    with pytest.raises(ValueError, match="^tol must be non-negative$"):
+        check_penalty(DOMINANT_STATS, tol=math.nan)
+    with pytest.raises(ValueError, match="^balance_tol must be non-negative$"):
+        triad_report(DOMINANT_STATS, balance_tol=math.nan)
+
+
 @given(batches)
 @settings(deadline=None)
 def test_decomposition_residual_is_rounding_noise(batch):

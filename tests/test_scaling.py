@@ -280,6 +280,15 @@ def test_controller_config_validation():
         ControllerConfig(conv_tol=0.0)
 
 
+@pytest.mark.parametrize("key", ["eta", "t0", "conv_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_controller_config_refuses_non_finite_numbers(key, value):
+    with pytest.raises(ValueError):
+        ControllerConfig(**{key: value})
+    with pytest.raises(ValueError):
+        parse_controller_config(f"{key} = {value}\n")
+
+
 def test_tracking_with_full_memory_matches_prefix_fit():
     """forgetting = 1 reduces to the cumulative fitted scale."""
     rng = np.random.default_rng(1234)
@@ -426,6 +435,15 @@ def test_tracking_peak_memory_is_bounded(lam):
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 8 * n
+
+
+def test_tracking_validates_balance_tol():
+    batch = SampleBatch([1.0, 2.0], [1.0, 2.0])
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="^balance_tol must be non-negative$"):
+            track_moving_optimum(batch, 0.9, balance_tol=bad)
+    with pytest.raises(ValueError, match="^balance_tol must be non-negative$"):
+        run_path(REFERENCE_PROBLEM, ControllerConfig(), balance_tol=math.nan)
 
 
 def test_tracking_validates_forgetting():

@@ -230,6 +230,15 @@ def test_problem_spec_validation():
         ProblemSpec(kind="cauchy")
 
 
+@pytest.mark.parametrize("key", ["signal_power", "noise_power", "change_factor", "drift_period"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_problem_spec_refuses_non_finite_numbers(key, value):
+    with pytest.raises(InvalidSpec):
+        parse_problem_spec(f"step_change({key}={value})")
+    with pytest.raises(InvalidSpec):
+        ProblemSpec(kind="drifting_power", **{key: float(value)})
+
+
 def _raw(batch):
     return summarize(batch_source(batch), [])[0]
 
