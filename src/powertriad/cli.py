@@ -39,7 +39,9 @@ _EPILOG = (
     "Precedence: defaults < flags < --config file."
 )
 
-def _add_common(parser: argparse.ArgumentParser, *, estimators: str = "single") -> None:
+def _add_common(parser: argparse.ArgumentParser, *, estimators: str = "single",
+                tols: tuple[str, ...] = ()) -> None:
+    """Input, estimator and output options, and the tolerances the command reads, in ``tols``."""
     parser.add_argument("--input", help="CSV file of x,v pairs")
     parser.add_argument("--problem", help="problem spec, e.g. gaussian_shrinkage(noise_power=0.5)")
     if estimators == "single":
@@ -52,10 +54,12 @@ def _add_common(parser: argparse.ArgumentParser, *, estimators: str = "single") 
                         help=f"sample count for generated problems (default {DEFAULT_SAMPLES})")
     parser.add_argument("--seed", type=int, default=None, metavar="S",
                         help="override the problem spec's seed")
-    parser.add_argument("--balance-tol", type=float, default=diagnostics.BALANCE_TOL,
-                        dest="balance_tol", help="relative width of the balance band")
-    parser.add_argument("--degeneracy-tol", type=float, default=diagnostics.DEGENERACY_TOL,
-                        dest="degeneracy_tol", help="threshold for a negligible coupling")
+    if "balance_tol" in tols:
+        parser.add_argument("--balance-tol", type=float, default=diagnostics.BALANCE_TOL,
+                            dest="balance_tol", help="relative width of the balance band")
+    if "degeneracy_tol" in tols:
+        parser.add_argument("--degeneracy-tol", type=float, default=diagnostics.DEGENERACY_TOL,
+                            dest="degeneracy_tol", help="threshold for a negligible coupling")
     parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     parser.add_argument("--config", metavar="FILE",
                         help="flat key=value file; overrides flags")
@@ -71,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="triad report and regime-coded exit status",
                        epilog=_EPILOG)
-    _add_common(p)
+    _add_common(p, tols=("balance_tol", "degeneracy_tol"))
     p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=cmd_diagnose)
 
@@ -81,14 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scale)
 
     p = sub.add_parser("path", help="run a scaling controller and trace it", epilog=_EPILOG)
-    _add_common(p)
+    _add_common(p, tols=("balance_tol",))
     p.add_argument("--controller", metavar="FILE",
                    help="flat key=value controller config (kind, eta, beta, t0, conv_tol, max_steps)")
     p.add_argument("--format", choices=("csv",), default="csv")
     p.set_defaults(func=cmd_path)
 
     p = sub.add_parser("track", help="track a drifting optimum", epilog=_EPILOG)
-    _add_common(p, estimators="none")
+    _add_common(p, estimators="none", tols=("balance_tol",))
     p.add_argument("--forgetting", type=float, default=DEFAULT_FORGETTING, metavar="L",
                    help=f"forgetting factor in (0, 1] (default {DEFAULT_FORGETTING})")
     p.add_argument("--format", choices=("csv",), default="csv")
@@ -96,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("map", help="emit safe-zone maps (CSV, JSON sidecar, SVG)",
                        epilog=_EPILOG)
-    _add_common(p, estimators="many")
+    _add_common(p, estimators="many", tols=("balance_tol",))
     p.add_argument("--format", choices=("csv", "json", "svg", "all"), default="all")
     p.set_defaults(func=cmd_map)
 
@@ -118,15 +122,14 @@ def _apply_config(args: argparse.Namespace) -> None:
     if not args.config:
         return
     with open(args.config, "r", encoding="utf-8") as fh:
-        pairs = parse_kv(fh.read())
-    estimators: list[str] = []
-    for key, value in pairs:
-        key = key.replace("-", "_")
+        pairs = parse_kv(fh.read(), "config key", lambda key: key.replace("-", "_"))
+    for key, value in pairs.items():
         option = args.options.get(key)
         if option is None:
             raise ValueError(f"{args.config}: unknown config key {key!r}")
         if key == "estimator":  # a ';'-separated list
-            estimators.extend(part.strip() for part in value.split(";") if part.strip())
+            listed = [part.strip() for part in value.split(";") if part.strip()]
+            args.estimator = listed or args.estimator
             continue
         try:
             coerced = (option.type or str)(value)
@@ -135,8 +138,12 @@ def _apply_config(args: argparse.Namespace) -> None:
         except ValueError:
             raise ValueError(f"{args.config}: bad value for {key!r}: {value!r}") from None
         setattr(args, key, coerced)
-    if estimators:
-        args.estimator = estimators
+
+
+def _write(fh, text: str) -> None:
+    """fh.write(text) a MiB at a time, so that no encoded copy of the whole text is made."""
+    for lo in range(0, len(text), 1 << 20):
+        fh.write(text[lo:lo + (1 << 20)])
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -144,7 +151,7 @@ def _write_atomic(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".powertriad-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            _write(fh, text)
         os.umask(umask := os.umask(0))
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes 0600; give open()'s mode
         os.replace(tmp, path)
@@ -160,7 +167,7 @@ def _emit(out: Optional[str], *files: tuple[str, str]) -> None:
         if out:
             _write_atomic(out + suffix, text)
         else:
-            sys.stdout.write(text)
+            _write(sys.stdout, text)
 
 
 def _problem_of(args: argparse.Namespace) -> zoo.ProblemSpec:
@@ -270,6 +277,7 @@ def cmd_track(args: argparse.Namespace) -> int:
         reference = zoo.population_moments(problem, np.arange(args.samples))
     trace = scaling.track_moving_optimum(batch, args.forgetting, reference=reference,
                                          balance_tol=args.balance_tol)
+    del batch, reference  # the text is made from the trace alone
     _emit(args.out, ("", scaling.track_to_csv(trace)))
     return EXIT_OK
 

@@ -26,10 +26,11 @@ is granted inside a relative tolerance band around ev2 = ex2 (default 1e-6).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 
-from .errors import ZeroSignalPower
+from .errors import PowerTriadError, ZeroSignalPower
 from .moments import MomentStats
 from .textio import dumps_stable
 
@@ -107,15 +108,24 @@ def _check_tol(name: str, value: float) -> None:
         raise ValueError(f"{name} must be non-negative")
 
 
+def _check_classifiable(ex2: float, balance_tol: float) -> None:
+    """Refuse a bad balance tolerance, or a zero signal power, against which no regime is defined."""
+    _check_tol("balance_tol", balance_tol)
+    if ex2 <= 0.0:
+        raise ZeroSignalPower("signal mean power is zero; regimes are undefined")
+
+
 def classify_powers(ex2: float, ev2: float, balance_tol: float = BALANCE_TOL) -> RegimeLabel:
     """Classify from the two mean powers alone.
 
     Requires ex2 > 0: with a zero-power signal every ratio and regime is
-    undefined.  balance_tol = 0 degrades to the exact trichotomy.
+    undefined.  A power that is not finite has no regime either: it is
+    refused rather than labelled.  balance_tol = 0 degrades to the exact
+    trichotomy.
     """
-    _check_tol("balance_tol", balance_tol)
-    if ex2 <= 0.0:
-        raise ZeroSignalPower("signal mean power is zero; regimes are undefined")
+    _check_classifiable(ex2, balance_tol)
+    if not (math.isfinite(ex2) and math.isfinite(ev2)):
+        raise PowerTriadError(f"mean powers must be finite: ex2={float(ex2)!r}, ev2={float(ev2)!r}")
     return REGIMES[regime_index(ex2, ev2, balance_tol)]
 
 

@@ -8,6 +8,11 @@ interior mutability to synchronize.  map_chunks reduces CHUNK-sized pieces
 on worker threads, one per usable CPU, and hands the results back in chunk
 order, so a merge in that order does not depend on scheduling.
 
+CSV text holds the GIL, so read_csv's file pieces and textio.fmt_rows' row
+blocks go to processes instead: _fork_map runs this one and a forked child
+per further usable CPU, each holding about one piece or block at a time,
+and yields the results in order, so the bytes are those of one process.
+
 mean_e is read off Σe, mse off Σe² and coupling off Σv·e rather than off
 differences of the power sums (Σv - Σx, Σv² - 2Σx·v + Σx² and Σv² - Σx·v),
 which cancel every digit when v tracks a high-power x closely; the direct
@@ -25,10 +30,13 @@ holds to rounding error of the raw power sums, not approximately.
 
 from __future__ import annotations
 
+import io
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from functools import partial
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -41,6 +49,8 @@ CSV_HEADER = "x,v"
 # every reduction, whose chunk sums add in order whatever reduces them, and of
 # the errors' reused buffer, so that a large batch gets no full-length temporary
 CHUNK = 1 << 16
+# bytes of CSV text per np.loadtxt call in read_csv, cut after the next newline
+_PIECE = 1 << 22
 
 
 class SampleBatch:
@@ -234,6 +244,65 @@ def map_chunks(fn: Callable[[int], object], chunks: Iterable[int]) -> list:
         return list(pool.map(fn, chunks))
 
 
+def _fork_map(fn: Callable[[object], object], items: Iterable) -> Iterator:
+    """Yield fn(item) in order, item k computed by process k mod W, one process per usable CPU.
+
+    The W-1 forked children send length-prefixed pickle frames on their own
+    pipes and leave by os._exit, flushing none of this process's buffers.  A
+    child that dies or raises closes its pipe, and its items are computed
+    here, so every result and exception comes from fn in order.  One item,
+    one CPU, no os.fork or a second live thread runs inline.  fn must call
+    no function a tracer may wrap: give it private helpers only.
+    """
+    items = list(items)
+    workers = min(len(items), _usable_cpus())
+    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        yield from map(fn, items)
+        return
+    import mmap
+    import pickle
+    import signal
+    children = {}  # worker -> (pid, read end of its pipe)
+    try:
+        for w in range(1, workers):
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no room for another process: this one computes the rest
+                os.close(r)
+                os.close(wr)
+                break
+            if pid == 0:
+                try:
+                    with open(wr, "wb") as out:
+                        for item in items[w::workers]:
+                            data = pickle.dumps(fn(item), pickle.HIGHEST_PROTOCOL)
+                            out.write(len(data).to_bytes(8, "little") + data)
+                            out.flush()
+                finally:
+                    os._exit(0)
+            os.close(wr)
+            children[w] = (pid, open(r, "rb"))
+        # frames land in an anonymous map, reused while large enough: no hole in the heap
+        frame = memoryview(b"")
+        for k, item in enumerate(items):
+            if k % workers in children:
+                pipe = children[k % workers][1]
+                head = pipe.read(8)
+                size = int.from_bytes(head, "little") if len(head) == 8 else 0
+                if size > len(frame):
+                    frame = memoryview(mmap.mmap(-1, size))
+                if size and pipe.readinto(frame[:size]) == size:
+                    yield pickle.loads(frame[:size])
+                    continue
+            yield fn(item)
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def merge(a: MomentSummary, b: MomentSummary) -> MomentSummary:
     """Component-wise combination; associative and commutative up to rounding."""
     return MomentSummary(
@@ -275,8 +344,8 @@ def stats_of(batch: SampleBatch, *, compensated: bool = False) -> MomentStats:
 
 def to_csv_text(batch: SampleBatch) -> str:
     """Render a batch as ``x,v`` CSV with lossless decimal text."""
-    return CSV_HEADER + "\n" + fmt_rows("%.17g,%.17g\n", len(batch),
-                                         lambda s: (batch.x[s].tolist(), batch.v[s].tolist()))
+    return fmt_rows(CSV_HEADER, "%.17g,%.17g\n", len(batch),
+                    lambda s: (batch.x[s].tolist(), batch.v[s].tolist()))
 
 
 def write_csv(path, batch: SampleBatch) -> None:
@@ -285,24 +354,45 @@ def write_csv(path, batch: SampleBatch) -> None:
 
 
 def read_csv(path) -> SampleBatch:
-    """Read an ``x,v`` CSV file; parse errors carry 1-based line numbers."""
+    """Read an ``x,v`` CSV file; parse errors carry 1-based line numbers.
+
+    Newline-aligned pieces of about _PIECE bytes are parsed through _fork_map;
+    a piece np.loadtxt cannot take sends the file to the line loop, which owns
+    every error message.
+    """
+    with open(path, "rb") as fh:  # the cuts, without holding the text
+        cuts, end = [0], fh.seek(0, os.SEEK_END)
+        while fh.seek(cuts[-1] + _PIECE) < end and fh.readline() and fh.tell() < end:
+            cuts.append(fh.tell())
+    try:
+        parts = list(_fork_map(partial(_load_piece, path), zip(cuts, cuts[1:] + [end])))
+    except ValueError:
+        return _read_csv_lines(path)
+    return SampleBatch._adopt(np.concatenate([xv[:, 0] for xv in parts]),
+                              np.concatenate([xv[:, 1] for xv in parts]))
+
+
+def _load_piece(path, cut: tuple[int, int]) -> np.ndarray:
+    """np.loadtxt's (k, 2) rows of the file's bytes [lo, hi); piece 0 holds the header.
+
+    Raises ValueError where the line loop may disagree: a parse error, another
+    width, U+001C-U+001F (loadtxt takes them, float() does not), and a body
+    with no comma, which has no row (np.loadtxt warns on those).
+    """
+    lo, hi = cut
     with open(path, "rb") as fh:
-        raw = fh.read()
-    # a body with no comma has no row (np.loadtxt warns on those), and loadtxt accepts U+001C-U+001F
-    # in a field where float() does not: the line loop, which owns every error message, takes both
-    trusted = (raw.find(b",", raw.find(b",") + 1) >= 0
-               and all(bytes((c,)) not in raw for c in range(0x1C, 0x20)))
-    del raw
-    if trusted:
-        with open(path, "r", encoding="utf-8") as fh:
-            if fh.readline().strip() == CSV_HEADER:
-                try:
-                    xv = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-                except ValueError:
-                    xv = None
-                if xv is not None and xv.shape[1] == 2:
-                    return SampleBatch(xv[:, 0], xv[:, 1])
-    return _read_csv_lines(path)
+        fh.seek(lo)
+        piece = fh.read(hi - lo)
+    if (piece.find(b",", piece.find(b",") + 1 if lo == 0 else 0) < 0
+            or any(bytes((c,)) in piece for c in range(0x1C, 0x20))):
+        raise ValueError("no rows for np.loadtxt")
+    with io.TextIOWrapper(io.BytesIO(piece), encoding="utf-8") as fh:
+        if lo == 0 and fh.readline().strip() != CSV_HEADER:
+            raise ValueError("no header")
+        xv = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    if xv.shape[1] != 2:
+        raise ValueError("not two columns")
+    return xv
 
 
 def _read_csv_lines(path) -> SampleBatch:

@@ -27,9 +27,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .diagnostics import (BALANCE_TOL, REGIMES, RegimeLabel, _check_tol, classify_powers,
+from .diagnostics import (BALANCE_TOL, REGIMES, RegimeLabel, _check_classifiable, _check_tol,
                           regime_index)
-from .errors import DegenerateWindow, ZeroCandidatePower
+from .errors import DegenerateWindow, PowerTriadError, ZeroCandidatePower
 from .moments import MomentStats, SampleBatch
 from .textio import fmt_rows, parse_kv
 
@@ -221,11 +221,13 @@ def run_path(
     threshold = controller.conv_tol * max(1.0, abs(t_star))
 
     def step_of(k: int, t: float) -> TraceStep:
-        regime = classify_powers(p.ex2, t * t * p.ez2, balance_tol)
+        # the raw rule: a diverging controller's overflowing iterates are labelled, not refused
+        regime = REGIMES[regime_index(p.ex2, t * t * p.ez2, balance_tol)]
         return TraceStep(k=k, t=t, mse=mse_of_t(p, t), regime=regime)
 
     t = float(controller.t0)
     t_prev = t
+    _check_classifiable(p.ex2, balance_tol)
     steps = [step_of(0, t)]
     converged = abs(t - t_star) <= threshold
     steps_to_converge = 0 if converged else controller.max_steps
@@ -319,6 +321,14 @@ def track_moving_optimum(
     n = int(x.size)
     if n == 0:
         raise ValueError("cannot track an empty stream")
+    if reference is not None:
+        ref = np.asarray(reference, dtype=np.float64)
+        if ref.shape != (n, 3):
+            raise ValueError("reference must supply (ex2, ez2, exz) per step")
+        # min and max are NaN if any entry is, and ±inf if any is: no temporary of size n
+        if not (np.isfinite(ref.min()) and np.isfinite(ref.max())):
+            step = int(np.argmin(np.isfinite(ref).all(axis=1)))
+            raise PowerTriadError(f"reference moments at step {step} are not finite")
     m = np.empty((3, n))
     np.multiply(x, z, out=m[0])
     np.multiply(z, z, out=m[1])
@@ -334,9 +344,6 @@ def track_moving_optimum(
         raise DegenerateWindow(int(np.argmax(dead)))
     t_hat = m_xz / m_zz
     if reference is not None:
-        ref = np.asarray(reference, dtype=np.float64)
-        if ref.shape != (n, 3):
-            raise ValueError("reference must supply (ex2, ez2, exz) per step")
         ex2, ez2, t_true = ref[:, 0], ref[:, 1], ref[:, 2] / ref[:, 1]
     else:
         ex2, ez2, t_true = m_xx, m_zz, np.full(n, np.nan)
@@ -357,11 +364,9 @@ def parse_controller_config(text: str) -> ControllerConfig:
     """Build a ControllerConfig from flat ``key = value`` text."""
     coercers = {f.name: type(f.default) for f in fields(ControllerConfig)}
     values: dict[str, object] = {}
-    for key, value in parse_kv(text):
+    for key, value in parse_kv(text, "controller key").items():
         if key not in coercers:
             raise ValueError(f"unknown controller key {key!r}")
-        if key in values:
-            raise ValueError(f"duplicate controller key {key!r}")
         try:
             values[key] = coercers[key](value)
         except ValueError:
@@ -377,15 +382,15 @@ def load_controller_config(path) -> ControllerConfig:
 def trace_to_csv(trace: ScalingTrace) -> str:
     """Serialize the iterates as ``k,t,mse,regime`` rows."""
     steps = trace.iterates
-    return TRACE_CSV_HEADER + "\n" + fmt_rows(
-        "%d,%.17g,%.17g,%s\n", len(steps),
+    return fmt_rows(
+        TRACE_CSV_HEADER, "%d,%.17g,%.17g,%s\n", len(steps),
         lambda s: zip(*((st.k, st.t, st.mse, st.regime._value_) for st in steps[s])))
 
 
 def track_to_csv(trace: TrackTrace) -> str:
     """Serialize a tracking run as ``k,t_true,t_tracked,tracking_error,regime`` rows."""
     # regime text via _value_: the Enum ``.value`` property costs about 5x as much per row
-    return TRACK_CSV_HEADER + "\n" + fmt_rows(
-        "%d,%.17g,%.17g,%.17g,%s\n", len(trace),
+    return fmt_rows(
+        TRACK_CSV_HEADER, "%d,%.17g,%.17g,%.17g,%s\n", len(trace),
         lambda s: (range(len(trace))[s], trace.t_true[s].tolist(), trace.t_tracked[s].tolist(),
                    trace.tracking_error[s].tolist(), [r._value_ for r in trace.regimes[s]]))

@@ -21,13 +21,18 @@ def fmt_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def fmt_rows(template: str, n: int, columns) -> str:
-    """Render n rows of a one-row %-template; ``columns(rows)`` gives a row slice's columns."""
-    blocks = []
-    for lo in range(0, n, ROW_BLOCK):
+def fmt_rows(header: str, template: str, n: int, columns) -> str:
+    """A header line, then n rows of a one-row %-template; ``columns(rows)`` gives their columns.
+
+    The ROW_BLOCK-row blocks go through moments._fork_map, so columns must
+    call no public function.  Header and blocks are joined in one copy.
+    """
+    from .moments import _fork_map  # moments imports this module
+
+    def block(lo: int) -> str:
         rows = slice(lo, min(lo + ROW_BLOCK, n))
-        blocks.append(template * (rows.stop - lo) % tuple(chain.from_iterable(zip(*columns(rows)))))
-    return "".join(blocks)
+        return template * (rows.stop - lo) % tuple(chain.from_iterable(zip(*columns(rows))))
+    return "".join(chain((header + "\n",), _fork_map(block, range(0, n, ROW_BLOCK))))
 
 
 def dumps_stable(obj) -> str:
@@ -80,13 +85,13 @@ def _write_json(obj, parts: list[str], level: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def parse_kv(text: str) -> list[tuple[str, str]]:
-    """Parse a flat ``key = value`` config file into ordered (key, value) pairs.
+def parse_kv(text: str, kind: str = "key", fold=lambda key: key) -> dict[str, str]:
+    """Parse a flat ``key = value`` file into a dict, in file order, keyed by ``fold(key)``.
 
-    Blank lines and ``#`` comments are ignored.  Repeated keys are preserved
-    in order; the consumer decides whether repetition is meaningful.
+    Blank lines and ``#`` comments are ignored.  A key given twice is
+    refused with ``duplicate <kind> 'key'``: no later line silently wins.
     """
-    pairs: list[tuple[str, str]] = []
+    pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -94,9 +99,10 @@ def parse_kv(text: str) -> list[tuple[str, str]]:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key = fold(key.strip())
         if not key:
             raise ValueError(f"line {lineno}: empty key")
-        pairs.append((key, value))
+        if key in pairs:
+            raise ValueError(f"duplicate {kind} {key!r}")
+        pairs[key] = value.strip()
     return pairs

@@ -509,6 +509,49 @@ def test_balance_tol_must_be_a_non_negative_number(capsys, argv):
     assert captured.out == "" and captured.err == "error: balance_tol must be non-negative\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["scale", "--problem", "gaussian_shrinkage", "--balance-tol", "-1"],
+    ["zoo", "run", "--problem", "gaussian_shrinkage", "--balance-tol", "0.1"],
+    ["path", "--problem", "gaussian_shrinkage", "--degeneracy-tol", "0.1"],
+    ["map", "--problem", "gaussian_shrinkage", "--degeneracy-tol", "0.1"],
+], ids=["scale-balance", "zoo-balance", "path-degeneracy", "map-degeneracy"])
+def test_a_tolerance_is_an_option_only_where_it_is_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [("scale", "balance_tol"), ("zoo", "balance_tol"),
+                                          ("track", "degeneracy_tol")])
+def test_a_shared_tolerance_key_is_unknown_where_it_is_not_read(tmp_path, capsys, command, key):
+    cfg = _write(tmp_path / "run.cfg", f"{key} = 0.1\n")
+    argv = ["zoo", "run"] if command == "zoo" else [command]
+    assert main([*argv, "--problem", "gaussian_shrinkage", "--samples", "10",
+                 "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: unknown config key {key!r}\n"
+
+
+@pytest.mark.parametrize("text, key", [
+    ("samples = 5\nsamples = 7\n", "samples"),
+    ("balance-tol = 0.1\nbalance_tol = 0.2\n", "balance_tol"),
+    ("estimator = zero\nestimator = identity\n", "estimator"),
+], ids=["samples", "dash-and-underscore", "estimator"])
+def test_a_repeated_config_key_is_refused(tmp_path, capsys, text, key):
+    cfg = _write(tmp_path / "run.cfg", text)
+    assert main(["diagnose", "--problem", "gaussian_shrinkage", "--samples", "10",
+                 "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: duplicate config key {key!r}\n"
+
+
+def test_a_repeated_controller_key_keeps_its_message(tmp_path, capsys):
+    controller = _write(tmp_path / "controller.cfg", "eta = 0.1\neta = 0.2\n")
+    assert main(["path", "--problem", "gaussian_shrinkage", "--samples", "10",
+                 "--controller", controller]) == 1
+    assert capsys.readouterr().err == "error: duplicate controller key 'eta'\n"
+
+
 def test_non_finite_spec_numbers_exit_one(tmp_path, capsys):
     assert main(["track", "--problem", "gaussian_shrinkage(noise_power=nan)",
                  "--samples", "3"]) == 1

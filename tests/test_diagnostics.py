@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powertriad import (
+    PowerTriadError,
     RegimeLabel,
     SampleBatch,
     ZeroSignalPower,
@@ -275,6 +276,14 @@ def test_regime_index_is_the_former_scalar_and_array_rules(tol):
 @pytest.mark.parametrize("tol", [0.0, 1e-6])
 def test_tracked_labels_agree_with_classify_powers(tol):
     ex2, ev2 = _edge_pairs(tol)
+    # a power that is not finite has no label: both entry points refuse it
+    finite = np.isfinite(ex2) & np.isfinite(ev2)
+    for a, b in zip(ex2[~finite].tolist(), ev2[~finite].tolist()):
+        with pytest.raises(PowerTriadError, match="^mean powers must be finite"):
+            classify_powers(a, b, tol)
+        with pytest.raises(PowerTriadError, match="^reference moments at step 0 are not finite$"):
+            track_moving_optimum(SampleBatch([1.0], [1.0]), 1.0, reference=[(a, b, 1.0)])
+    ex2, ev2 = ex2[finite], ev2[finite]
     n = ex2.size
     # x = z = 1 at λ = 1 tracks t = 1 exactly, so step k's power is the reference's ez2
     reference = np.column_stack((ex2, ev2, np.ones(n)))
@@ -287,6 +296,20 @@ def test_tracked_labels_agree_with_classify_powers(tol):
     # classify_powers refuses a zero signal power; every other step must agree with it
     assert ([r for (a, _), r in zip(pairs, trace.regimes) if not a <= 0.0]
             == [classify_powers(a, b, tol) for a, b in pairs if not a <= 0.0])
+
+
+def test_classify_powers_refuses_a_nan_power():
+    # NaN compares false on both sides, so it used to fall through to the safe verdict
+    for ex2, ev2 in [(1.0, math.nan), (math.nan, 1.0), (1.0, math.inf)]:
+        with pytest.raises(PowerTriadError, match=r"^mean powers must be finite: ex2="):
+            classify_powers(ex2, ev2)
+
+
+def test_tracking_refuses_a_reference_with_a_nan_row_before_tracking():
+    # z = 0 would stop the tracker at step 0; the reference is checked first
+    reference = [(1.0, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, 1.0)]
+    with pytest.raises(PowerTriadError, match="^reference moments at step 1 are not finite$"):
+        track_moving_optimum(SampleBatch([1.0] * 3, [0.0] * 3), 0.5, reference=reference)
 
 
 def test_tracked_window_without_signal_power_is_balance():

@@ -1,9 +1,13 @@
 """Accumulate/merge/finalize behavior of the moment summaries."""
 
 import math
+import os
 import re
 import subprocess
 import sys
+import threading
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +27,8 @@ from powertriad import (
     stats_of,
     write_csv,
 )
-from powertriad.moments import CHUNK, _exact_sum, to_csv_text
+from powertriad import moments
+from powertriad.moments import CHUNK, _exact_sum, _fork_map, to_csv_text
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 batches = st.lists(st.tuples(finite, finite), min_size=1, max_size=100).map(
@@ -373,7 +378,12 @@ def test_read_csv_matches_line_loop(tmp_path_factory, body):
     path = tmp_path_factory.mktemp("csv") / "pairs.csv"
     text = "x,v\n" + "".join(line + end for line, end in body)
     path.write_bytes(text.encode("utf-8"))
-    assert _outcome(read_csv, path) == _outcome(_reference_read_csv, path)
+    expected = _outcome(_reference_read_csv, path)
+    assert _outcome(read_csv, path) == expected
+    # pieces of a few lines each, parsed by three processes
+    with mock.patch.object(moments, "_PIECE", 8), mock.patch.object(moments, "_usable_cpus",
+                                                                      lambda: 3):
+        assert _outcome(read_csv, path) == expected
 
 
 def test_csv_separator_control_in_field_fails_on_its_line(tmp_path):
@@ -404,6 +414,134 @@ def test_csv_without_rows_is_empty_and_silent(tmp_path, body, recwarn):
     back = read_csv(path)
     assert len(back) == 0 and back.x.dtype == np.float64
     assert len(recwarn) == 0
+
+
+# --- CSV parse: newline-aligned pieces on three processes --------------------
+
+@pytest.fixture
+def pieces(monkeypatch):
+    """read_csv cuts 64-byte pieces and parses them on three processes."""
+    monkeypatch.setattr(moments, "_PIECE", 64)
+    monkeypatch.setattr(moments, "_usable_cpus", lambda: 3)
+
+
+def _rows_csv(path, n, newline="\n", replace=None):
+    rows = [f"{i / 7!r},{-i}" for i in range(n)]
+    for index, row in (replace or {}).items():
+        rows[index] = row
+    path.write_bytes(("x,v" + newline + newline.join(rows) + newline).encode())
+    return path
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0.5,zz", "could not parse '0.5,zz'"),
+    ("1,2,3", "expected two comma-separated values"),
+], ids=["bad-value", "three-columns"])
+def test_split_csv_error_past_the_first_piece_names_its_line(tmp_path, pieces, row, message):
+    path = _rows_csv(tmp_path / "bad.csv", 60, replace={50: row})
+    assert os.path.getsize(path) > 10 * moments._PIECE  # row 50 lies pieces past the first
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 52: {message}')}$"):
+        read_csv(path)
+
+
+def test_split_csv_with_a_piece_of_blank_lines_only(tmp_path, pieces, recwarn):
+    rows = _rows_csv(tmp_path / "rows.csv", 20).read_text().split("\n")
+    path = tmp_path / "blank.csv"
+    path.write_text("\n".join(rows[:8] + [""] * 200 + rows[8:]))
+    assert _outcome(read_csv, path) == _outcome(_reference_read_csv, path)
+    assert len(read_csv(path)) == 20 and len(recwarn) == 0
+
+
+def test_split_csv_with_crlf_line_ends(tmp_path, pieces):
+    path = _rows_csv(tmp_path / "crlf.csv", 50, newline="\r\n")
+    back = read_csv(path)
+    assert _outcome(read_csv, path) == _outcome(_reference_read_csv, path)
+    assert back.v.tolist() == [-float(i) for i in range(50)]
+
+
+def test_split_csv_of_200000_rows_is_bit_equal_to_the_line_loop(tmp_path, monkeypatch):
+    monkeypatch.setattr(moments, "_PIECE", 1 << 20)
+    monkeypatch.setattr(moments, "_usable_cpus", lambda: 3)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(200_000) * 10.0 ** rng.integers(-300, 300, 200_000)
+    path = tmp_path / "pairs.csv"
+    write_csv(path, SampleBatch(x, rng.standard_normal(200_000)))
+    assert os.path.getsize(path) > 4 * moments._PIECE
+    assert _outcome(read_csv, path) == _outcome(_reference_read_csv, path)
+
+
+# --- _fork_map: forked, in-order block map ------------------------------------
+
+def _square_and_pid(i):
+    return i * i, os.getpid()
+
+
+@pytest.mark.parametrize("workers, n", [(1, 7), (2, 7), (3, 7), (3, 2), (5, 3)])
+def test_fork_map_yields_in_item_order(monkeypatch, workers, n):
+    monkeypatch.setattr(moments, "_usable_cpus", lambda: workers)
+    results = list(_fork_map(_square_and_pid, range(n)))
+    assert [r for r, _ in results] == [i * i for i in range(n)]
+    processes = min(workers, n)
+    # item k comes from process k mod W: this one for k mod W = 0, a child otherwise
+    pids = [pid for _, pid in results]
+    assert [pid == os.getpid() for pid in pids] == [k % processes == 0 for k in range(n)]
+    assert len(set(pids)) == processes
+
+
+def _fail_on_four(i):
+    if i == 4:
+        raise ValueError(f"item {i} is bad")
+    return i
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_fork_map_raises_a_child_failure_as_the_inline_run_does(monkeypatch, workers):
+    monkeypatch.setattr(moments, "_usable_cpus", lambda: workers)  # item 4 is a child's at W = 3
+    seen = []
+    with pytest.raises(ValueError, match="^item 4 is bad$"):
+        for value in _fork_map(_fail_on_four, range(8)):
+            seen.append(value)
+    assert seen == [0, 1, 2, 3]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_map_does_not_fork_beside_a_live_thread(monkeypatch):
+    monkeypatch.setattr(moments, "_usable_cpus", lambda: 3)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        pids = [pid for _, pid in _fork_map(_square_and_pid, range(6))]
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert pids == [os.getpid()] * 6
+
+
+def test_fork_map_closed_early_leaves_no_child(monkeypatch):
+    monkeypatch.setattr(moments, "_usable_cpus", lambda: 3)
+    results = _fork_map(lambda i: time.sleep(0.05) or i, range(12))
+    assert next(results) == 0
+    results.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_map_children_never_flush_the_parents_buffers(child_env):
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from powertriad import SampleBatch, moments\n"
+            "moments._usable_cpus = lambda: 2\n"
+            "sys.stdout.write('unflushed ')\n"
+            "text = moments.to_csv_text(SampleBatch(np.arange(200_000.0), np.zeros(200_000)))\n"
+            "print(len(text.splitlines()))\n")
+    child_env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe stays block-buffered
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=child_env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "unflushed 200001\n" and result.stderr == ""
 
 
 # --- CSV emit: row blocks against per-row rendering ---------------------------

@@ -69,11 +69,37 @@ def test_traced_multi_chunk_run_keeps_every_span_on_the_calling_thread(capsys):
             assert parent["start"] <= span["start"] and span["end"] <= parent["end"], span
 
 
+def test_traced_forked_text_run_keeps_every_span_in_this_process(tmp_path, capsys, monkeypatch):
+    """Forked children parse and format text with private helpers only: no span opens there."""
+    tracing = _load_tracing()
+    monkeypatch.setattr(powertriad.moments, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(powertriad.moments, "_PIECE", 1 << 16)
+    pids = tmp_path / "pids"
+
+    class Tracer(tracing.Tracer):
+        def open(self, name):
+            with open(pids, "a") as fh:  # a child's spans would be lost with its memory
+                fh.write(f"{os.getpid()}\n")
+            return super().open(name)
+
+    source = tmp_path / "pairs.csv"
+    n = 3 * 65_536 + 17
+    powertriad.moments.write_csv(source, powertriad.SampleBatch(range(n), [2.0] * n))
+    undo = tracing.install(Tracer())
+    try:
+        code = powertriad.cli.main(["track", "--input", str(source), "--out", str(tmp_path / "t")])
+    finally:
+        undo()
+    assert code == 0 and capsys.readouterr().err == ""
+    assert set(pids.read_text().split()) == {str(os.getpid())}
+    assert len((tmp_path / "t").read_text().splitlines()) == n + 1
+
+
 def test_import_loads_no_thread_pool(child_env):
-    """The worker pool is imported on first multi-chunk use, so start-up time cannot drift."""
+    """The worker pool and any process pool are imported on first use, so start-up time cannot drift."""
     code = ("import powertriad, powertriad.cli, sys; "
-            "print('concurrent.futures' in sys.modules)")
+            "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=child_env)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    assert result.stdout == "False False\n"

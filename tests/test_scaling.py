@@ -254,6 +254,15 @@ def test_every_controller_key_parses_to_its_type():
         parse_controller_config("max_steps = 1.5")
 
 
+def test_a_diverging_path_is_traced_not_refused():
+    # the iterates overflow to inf and then NaN; classify_powers would refuse those powers,
+    # but a path keeps every step, so `path` prints the same trace it always did
+    trace = run_path(ScalingProblem(ex2=1.0, ez2=1.0, exz=0.5),
+                     ControllerConfig(eta=10.0, max_steps=400))
+    assert len(trace.iterates) == 401 and math.isnan(trace.iterates[-1].t)
+    assert not trace.converged and trace.forbidden_steps > 0
+
+
 def test_controller_config_defaults_and_errors(tmp_path):
     assert parse_controller_config("") == ControllerConfig()
     with pytest.raises(ValueError, match="unknown controller key"):
