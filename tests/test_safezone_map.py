@@ -1,5 +1,6 @@
 """Map coordinates, region geometry, dataset emission and SVG rendering."""
 
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -169,6 +170,30 @@ def test_render_is_deterministic():
         ScalingProblem(1.0, 2.0, 1.0),
     )
     assert render_svg(dataset) == render_svg(again)
+
+
+# Four hand-placed points cover every marker the renderer draws: a dominant
+# point, a conservative point below the penalty axis, a hollow point whose
+# mse is zero, and a label that needs XML escaping.
+GOLDEN_POINTS = (
+    MapPoint("doubled", 4.0, 2.0, 2.0, RegimeLabel.POWER_DOMINANT),
+    MapPoint("shrunk", 0.25, -0.75, -0.1875, RegimeLabel.POWER_CONSERVATIVE),
+    MapPoint("perfect", 1.0, math.nan, 0.0, RegimeLabel.POWER_BALANCE),
+    MapPoint("a<b & c>d", 0.5, 0.0, 0.0, RegimeLabel.POWER_CONSERVATIVE),
+)
+
+
+@pytest.mark.parametrize("build, length, digest", [
+    (build_left_map, 4035,
+     "6199ecf7ab4e5b317e0300d8544201b427a6a39433c45bf9ef4199a950f1e332"),
+    (build_right_map, 4382,
+     "007b967bf655357da962cee99e34377272dd04cc8443c1e1e446597198c1a988"),
+])
+def test_svg_bytes_are_pinned(build, length, digest):
+    text = render_svg(build(GOLDEN_POINTS, REFERENCE_PROBLEM))
+    assert len(text) == length
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert "a&lt;b &amp; c&gt;d" in text and "point-undefined" in text
 
 
 def _svg_root(text):
