@@ -76,7 +76,6 @@ from .zoo import (
     parse_estimator_spec,
     parse_problem_spec,
     population_moments,
-    true_optimum_path,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .diagnostics import BALANCE_TOL, RegimeLabel, classify_powers
-from .errors import EmptyInput
+from .errors import EmptyInput, PowerTriadError
 from .moments import MomentStats
 from .scaling import ScalingCertificate, ScalingProblem
 from .textio import dumps_stable, fmt_float
@@ -37,7 +37,7 @@ WIDTH, HEIGHT, MARGIN = 720, 540, 64.0
 BACKGROUND, SAFE_FILL, FORBIDDEN_FILL, AXIS_COLOR = "#ffffff", "#c8e6c9", "#ffcdd2", "#333333"
 BALANCE_COLOR, PENALTY_COLOR, SINGULARITY_COLOR = "#2e7d32", "#8b0000", "#d32f2f"
 IDEAL_COLOR, POINT_FILL = "#1565c0", "#263238"
-FONT = 'font-family="sans-serif" font-size="12"'
+FONT = (("font-family", "sans-serif"), ("font-size", "12"))
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,16 @@ class DatasetFiles(NamedTuple):
 
 def _point(label: str, ex2: float, ev2: float, coupling: float, mse: float,
            balance_tol: float) -> MapPoint:
-    """An estimate's point; classified before the ratio, so ex2 <= 0 raises ZeroSignalPower."""
+    """An estimate's point; classified before the ratio, so ex2 <= 0 raises ZeroSignalPower.
+
+    A NaN norm (mse = 0) is the undefined point; a coordinate that overflows raises.
+    """
     regime = classify_powers(ex2, ev2, balance_tol)
-    norm = coupling / mse if mse > 0.0 else math.nan
-    return MapPoint(label=label, power_ratio=ev2 / ex2, coupling_norm=norm,
+    ratio, norm = ev2 / ex2, coupling / mse if mse > 0.0 else math.nan
+    if not math.isfinite(ratio) or math.isinf(norm):
+        raise PowerTriadError(f"map point {label!r} is off the map: "
+                              f"power_ratio={ratio!r}, coupling_norm={norm!r}")
+    return MapPoint(label=label, power_ratio=ratio, coupling_norm=norm,
                     coupling_raw=coupling, regime=regime)
 
 
@@ -176,7 +182,7 @@ def parse_dataset_csv(text: str) -> tuple[MapPoint, ...]:
 def _tick_step(span: float) -> float:
     raw = span / 5.0
     magnitude = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
+    for mult in (1.0, 2.0, 2.5, 5.0):
         if raw <= mult * magnitude:
             return mult * magnitude
     return 10.0 * magnitude
@@ -202,15 +208,31 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
+def _tag(name: str, cls: str, *attrs: tuple[str, object], text: Optional[str] = None) -> str:
+    """One element: the class, then the attributes in order with floats in pixels;
+    self-closing unless it has text."""
+    head = f'<{name} class="{cls}"' + "".join(
+        f' {key}="{_px(value) if isinstance(value, float) else value}"' for key, value in attrs)
+    return f"{head}/>" if text is None else f"{head}>{_escape(text)}</{name}>"
+
+
+def _line(cls: str, x1: float, y1: float, x2: float, y2: float, stroke: str = AXIS_COLOR,
+          width: str = "1", *extra: tuple[str, object]) -> str:
+    return _tag("line", cls, ("x1", x1), ("y1", y1), ("x2", x2), ("y2", y2),
+                ("stroke", stroke), ("stroke-width", width), *extra)
+
+
+def _text(cls: str, x: float, y: float, text: str, *extra: tuple[str, object],
+          fill: str = AXIS_COLOR) -> str:
+    return _tag("text", cls, ("x", x), ("y", y), *FONT, ("fill", fill), *extra, text=text)
+
+
 def render_svg(dataset: MapDataset) -> str:
     """Render the dataset as a self-contained, deterministic SVG document."""
-    finite_x = [p.power_ratio for p in dataset.points]
-    finite_y = [p.coupling_norm for p in dataset.points if p.coupling_norm_defined]
-    x_hi = max(1.5, 1.15 * max(finite_x)) if finite_x else 1.5
-    y_hi = max(1.0, *(1.15 * y for y in finite_y)) if finite_y else 1.0
-    y_lo = min(-0.25, *(1.15 * y for y in finite_y)) if finite_y else -0.25
+    ys = [1.15 * p.coupling_norm for p in dataset.points if p.coupling_norm_defined]
     x_lo = 0.0
-
+    x_hi = max(1.5, 1.15 * max((p.power_ratio for p in dataset.points), default=0.0))
+    y_lo, y_hi = min([-0.25, *ys]), max([1.0, *ys])
     w, h, m = float(WIDTH), float(HEIGHT), MARGIN
 
     def sx(v: float) -> float:
@@ -219,124 +241,58 @@ def render_svg(dataset: MapDataset) -> str:
     def sy(v: float) -> float:
         return h - m - (v - y_lo) / (y_hi - y_lo) * (h - 2.0 * m)
 
-    out: list[str] = []
-    out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{WIDTH}" '
-        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
-    )
-    title = "Power-regime map" if dataset.kind == "left" else "Scaling-geometry map"
-    out.append(f"<title>{_escape(title)}</title>")
-    out.append(
-        f'<rect class="background" x="0" y="0" width="{WIDTH}" '
-        f'height="{HEIGHT}" fill="{BACKGROUND}"/>'
-    )
-
-    # regions: green safe area, red forbidden half-plane beyond the balance line
+    left, right, bottom, top, balance = sx(x_lo), sx(x_hi), sy(y_lo), sy(y_hi), sx(BALANCE_RATIO)
     if dataset.kind == "left":
-        safe_top, safe_bottom = sy(y_hi), sy(y_lo)
+        title, safe_top, safe_bottom, path, marks = "Power-regime map", top, bottom, [], []
     else:
-        # the right map bounds the safe area by the penalty level as well
-        safe_top, safe_bottom = sy(PENALTY_LEVEL), sy(0.0)
-    out.append(
-        f'<rect class="region region-safe" x="{_px(sx(x_lo))}" y="{_px(safe_top)}" '
-        f'width="{_px(sx(BALANCE_RATIO) - sx(x_lo))}" height="{_px(safe_bottom - safe_top)}" '
-        f'fill="{SAFE_FILL}"/>'
-    )
-    out.append(
-        f'<rect class="region region-forbidden" x="{_px(sx(BALANCE_RATIO))}" y="{_px(sy(y_hi))}" '
-        f'width="{_px(sx(x_hi) - sx(BALANCE_RATIO))}" height="{_px(sy(y_lo) - sy(y_hi))}" '
-        f'fill="{FORBIDDEN_FILL}"/>'
-    )
-
-    if dataset.kind == "right":
-        out.append(
-            f'<line class="path ideal-path" x1="{_px(sx(0.0))}" y1="{_px(sy(0.0))}" '
-            f'x2="{_px(sx(dataset.rho))}" y2="{_px(sy(0.0))}" stroke="{IDEAL_COLOR}" '
-            f'stroke-width="3"/>'
-        )
-
-    out.append(
-        f'<line class="boundary balance-line" x1="{_px(sx(BALANCE_RATIO))}" '
-        f'y1="{_px(sy(y_lo))}" x2="{_px(sx(BALANCE_RATIO))}" y2="{_px(sy(y_hi))}" '
-        f'stroke="{BALANCE_COLOR}" stroke-width="1.5"/>'
-    )
-    if dataset.kind == "right":
-        out.append(
-            f'<line class="boundary penalty-line" x1="{_px(sx(x_lo))}" '
-            f'y1="{_px(sy(PENALTY_LEVEL))}" x2="{_px(sx(x_hi))}" '
-            f'y2="{_px(sy(PENALTY_LEVEL))}" stroke="{PENALTY_COLOR}" '
-            f'stroke-width="1.5" stroke-dasharray="6 4"/>'
-        )
-        out.append(
-            f'<circle class="marker singularity" cx="{_px(sx(BALANCE_RATIO))}" '
-            f'cy="{_px(sy(PENALTY_LEVEL))}" r="5" fill="{SINGULARITY_COLOR}"/>'
-        )
-
-    # axes with ticks
-    out.append(
-        f'<line class="axis" x1="{_px(sx(x_lo))}" y1="{_px(sy(y_lo))}" x2="{_px(sx(x_hi))}" '
-        f'y2="{_px(sy(y_lo))}" stroke="{AXIS_COLOR}" stroke-width="1"/>'
-    )
-    out.append(
-        f'<line class="axis" x1="{_px(sx(x_lo))}" y1="{_px(sy(y_lo))}" x2="{_px(sx(x_lo))}" '
-        f'y2="{_px(sy(y_hi))}" stroke="{AXIS_COLOR}" stroke-width="1"/>'
-    )
+        # the right map bounds the safe area by the penalty level as well, draws the
+        # ideal path under the balance line and the penalty line and singularity over it
+        title, safe_top, safe_bottom = "Scaling-geometry map", sy(PENALTY_LEVEL), sy(0.0)
+        path = [_line("path ideal-path", left, safe_bottom, sx(dataset.rho), safe_bottom,
+                      IDEAL_COLOR, "3")]
+        marks = [_line("boundary penalty-line", left, safe_top, right, safe_top, PENALTY_COLOR,
+                       "1.5", ("stroke-dasharray", "6 4")),
+                 _tag("circle", "marker singularity", ("cx", balance), ("cy", safe_top),
+                      ("r", 5), ("fill", SINGULARITY_COLOR))]
+    middle = ("text-anchor", "middle")
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f"<title>{title}</title>",
+        _tag("rect", "background", ("x", 0), ("y", 0), ("width", WIDTH), ("height", HEIGHT),
+             ("fill", BACKGROUND)),
+        # regions: green safe area, red forbidden half-plane beyond the balance line
+        _tag("rect", "region region-safe", ("x", left), ("y", safe_top), ("width", balance - left),
+             ("height", safe_bottom - safe_top), ("fill", SAFE_FILL)),
+        _tag("rect", "region region-forbidden", ("x", balance), ("y", top),
+             ("width", right - balance), ("height", bottom - top), ("fill", FORBIDDEN_FILL)),
+        *path,
+        _line("boundary balance-line", balance, bottom, balance, top, BALANCE_COLOR, "1.5"),
+        *marks,
+        _line("axis", left, bottom, right, bottom),
+        _line("axis", left, bottom, left, top),
+    ]
     for tick in _ticks(x_lo, x_hi):
-        out.append(
-            f'<line class="tick" x1="{_px(sx(tick))}" y1="{_px(sy(y_lo))}" '
-            f'x2="{_px(sx(tick))}" y2="{_px(sy(y_lo) + 5)}" stroke="{AXIS_COLOR}" '
-            f'stroke-width="1"/>'
-        )
-        out.append(
-            f'<text class="tick-label" x="{_px(sx(tick))}" y="{_px(sy(y_lo) + 18)}" '
-            f'{FONT} fill="{AXIS_COLOR}" text-anchor="middle">{tick:g}</text>'
-        )
+        out += [_line("tick", sx(tick), bottom, sx(tick), bottom + 5),
+                _text("tick-label", sx(tick), bottom + 18, f"{tick:g}", middle)]
     for tick in _ticks(y_lo, y_hi):
-        out.append(
-            f'<line class="tick" x1="{_px(sx(x_lo) - 5)}" y1="{_px(sy(tick))}" '
-            f'x2="{_px(sx(x_lo))}" y2="{_px(sy(tick))}" stroke="{AXIS_COLOR}" '
-            f'stroke-width="1"/>'
-        )
-        out.append(
-            f'<text class="tick-label" x="{_px(sx(x_lo) - 8)}" y="{_px(sy(tick) + 4)}" '
-            f'{FONT} fill="{AXIS_COLOR}" text-anchor="end">{tick:g}</text>'
-        )
-    out.append(
-        f'<text class="axis-label" x="{_px((sx(x_lo) + sx(x_hi)) / 2)}" y="{_px(h - 16)}" '
-        f'{FONT} fill="{AXIS_COLOR}" text-anchor="middle">power ratio '
-        f"(estimate / signal)</text>"
-    )
-    out.append(
-        f'<text class="axis-label" x="18" y="{_px((sy(y_lo) + sy(y_hi)) / 2)}" {FONT} '
-        f'fill="{AXIS_COLOR}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {_px((sy(y_lo) + sy(y_hi)) / 2)})">coupling / mse</text>'
-    )
-    out.append(
-        f'<text class="map-title" x="{_px(w / 2)}" y="{_px(m - 20)}" {FONT} '
-        f'fill="{AXIS_COLOR}" text-anchor="middle" font-weight="bold">'
-        f"{_escape(title)}</text>"
-    )
-
+        out += [_line("tick", left - 5, sy(tick), left, sy(tick)),
+                _text("tick-label", left - 8, sy(tick) + 4, f"{tick:g}", ("text-anchor", "end"))]
+    mid_y = (bottom + top) / 2
+    out += [
+        _text("axis-label", (left + right) / 2, h - 16, "power ratio (estimate / signal)", middle),
+        _text("axis-label", 18, mid_y, "coupling / mse", middle,
+              ("transform", f"rotate(-90 18 {_px(mid_y)})")),
+        _text("map-title", w / 2, m - 20, title, middle, ("font-weight", "bold")),
+    ]
     for p in dataset.points:
-        y = p.coupling_norm if p.coupling_norm_defined else 0.0
-        cls = f"point regime-{p.regime.value}"
+        cx, cy = sx(p.power_ratio), sy(p.coupling_norm if p.coupling_norm_defined else 0.0)
+        cls, paint = "", [("fill", POINT_FILL)]
         if not p.coupling_norm_defined:
-            cls += " point-undefined"
-            marker = (
-                f'<circle class="{cls}" cx="{_px(sx(p.power_ratio))}" cy="{_px(sy(y))}" '
-                f'r="4" fill="none" stroke="{POINT_FILL}" stroke-width="1.5" '
-                f'stroke-dasharray="2 2"/>'
-            )
-        else:
-            marker = (
-                f'<circle class="{cls}" cx="{_px(sx(p.power_ratio))}" cy="{_px(sy(y))}" '
-                f'r="4" fill="{POINT_FILL}"/>'
-            )
-        out.append(marker)
-        out.append(
-            f'<text class="point-label" x="{_px(sx(p.power_ratio) + 7)}" '
-            f'y="{_px(sy(y) - 7)}" {FONT} fill="{POINT_FILL}">{_escape(p.label)}</text>'
-        )
-
+            cls, paint = " point-undefined", [("fill", "none"), ("stroke", POINT_FILL),
+                                              ("stroke-width", "1.5"), ("stroke-dasharray", "2 2")]
+        out += [_tag("circle", f"point regime-{p.regime.value}{cls}", ("cx", cx), ("cy", cy),
+                     ("r", 4), *paint),
+                _text("point-label", cx + 7, cy - 7, p.label, fill=POINT_FILL)]
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -30,7 +30,7 @@ import numpy as np
 from .diagnostics import (BALANCE_TOL, REGIMES, RegimeLabel, _check_classifiable, _check_tol,
                           regime_index)
 from .errors import DegenerateWindow, PowerTriadError, ZeroCandidatePower
-from .moments import MomentStats, SampleBatch
+from .moments import MomentStats, SampleBatch, check_finite
 from .textio import fmt_rows, parse_kv
 
 # Consistency slack for empirical moments: exz² may exceed ex2·ez2 only by rounding.
@@ -330,15 +330,20 @@ def track_moving_optimum(
             step = int(np.argmin(np.isfinite(ref).all(axis=1)))
             raise PowerTriadError(f"reference moments at step {step} are not finite")
     m = np.empty((3, n))
-    np.multiply(x, z, out=m[0])
-    np.multiply(z, z, out=m[1])
-    np.multiply(x, x, out=m[2])
-    if forgetting == 1.0:
-        np.cumsum(m, axis=1, out=m)
-        m /= np.arange(1, n + 1, dtype=np.float64)
-    else:
-        _ewma(m, forgetting)
+    with np.errstate(invalid="ignore"):  # inf·0 and inf - inf come from samples refused below
+        np.multiply(x, z, out=m[0])
+        np.multiply(z, z, out=m[1])
+        np.multiply(x, x, out=m[2])
+        if forgetting == 1.0:
+            np.cumsum(m, axis=1, out=m)
+            m /= np.arange(1, n + 1, dtype=np.float64)
+        else:
+            _ewma(m, forgetting)
     m_xz, m_zz, m_xx = m
+    # a NaN or infinity leaves every later running power non-finite, so a clean
+    # stream is told apart by its last step alone
+    if not (math.isfinite(m_zz[-1]) and math.isfinite(m_xx[-1])):
+        check_finite(x, z)
     dead = m_zz <= 0.0
     if bool(dead.any()):
         raise DegenerateWindow(int(np.argmax(dead)))

@@ -133,12 +133,6 @@ def population_moments(problem: ProblemSpec, k: np.ndarray) -> np.ndarray:
     return np.column_stack((s, s + problem.noise_power, s))
 
 
-def true_optimum_path(problem: ProblemSpec, n: int) -> np.ndarray:
-    """t*(k) evaluated on 0..n-1 (constant for stationary kinds)."""
-    moments = population_moments(problem, np.arange(n))
-    return moments[:, 2] / moments[:, 1]
-
-
 def _draw(problem: ProblemSpec, chunk_index: int):
     """Chunk i's (x, z) arrays: global indices [i·CHUNK, (i+1)·CHUNK)."""
     rng = np.random.Generator(np.random.Philox(key=problem.seed).jumped(chunk_index))

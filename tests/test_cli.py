@@ -174,6 +174,22 @@ def test_track_csv_input_has_no_truth_column_values(tmp_path, capsys):
     assert lines[1].split(",")[1] == "nan"
 
 
+@pytest.mark.parametrize("forgetting", ["1", "0.99"])
+@pytest.mark.parametrize("row", [0, 2, 4])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_track_refuses_a_non_finite_sample_as_diagnose_does(tmp_path, capsys, bad, row,
+                                                            forgetting):
+    rows = [["1", "2"], ["2", "3"], ["3", "1"], ["4", "3"], ["5", "2"]]
+    rows[row][row % 2] = bad
+    src = _write(tmp_path / "pairs.csv", "x,v\n" + "".join(f"{x},{v}\n" for x, v in rows))
+    assert main(["diagnose", "--input", src]) == 1
+    expected = capsys.readouterr().err
+    assert expected.startswith(f"error: non-finite sample at index {row}: ")
+    assert main(["track", "--input", src, "--forgetting", forgetting]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == expected
+
+
 def test_track_rejects_estimator_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["track", "--problem", "gaussian_shrinkage", "--estimator", "zero"])
@@ -203,6 +219,16 @@ def test_map_emits_six_files(tmp_path):
     assert "optimum" in csv_text
     svg = (tmp_path / "zone_right.svg").read_text()
     assert svg.startswith("<svg")
+
+
+def test_map_refuses_a_point_whose_coordinates_overflow(tmp_path, capsys):
+    # the identity estimate's power ratio ev2/ex2 is about 1e310
+    assert main(["map", "--problem", "gaussian_shrinkage(signal_power=1e-300, noise_power=1e10)",
+                 "--samples", "100", "--out", str(tmp_path / "zone")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: map point 'identity' is off the map: power_ratio=inf")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_map_format_filter(tmp_path):

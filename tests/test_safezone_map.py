@@ -11,6 +11,8 @@ import pytest
 from powertriad import (
     EmptyInput,
     MapPoint,
+    MomentStats,
+    PowerTriadError,
     RegimeLabel,
     SampleBatch,
     ScalingProblem,
@@ -59,6 +61,14 @@ def test_perfect_estimate_has_undefined_norm():
     assert not point.coupling_norm_defined
     assert point.coupling_raw == 0.0
     assert point.regime is RegimeLabel.POWER_BALANCE
+
+
+@pytest.mark.parametrize("ex2, mse", [(1e-300, 1.0), (1.0, 1e-310)])
+def test_a_coordinate_that_overflows_is_refused(ex2, mse):
+    # ev2/ex2 overflows in the first case, coupling/mse in the second
+    stats = MomentStats(n=2, ex2=ex2, ev2=1e10, exv=0.0, mean_e=0.0, mse=mse, coupling=1e10)
+    with pytest.raises(PowerTriadError, match="map point 'huge' is off the map"):
+        map_point("huge", stats)
 
 
 def test_empty_maps_are_rejected():

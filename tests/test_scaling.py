@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from powertriad import (
     ControllerConfig,
     DegenerateWindow,
+    NonFiniteSample,
     RegimeLabel,
     SampleBatch,
     ScalingProblem,
@@ -356,6 +357,30 @@ def test_tracking_rejects_dead_candidate_window():
     with pytest.raises(DegenerateWindow) as err:
         track_moving_optimum(SampleBatch(x, z), 0.9)
     assert err.value.index == 0
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.99])
+@pytest.mark.parametrize("at", [0, 3, 6])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tracking_refuses_a_non_finite_sample_as_the_reducer_does(bad, at, lam):
+    x = np.arange(1.0, 8.0)
+    z = x + 0.5
+    (z if at == 3 else x)[at] = bad
+    with pytest.raises(NonFiniteSample) as reduced:
+        stats_of(SampleBatch(x, z))
+    with pytest.raises(NonFiniteSample) as tracked:
+        track_moving_optimum(SampleBatch(x, z), lam)
+    assert tracked.value.index == at
+    assert str(tracked.value) == str(reduced.value)
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.99])
+def test_tracking_refuses_a_non_finite_sample_before_a_dead_window(lam):
+    x = np.array([1.0, 1.0, math.inf, 1.0])
+    z = np.array([0.0, 0.0, 0.0, 1.0])  # inf·0 is NaN: refused without a warning
+    with pytest.raises(NonFiniteSample) as err:
+        track_moving_optimum(SampleBatch(x, z), lam)
+    assert err.value.index == 2
 
 
 def _recurrence(u, lam):
