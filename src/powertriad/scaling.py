@@ -30,7 +30,7 @@ import numpy as np
 from .diagnostics import (BALANCE_TOL, REGIMES, RegimeLabel, _check_classifiable, _check_tol,
                           regime_index)
 from .errors import DegenerateWindow, PowerTriadError, ZeroCandidatePower
-from .moments import MomentStats, SampleBatch, check_finite
+from .moments import MomentStats, SampleBatch, _dot, check_finite
 from .textio import fmt_rows, parse_kv
 
 # Consistency slack for empirical moments: exz² may exceed ex2·ez2 only by rounding.
@@ -329,21 +329,19 @@ def track_moving_optimum(
         if not (np.isfinite(ref.min()) and np.isfinite(ref.max())):
             step = int(np.argmin(np.isfinite(ref).all(axis=1)))
             raise PowerTriadError(f"reference moments at step {step} are not finite")
-    m = np.empty((3, n))
-    with np.errstate(invalid="ignore"):  # inf·0 and inf - inf come from samples refused below
-        np.multiply(x, z, out=m[0])
-        np.multiply(z, z, out=m[1])
-        np.multiply(x, x, out=m[2])
-        if forgetting == 1.0:
-            np.cumsum(m, axis=1, out=m)
-            m /= np.arange(1, n + 1, dtype=np.float64)
-        else:
-            _ewma(m, forgetting)
-    m_xz, m_zz, m_xx = m
-    # a NaN or infinity leaves every later running power non-finite, so a clean
-    # stream is told apart by its last step alone
-    if not (math.isfinite(m_zz[-1]) and math.isfinite(m_xx[-1])):
+    # a NaN or infinity makes one of these non-negative sums non-finite
+    if not math.isfinite(_dot(x, x) + _dot(z, z)):
         check_finite(x, z)
+    m = np.empty((3, n))
+    np.multiply(x, z, out=m[0])
+    np.multiply(z, z, out=m[1])
+    np.multiply(x, x, out=m[2])
+    if forgetting == 1.0:
+        np.cumsum(m, axis=1, out=m)
+        m /= np.arange(1, n + 1, dtype=np.float64)
+    else:
+        _ewma(m, forgetting)
+    m_xz, m_zz, m_xx = m
     dead = m_zz <= 0.0
     if bool(dead.any()):
         raise DegenerateWindow(int(np.argmax(dead)))
