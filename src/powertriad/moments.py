@@ -173,7 +173,7 @@ def _exact_sum(a: np.ndarray) -> float:
     return total / (1 << 1074)
 
 
-def check_finite(x: np.ndarray, v: np.ndarray, offset: int = 0) -> None:
+def _check_finite(x: np.ndarray, v: np.ndarray, offset: int = 0) -> None:
     """Raise NonFiniteSample for the first pair holding a NaN or infinity, at ``offset`` + i."""
     finite = np.isfinite(x) & np.isfinite(v)
     if not bool(finite.all()):
@@ -197,7 +197,7 @@ def _summary(xs: np.ndarray, vs: np.ndarray, offset: int = 0) -> MomentSummary:
         bxx, bvv = _dot(x, x), _dot(v, v)
         # a NaN or infinity anywhere makes one of these non-negative sums non-finite
         if not math.isfinite(bxx + bvv):
-            check_finite(x, v, offset + lo)
+            _check_finite(x, v, offset + lo)
         e = np.subtract(v, x, out=buf[: x.size])
         sxx, svv, sxv = sxx + bxx, svv + bvv, sxv + _dot(x, v)
         se, see, sve = se + float(np.sum(e)), see + _dot(e, e), sve + _dot(v, e)

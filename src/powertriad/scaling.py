@@ -30,7 +30,7 @@ import numpy as np
 from .diagnostics import (BALANCE_TOL, REGIMES, RegimeLabel, _check_classifiable, _check_tol,
                           regime_index)
 from .errors import DegenerateWindow, PowerTriadError, ZeroCandidatePower
-from .moments import MomentStats, SampleBatch, _dot, check_finite
+from .moments import MomentStats, SampleBatch, _check_finite, _dot
 from .textio import fmt_rows, parse_kv
 
 # Consistency slack for empirical moments: exz² may exceed ex2·ez2 only by rounding.
@@ -331,7 +331,7 @@ def track_moving_optimum(
             raise PowerTriadError(f"reference moments at step {step} are not finite")
     # a NaN or infinity makes one of these non-negative sums non-finite
     if not math.isfinite(_dot(x, x) + _dot(z, z)):
-        check_finite(x, z)
+        _check_finite(x, z)
     m = np.empty((3, n))
     np.multiply(x, z, out=m[0])
     np.multiply(z, z, out=m[1])

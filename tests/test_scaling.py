@@ -377,7 +377,7 @@ def test_tracking_refuses_a_non_finite_sample_as_the_reducer_does(bad, at, lam):
 @pytest.mark.parametrize("lam", [1.0, 0.99])
 def test_tracking_refuses_a_non_finite_sample_before_a_dead_window(lam):
     x = np.array([1.0, 1.0, math.inf, 1.0])
-    z = np.array([0.0, 0.0, 0.0, 1.0])  # inf·0 is NaN: refused without a warning
+    z = np.array([0.0, 0.0, 0.0, 1.0])  # x·z would be inf·0: refused before any product
     with pytest.raises(NonFiniteSample) as err:
         track_moving_optimum(SampleBatch(x, z), lam)
     assert err.value.index == 2
