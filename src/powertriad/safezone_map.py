@@ -31,6 +31,8 @@ DATASET_CSV_HEADER = ("label", "power_ratio", "coupling_norm", "coupling_raw", "
 
 BALANCE_RATIO = 1.0
 PENALTY_LEVEL = 0.5
+# the axes reach this factor beyond the farthest point
+AXIS_MARGIN = 1.15
 
 # the SVG canvas in pixels, its colors and its text font
 WIDTH, HEIGHT, MARGIN = 720, 540, 64.0
@@ -77,11 +79,12 @@ def _point(label: str, ex2: float, ev2: float, coupling: float, mse: float,
            balance_tol: float) -> MapPoint:
     """An estimate's point; classified before the ratio, so ex2 <= 0 raises ZeroSignalPower.
 
-    A NaN norm (mse = 0) is the undefined point; a coordinate that overflows raises.
+    A NaN norm (mse = 0) is the undefined point.  A point raises when its axis
+    frame, AXIS_MARGIN·ratio or up to 2·AXIS_MARGIN·|norm|, overflows.
     """
     regime = classify_powers(ex2, ev2, balance_tol)
     ratio, norm = ev2 / ex2, coupling / mse if mse > 0.0 else math.nan
-    if not math.isfinite(ratio) or math.isinf(norm):
+    if not math.isfinite(AXIS_MARGIN * ratio) or math.isinf(2.0 * (AXIS_MARGIN * norm)):
         raise PowerTriadError(f"map point {label!r} is off the map: "
                               f"power_ratio={ratio!r}, coupling_norm={norm!r}")
     return MapPoint(label=label, power_ratio=ratio, coupling_norm=norm,
@@ -193,7 +196,7 @@ def _ticks(lo: float, hi: float) -> list[float]:
     first = math.ceil(lo / step - 1e-9) * step
     ticks = []
     value = first
-    while value <= hi + 1e-9 * (hi - lo):
+    while math.isfinite(value) and value <= hi + 1e-9 * (hi - lo):
         ticks.append(0.0 if abs(value) < 1e-12 else value)
         value += step
     return ticks
@@ -229,9 +232,9 @@ def _text(cls: str, x: float, y: float, text: str, *extra: tuple[str, object],
 
 def render_svg(dataset: MapDataset) -> str:
     """Render the dataset as a self-contained, deterministic SVG document."""
-    ys = [1.15 * p.coupling_norm for p in dataset.points if p.coupling_norm_defined]
+    ys = [AXIS_MARGIN * p.coupling_norm for p in dataset.points if p.coupling_norm_defined]
     x_lo = 0.0
-    x_hi = max(1.5, 1.15 * max((p.power_ratio for p in dataset.points), default=0.0))
+    x_hi = max(1.5, AXIS_MARGIN * max((p.power_ratio for p in dataset.points), default=0.0))
     y_lo, y_hi = min([-0.25, *ys]), max([1.0, *ys])
     w, h, m = float(WIDTH), float(HEIGHT), MARGIN
 

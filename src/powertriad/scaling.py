@@ -214,14 +214,14 @@ def run_path(
     projected:  gradient step, then clip |t| to the balance scale
 
     Stops at the first iterate within conv_tol·max(1,|t*|) of t* or after
-    max_steps updates, whichever comes first.
+    max_steps updates, whichever comes first.  An iterate after t0 whose mse
+    overflows to inf or NaN ends the path unconverged and is not recorded.
     """
     t_star = optimal_scale(p)
     t_bal = balance_scale(p)
     threshold = controller.conv_tol * max(1.0, abs(t_star))
 
     def step_of(k: int, t: float) -> TraceStep:
-        # the raw rule: a diverging controller's overflowing iterates are labelled, not refused
         regime = REGIMES[regime_index(p.ex2, t * t * p.ez2, balance_tol)]
         return TraceStep(k=k, t=t, mse=mse_of_t(p, t), regime=regime)
 
@@ -241,7 +241,10 @@ def run_path(
                 if controller.kind == "projected":
                     t_next = min(max(t_next, -t_bal), t_bal)
             t_prev, t = t, t_next
-            steps.append(step_of(k, t))
+            step = step_of(k, t)
+            if not math.isfinite(step.mse):
+                break
+            steps.append(step)
             if abs(t - t_star) <= threshold:
                 converged = True
                 steps_to_converge = k

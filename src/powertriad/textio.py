@@ -12,7 +12,6 @@ import json
 import math
 from itertools import chain
 
-ROW_BLOCK = 65536
 INDENT = 2
 
 
@@ -24,15 +23,15 @@ def fmt_float(value: float) -> str:
 def fmt_rows(header: str, template: str, n: int, columns) -> str:
     """A header line, then n rows of a one-row %-template; ``columns(rows)`` gives their columns.
 
-    The ROW_BLOCK-row blocks go through moments._fork_map, so columns must
+    The moments.CHUNK-row blocks go through moments._fork_map, so columns must
     call no public function.  Header and blocks are joined in one copy.
     """
-    from .moments import _fork_map  # moments imports this module
+    from .moments import CHUNK, _fork_map  # moments imports this module
 
     def block(lo: int) -> str:
-        rows = slice(lo, min(lo + ROW_BLOCK, n))
+        rows = slice(lo, min(lo + CHUNK, n))
         return template * (rows.stop - lo) % tuple(chain.from_iterable(zip(*columns(rows))))
-    return "".join(chain((header + "\n",), _fork_map(block, range(0, n, ROW_BLOCK))))
+    return "".join(chain((header + "\n",), _fork_map(block, range(0, n, CHUNK))))
 
 
 def dumps_stable(obj) -> str:

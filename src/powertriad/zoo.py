@@ -17,8 +17,8 @@ generation therefore reproduces the sequential stream bit for bit, and equal
 (spec, seed, n) triples always yield identical samples.
 
 summarize reduces a problem, drawn chunk by chunk, or a parsed batch, read
-through chunk views, to its raw summary plus one summary per estimator
-without building any full-length array: every estimator is c·z on the chunk.
+through row views, to its raw summary plus one summary per estimator
+without building any full-length array, in the blocks the library adds.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 import re
 from dataclasses import dataclass, fields, replace
 from functools import reduce
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -160,17 +160,15 @@ def generate_chunk(problem: ProblemSpec, chunk_index: int) -> SampleBatch:
 
 def generate(problem: ProblemSpec, n: int) -> SampleBatch:
     """Draw n aligned (x, z) pairs; pure function of (problem, n)."""
-    n, chunk = problem_source(problem, n)
+    n, rows = problem_source(problem, n)
     xs = np.empty(n)
     zs = np.empty(n)
 
-    def fill(i: int) -> None:
-        x, z = chunk(i)
-        lo, hi = i * CHUNK, min(n, (i + 1) * CHUNK)
-        xs[lo:hi] = x[: hi - lo]
-        zs[lo:hi] = z[: hi - lo]
+    def fill(lo: int) -> None:
+        hi = min(n, lo + CHUNK)
+        xs[lo:hi], zs[lo:hi] = rows(lo, hi)
 
-    map_chunks(fill, range(-(-n // CHUNK)))
+    map_chunks(fill, range(0, n, CHUNK))
     return SampleBatch._adopt(xs, zs)
 
 
@@ -192,7 +190,7 @@ def apply_estimator(estimator: EstimatorSpec, batch: SampleBatch) -> SampleBatch
 
     empirical_mmse fits its multiplier on the first half of the batch and
     emits only the second half, so the fit never sees its evaluation data.
-    Its c comes from the chunk sums of the first half, as in summarize, so a
+    Its c comes from the block sums of the first half, as in summarize, so a
     non-finite pair there raises NonFiniteSample.
     """
     if estimator.kind != "empirical_mmse":
@@ -218,74 +216,68 @@ def verify_amplifier(estimator: EstimatorSpec, raw: MomentSummary) -> None:
         raise InvalidSpec(f"amplifier(c={estimator.c!r}) is not power dominant on this input")
 
 
-Chunks = Callable[[int], tuple[np.ndarray, np.ndarray]]
+Rows = Callable[[int, int], tuple[np.ndarray, np.ndarray]]
 
 
-def problem_source(problem: ProblemSpec, n: int) -> tuple[int, Chunks]:
-    """n pairs of a generated problem, drawn one chunk at a time."""
+def problem_source(problem: ProblemSpec, n: int) -> tuple[int, Rows]:
+    """n pairs of a generated problem; rows(lo, hi) draws the one or two chunks [lo, hi) meets."""
     if n < 0:
         raise InvalidSpec("sample count cannot be negative")
-    return n, lambda i: _draw(problem, i)
+
+    def rows(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        i, j = divmod(lo, CHUNK)
+        x, z = _draw(problem, i)
+        if j + hi - lo > CHUNK:  # the range runs on into chunk i + 1
+            x2, z2 = _draw(problem, i + 1)
+            x, z, j = np.concatenate((x[j:], x2)), np.concatenate((z[j:], z2)), 0
+        return x[j:j + hi - lo], z[j:j + hi - lo]
+
+    return n, rows
 
 
-def batch_source(batch: SampleBatch) -> tuple[int, Chunks]:
-    """The pairs of a batch, read through CHUNK-row views."""
-    return len(batch), lambda i: (batch.x[i * CHUNK:(i + 1) * CHUNK],
-                                  batch.v[i * CHUNK:(i + 1) * CHUNK])
+def batch_source(batch: SampleBatch) -> tuple[int, Rows]:
+    """The pairs of a batch; rows(lo, hi) is a view of its rows [lo, hi)."""
+    return len(batch), lambda lo, hi: (batch.x[lo:hi], batch.v[lo:hi])
 
 
 def summarize(
-    source: tuple[int, Chunks], estimators: Sequence[EstimatorSpec]
+    source: tuple[int, Rows], estimators: Sequence[EstimatorSpec]
 ) -> tuple[MomentSummary, list[MomentSummary]]:
     """The raw summary of a source's (x, z) pairs, and the summary of each estimator's (x, v).
 
-    Each chunk is drawn once and reduced on its own, on worker threads, and
-    the parts merge in chunk order on this thread, so every bit of the result
-    depends only on the data and the estimators.  empirical_mmse fits
-    c = Σxz/Σz² on the raw sums of the first half, as apply_estimator does,
-    and is summed over the second half in a second pass, in which only the
-    chunk holding n//2 is drawn again.  A non-finite pair raises
-    NonFiniteSample with its position in the source and its raw x and z.
+    A source is (n, rows); rows(lo, hi) serves the pairs [lo, hi) of at most
+    one CHUNK.  Blocks of CHUNK pairs are reduced on worker threads and merge
+    in order on this thread, so every bit depends only on the data and the
+    estimators.  The raw pairs and each c·z are summed in blocks from 0, but
+    empirical_mmse fits c = Σxz/Σz² on the first half and sums c·z in blocks
+    from n//2, as stats_of does on apply_estimator's output.  A non-finite
+    pair raises NonFiniteSample with its position in the source and its raw x and z.
     """
-    n, chunk = source
-    fitted = any(e.kind == "empirical_mmse" for e in estimators)
+    n, rows = source
     fixed = [e for e in estimators if e.kind != "empirical_mmse"]
-    half = _half(n) if fitted else n
+    half = n if len(fixed) == len(estimators) else _half(n)
 
-    def part(i: int, whole: bool, c: Optional[float]):
-        """(raw, [fixed estimators], first-half raw, c·z over the second half) of chunk i."""
-        lo = i * CHUNK
-        x, z = chunk(i)
-        x, z = x[: n - lo], z[: n - lo]
-        raw = head = tail = None
-        ests = []
-        if whole:
-            raw = _summary(x, z, lo)
-            ests = [_summary(x, _estimate(e, z), lo) for e in fixed]
-            if fitted and lo < half:
-                head = raw if lo + x.size <= half else _summary(x[: half - lo], z[: half - lo])
-        if c is not None:
-            cut = max(half - lo, 0)
-            tail = _summary(x[cut:], c * z[cut:], lo + cut)
-        return raw, ests, head, tail
+    def block(lo: int) -> list[MomentSummary]:
+        """[raw, first-half raw, each fixed estimator] of the block at lo."""
+        x, z = rows(lo, min(lo + CHUNK, n))
+        raw = _summary(x, z, lo)
+        cut = max(half - lo, 0)
+        head = raw if cut >= x.size else _summary(x[:cut], z[:cut], lo)
+        return [raw, head] + [_summary(x, _estimate(e, z), lo) for e in fixed]
 
-    def total(summaries) -> MomentSummary:
-        return reduce(merge, summaries, MomentSummary())
-
-    first = -(-half // CHUNK)  # the chunks that meet the first half
-    parts = map_chunks(lambda i: part(i, True, None), range(first))
-    tail = None
-    if fitted:
-        head = total(p[2] for p in parts)
+    parts = map_chunks(block, range(0, n, CHUNK))
+    raw, head, *sums = reduce(lambda a, b: list(map(merge, a, b)), parts,
+                              [MomentSummary()] * (2 + len(fixed)))
+    if len(fixed) < len(estimators):
         c = _fit(head.sum_xv, head.sum_vv)
-        again = [first - 1] if half % CHUNK else []
-        rest = map_chunks(lambda i: part(i, i >= first, c),
-                          again + list(range(first, -(-n // CHUNK))))
-        tail = total(p[3] for p in rest)
-        parts += rest[len(again):]
-    sums = iter([total(p[1][j] for p in parts) for j in range(len(fixed))])
-    return (total(p[0] for p in parts),
-            [tail if e.kind == "empirical_mmse" else next(sums) for e in estimators])
+
+        def fitted(lo: int) -> MomentSummary:
+            x, z = rows(lo, min(lo + CHUNK, n))
+            return _summary(x, c * z, lo)
+
+        tail = reduce(merge, map_chunks(fitted, range(half, n, CHUNK)), MomentSummary())
+    sums = iter(sums)
+    return raw, [tail if e.kind == "empirical_mmse" else next(sums) for e in estimators]
 
 
 _CALL_RE = re.compile(r"^\s*([a-z_][a-z0-9_]*)\s*(?:\((.*)\))?\s*$", re.DOTALL)

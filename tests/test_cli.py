@@ -150,6 +150,18 @@ def test_path_stdout_concatenates_csv_then_summary(tmp_path, capsys):
     assert out.rstrip().endswith("}")
 
 
+def test_path_on_a_high_power_input_prints_no_nan(tmp_path, capsys):
+    # the default gradient step overshoots by about 2e6 a step on x near 1e3 and overflows
+    rng = np.random.default_rng(5)
+    x = 1e3 + rng.standard_normal(1000)
+    v = x + 1e-6 * rng.standard_normal(1000)
+    rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), v.tolist()))
+    assert main(["path", "--input", _write(tmp_path / "pairs.csv", "x,v\n" + rows)]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"\b(nan|inf)\b", out) is None
+    assert json.loads(out[out.index("{"):])["converged"] is False
+
+
 def test_path_rejects_bad_controller_file(tmp_path, capsys):
     src = _write(tmp_path / "pairs.csv", DOMINANT_CSV)
     controller = _write(tmp_path / "controller.cfg", "velocity = 9\n")
@@ -442,6 +454,20 @@ def test_zoo_run_empirical_mmse_emits_the_scaled_second_half(tmp_path, capsys):
     code = main(["diagnose", *gen, "--estimator", "empirical_mmse"])
     direct = capsys.readouterr()
     assert main(["diagnose", "--input", mmse_csv]) == code
+    assert capsys.readouterr() == direct
+
+
+@pytest.mark.parametrize("estimator", ["zero", "identity", "scale(c=0.7)", "amplifier(c=2)",
+                                       "empirical_mmse"])
+def test_diagnose_on_zoo_run_rows_matches_diagnose_on_the_problem(tmp_path, capsys, estimator):
+    """Over several chunks, with n//2 inside one, the emitted rows reduce to the same report."""
+    gen = ["--problem", "gaussian_shrinkage(noise_power=0.5, seed=3)",
+           "--samples", str(3 * 65_536 + 17)]
+    rows = str(tmp_path / "rows.csv")
+    assert main(["zoo", "run", *gen, "--estimator", estimator, "--out", rows]) == 0
+    code = main(["diagnose", *gen, "--estimator", estimator])
+    direct = capsys.readouterr()
+    assert main(["diagnose", "--input", rows]) == code
     assert capsys.readouterr() == direct
 
 

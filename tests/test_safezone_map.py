@@ -71,6 +71,45 @@ def test_a_coordinate_that_overflows_is_refused(ex2, mse):
         map_point("huge", stats)
 
 
+def _largest(frame):
+    """The largest double r with frame(r) finite, bisected between 1 and the float maximum."""
+    lo, hi = 1.0, 1.7976931348623157e308
+    while math.nextafter(lo, hi) < hi:
+        mid = lo + (hi - lo) / 2.0
+        if not lo < mid < hi:
+            mid = math.nextafter(lo, hi)
+        lo, hi = (mid, hi) if math.isfinite(frame(mid)) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("ex2, ev2, coupling",
+                         [(1e-300, 1.7e8, 1.0), (1.0, 1.0, 1e308), (1.0, 1.0, -1e308)])
+def test_a_point_whose_axis_frame_overflows_is_refused(ex2, ev2, coupling):
+    # 1.15 times the power ratio 1.7e308 overflows the x axis; twice 1.15 times
+    # a norm of 1e308 overflows the y span between opposite points
+    stats = MomentStats(n=2, ex2=ex2, ev2=ev2, exv=0.0, mean_e=0.0, mse=1.0, coupling=coupling)
+    with pytest.raises(PowerTriadError, match="map point 'big' is off the map"):
+        map_point("big", stats)
+
+
+@pytest.mark.parametrize("build", [build_left_map, build_right_map])
+def test_the_largest_accepted_coordinates_render(build):
+    ratio, norm = _largest(lambda r: 1.15 * r), _largest(lambda r: 2.0 * (1.15 * r))
+    points = [map_point(label, MomentStats(n=2, ex2=1.0, ev2=ev2, exv=0.0, mean_e=0.0,
+                                           mse=1.0, coupling=coupling))
+              for label, ev2, coupling in (("far", ratio, 0.0), ("up", 1.0, norm),
+                                           ("down", 1.0, -norm))]
+    assert [p.power_ratio for p in points] == [ratio, 1.0, 1.0]
+    assert [p.coupling_norm for p in points] == [0.0, norm, -norm]
+    ET.fromstring(render_svg(build(points, REFERENCE_PROBLEM)))
+    # and one double further is refused
+    up = math.inf
+    for ev2, coupling in ((math.nextafter(ratio, up), 0.0), (1.0, math.nextafter(norm, up))):
+        with pytest.raises(PowerTriadError, match="off the map"):
+            map_point("over", MomentStats(n=2, ex2=1.0, ev2=ev2, exv=0.0, mean_e=0.0,
+                                          mse=1.0, coupling=coupling))
+
+
 def test_empty_maps_are_rejected():
     with pytest.raises(EmptyInput):
         build_left_map([])

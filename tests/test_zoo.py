@@ -335,47 +335,55 @@ def test_safe_zone_invariant_across_the_zoo():
 POOL_N = 3 * 65_536 + 17
 
 
+def _blocks(x, v):
+    """The summary of aligned arrays, from accumulate + merge over 65536-pair blocks in order."""
+    out = MomentSummary()
+    for lo in range(0, len(x), 65_536):
+        out = merge(out, accumulate(MomentSummary(), SampleBatch(x[lo:lo + 65_536],
+                                                                 v[lo:lo + 65_536])))
+    return out
+
+
 def _sequential_reference(problem, n, estimators):
-    """summarize's result rebuilt from public generate_chunk + accumulate + merge in chunk order."""
-    chunks = []
-    for i in range(-(-n // 65_536)):
-        batch = generate_chunk(problem, i)
-        m = min(65_536, n - i * 65_536)
-        chunks.append((i * 65_536, batch.x[:m], batch.v[:m]))
+    """summarize's result rebuilt from public generate_chunk + accumulate + merge.
 
-    def total(parts):
-        out = MomentSummary()
-        for part in parts:
-            out = merge(out, part)
-        return out
-
-    def summary(x, v):
-        return accumulate(MomentSummary(), SampleBatch(x, v))
-
-    raw = total(summary(x, z) for _, x, z in chunks)
+    The raw pairs and each fixed estimator are summed in blocks from 0;
+    empirical_mmse's c·z in blocks from n//2 of the concatenated chunks.
+    """
+    chunks = [generate_chunk(problem, i) for i in range(-(-n // 65_536))]
+    x = np.concatenate([c.x for c in chunks])[:n]
+    z = np.concatenate([c.v for c in chunks])[:n]
     half = n // 2
-    head = total(summary(x[: half - lo], z[: half - lo]) for lo, x, z in chunks if lo < half)
+    head = _blocks(x[:half], z[:half])
     c = head.sum_xv / head.sum_vv
     out = []
     for est in estimators:
         if est.kind == "empirical_mmse":
-            cuts = [(max(half - lo, 0), x, z) for lo, x, z in chunks if lo + x.size > half]
-            out.append(total(summary(x[cut:], c * z[cut:]) for cut, x, z in cuts))
+            out.append(_blocks(x[half:], c * z[half:]))
         else:
-            out.append(total(summary(x, apply_estimator(est, SampleBatch(x, z)).v)
-                             for _, x, z in chunks))
-    return raw, out
+            out.append(_blocks(x, apply_estimator(est, SampleBatch(x, z)).v))
+    return _blocks(x, z), out
+
+
+ALL_ESTIMATORS = [EstimatorSpec(kind="zero"), EstimatorSpec(kind="identity"),
+                  EstimatorSpec(kind="scale", c=0.7), EstimatorSpec(kind="amplifier", c=2.0),
+                  EstimatorSpec(kind="empirical_mmse")]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 5])
 def test_summarize_is_bit_equal_to_the_sequential_reduction(monkeypatch, workers):
     monkeypatch.setattr(moments, "_usable_cpus", lambda: workers)
-    estimators = [EstimatorSpec(kind="scale", c=0.7), EstimatorSpec(kind="amplifier", c=2.0),
-                  EstimatorSpec(kind="empirical_mmse")]
-    expected = _sequential_reference(GAUSS, POOL_N, estimators)
-    assert summarize(problem_source(GAUSS, POOL_N), estimators) == expected
-    # the parsed-input source reads the same pairs through chunk views
-    assert summarize(batch_source(generate(GAUSS, POOL_N)), estimators) == expected
+    # n//2 within the first chunk, on a chunk boundary (2·65536), just after one
+    # (2·65536+1), inside one (POOL_N) and just before one (4·65536-1)
+    for n in (2, 9, 2 * 65_536, 2 * 65_536 + 1, POOL_N, 4 * 65_536 - 1):
+        expected = _sequential_reference(GAUSS, n, ALL_ESTIMATORS)
+        assert summarize(problem_source(GAUSS, n), ALL_ESTIMATORS) == expected, n
+        # the parsed-input source reads the same pairs through row views
+        batch = generate(GAUSS, n)
+        assert summarize(batch_source(batch), ALL_ESTIMATORS) == expected, n
+        # and the library's estimators add the same sums
+        assert [accumulate(MomentSummary(), apply_estimator(e, batch))
+                for e in ALL_ESTIMATORS] == expected[1], n
 
 
 def test_stats_of_a_batch_is_its_summarized_reduction():
