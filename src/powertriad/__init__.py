@@ -11,13 +11,11 @@ reproducible synthetic problems, and safezone_map draws the whole picture.
 from .diagnostics import (
     BALANCE_TOL,
     DEGENERACY_TOL,
-    CouplingDecomposition,
     PenaltyVerdict,
     RegimeLabel,
     TriadReport,
     check_penalty,
     classify_regime,
-    decompose_coupling,
     report_to_json,
     triad_report,
 )

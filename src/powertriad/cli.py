@@ -170,42 +170,28 @@ def _emit(out: Optional[str], *files: tuple[str, str]) -> None:
             _write(sys.stdout, text)
 
 
-def _problem_of(args: argparse.Namespace) -> zoo.ProblemSpec:
-    problem = zoo.parse_problem_spec(args.problem)
-    if args.seed is not None:
-        problem = zoo.with_seed(problem, args.seed)
-    return problem
+def _input(
+    args: argparse.Namespace, many: bool = False
+) -> tuple[list[zoo.EstimatorSpec], Optional[moments.SampleBatch], Optional[zoo.ProblemSpec]]:
+    """The command's --estimator specs, its parsed --input batch or None, its --problem or None.
 
-
-def _estimators(args: argparse.Namespace) -> list[zoo.EstimatorSpec]:
-    """The command's --estimator, if any, after the --input/--problem conflict check."""
+    Errors keep one order: the --input/--problem conflict, then the
+    estimator specs (more than one only if ``many``), then the input.
+    """
     if args.input and args.problem:
         raise ValueError("give either --input or --problem, not both")
     specs = getattr(args, "estimator", None) or []
-    if len(specs) > 1:
+    if len(specs) > 1 and not many:
         raise ValueError("this command takes a single --estimator")
-    return [zoo.parse_estimator_spec(text) for text in specs]
-
-
-def _read(
-    args: argparse.Namespace,
-) -> tuple[Optional[moments.SampleBatch], Optional[zoo.ProblemSpec]]:
-    """The parsed --input batch, or else the --problem spec."""
+    estimators = [zoo.parse_estimator_spec(text) for text in specs]
     if args.input:
-        return moments.read_csv(args.input), None
-    if args.problem:
-        return None, _problem_of(args)
-    raise ValueError("need --input or --problem")
-
-
-def _summaries(
-    args: argparse.Namespace, estimators: list[zoo.EstimatorSpec]
-) -> tuple[moments.MomentSummary, list[moments.MomentSummary]]:
-    """Reduce the input chunk by chunk: its raw summary and one summary per estimator."""
-    batch, problem = _read(args)
-    source = (zoo.batch_source(batch) if problem is None
-              else zoo.problem_source(problem, args.samples))
-    return zoo.summarize(source, estimators)
+        return estimators, moments.read_csv(args.input), None
+    if not args.problem:
+        raise ValueError("need --input or --problem")
+    problem = zoo.parse_problem_spec(args.problem)
+    if args.seed is not None:
+        problem = zoo.with_seed(problem, args.seed)
+    return estimators, None, problem
 
 
 def _finalize(est: zoo.EstimatorSpec, raw: moments.MomentSummary,
@@ -219,27 +205,15 @@ def _finalize(est: zoo.EstimatorSpec, raw: moments.MomentSummary,
 def _stats(args: argparse.Namespace) -> moments.MomentStats:
     """Statistics of the command's single estimator on its input, or of the raw input.
 
-    Errors keep one order: the --input/--problem conflict, then the
-    estimator spec, then the input.
+    The input is reduced chunk by chunk to its raw summary and the estimator's.
     """
-    estimators = _estimators(args)
-    raw, summaries = _summaries(args, estimators)
+    estimators, batch, problem = _input(args)
+    source = (zoo.batch_source(batch) if problem is None
+              else zoo.problem_source(problem, args.samples))
+    raw, summaries = zoo.summarize(source, estimators)
     if not estimators:
         return moments.finalize(raw)
     return _finalize(estimators[0], raw, summaries[0])
-
-
-def _rows(args: argparse.Namespace) -> tuple[moments.SampleBatch, Optional[zoo.ProblemSpec]]:
-    """The full (x, v) rows that track and zoo run emit, the single --estimator applied."""
-    estimators = _estimators(args)
-    batch, problem = _read(args)
-    if batch is None:
-        batch = zoo.generate(problem, args.samples)
-    for est in estimators:
-        if est.kind == "amplifier":
-            zoo.verify_amplifier(est, zoo.summarize(zoo.batch_source(batch), [])[0])
-        batch = zoo.apply_estimator(est, batch)
-    return batch, problem
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
@@ -271,9 +245,10 @@ def cmd_path(args: argparse.Namespace) -> int:
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    batch, problem = _rows(args)
+    _, batch, problem = _input(args)
     reference = None
-    if problem is not None:
+    if batch is None:
+        batch = zoo.generate(problem, args.samples)
         reference = zoo.population_moments(problem, np.arange(args.samples))
     trace = scaling.track_moving_optimum(batch, args.forgetting, reference=reference,
                                          balance_tol=args.balance_tol)
@@ -288,9 +263,9 @@ def cmd_map(args: argparse.Namespace) -> int:
     if not args.problem:
         raise ValueError("need --problem")
     # every spec is parsed before the draw: the one pass reduces them all
-    estimators = [zoo.parse_estimator_spec(text)
-                  for text in args.estimator or DEFAULT_MAP_ESTIMATORS]
-    raw, summaries = _summaries(args, estimators)
+    estimators, _, problem = _input(args, many=True)
+    estimators = estimators or [zoo.parse_estimator_spec(t) for t in DEFAULT_MAP_ESTIMATORS]
+    raw, summaries = zoo.summarize(zoo.problem_source(problem, args.samples), estimators)
     points = [safezone_map.map_point(est.label, _finalize(est, raw, summary),
                                      balance_tol=args.balance_tol)
               for est, summary in zip(estimators, summaries)]
@@ -322,7 +297,13 @@ def cmd_zoo(args: argparse.Namespace) -> int:
         return EXIT_OK
     if not args.problem:
         raise ValueError("zoo run needs --problem")
-    _emit(args.out, ("", moments.to_csv_text(_rows(args)[0])))
+    estimators, _, problem = _input(args)
+    batch = zoo.generate(problem, args.samples)
+    for est in estimators:
+        if est.kind == "amplifier":
+            zoo.verify_amplifier(est, zoo.summarize(zoo.batch_source(batch), [])[0])
+        batch = zoo.apply_estimator(est, batch)
+    _emit(args.out, ("", moments.to_csv_text(batch)))
     return EXIT_OK
 
 

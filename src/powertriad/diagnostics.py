@@ -52,16 +52,6 @@ REGIMES = (RegimeLabel.POWER_CONSERVATIVE, RegimeLabel.POWER_BALANCE, RegimeLabe
 
 
 @dataclass(frozen=True)
-class CouplingDecomposition:
-    """The two halves of the coupling: half the mse plus half the power gap."""
-
-    coupling: float
-    half_mse: float
-    half_power_gap: float
-    residual: float
-
-
-@dataclass(frozen=True)
 class PenaltyVerdict:
     """Outcome of checking the regime-appropriate coupling bound.
 
@@ -131,22 +121,6 @@ def classify_powers(ex2: float, ev2: float, balance_tol: float = BALANCE_TOL) ->
 
 def classify_regime(stats: MomentStats, balance_tol: float = BALANCE_TOL) -> RegimeLabel:
     return classify_powers(stats.ex2, stats.ev2, balance_tol)
-
-
-def decompose_coupling(stats: MomentStats) -> CouplingDecomposition:
-    """Split the coupling into half_mse + half_power_gap and report the residual.
-
-    The residual is pure rounding noise; on exact arithmetic it is zero.
-    """
-    half_mse = 0.5 * stats.mse
-    half_power_gap = 0.5 * (stats.ev2 - stats.ex2)
-    residual = stats.coupling - half_mse - half_power_gap
-    return CouplingDecomposition(
-        coupling=stats.coupling,
-        half_mse=half_mse,
-        half_power_gap=half_power_gap,
-        residual=residual,
-    )
 
 
 def check_penalty(

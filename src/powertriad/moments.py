@@ -8,7 +8,7 @@ interior mutability to synchronize.  map_chunks reduces CHUNK-sized pieces
 on worker threads, one per usable CPU, and hands the results back in chunk
 order, so a merge in that order does not depend on scheduling.
 
-CSV text holds the GIL, so read_csv's file pieces and textio.fmt_rows' row
+CSV text holds the GIL, so read_csv's file pieces and fmt_rows' row
 blocks go to processes instead: _fork_map runs this one and a forked child
 per further usable CPU, each holding about one piece or block at a time,
 and yields the results in order, so the bytes are those of one process.
@@ -36,12 +36,12 @@ import os
 import threading
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import EmptySummary, NonFiniteSample, PowerTriadError
-from .textio import fmt_rows
 
 CSV_HEADER = "x,v"
 
@@ -306,6 +306,18 @@ def _fork_map(fn: Callable[[object], object], items: Iterable) -> Iterator:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def fmt_rows(header: str, template: str, n: int, columns) -> str:
+    """A header line, then n rows of a one-row %-template; ``columns(rows)`` gives their columns.
+
+    The CHUNK-row blocks go through _fork_map, so columns must call no
+    public function.  Header and blocks are joined in one copy.
+    """
+    def block(lo: int) -> str:
+        rows = slice(lo, min(lo + CHUNK, n))
+        return template * (rows.stop - lo) % tuple(chain.from_iterable(zip(*columns(rows))))
+    return "".join(chain((header + "\n",), _fork_map(block, range(0, n, CHUNK))))
 
 
 def merge(a: MomentSummary, b: MomentSummary) -> MomentSummary:

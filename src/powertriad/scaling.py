@@ -22,7 +22,7 @@ forgotten moments m <- λ·m + (1-λ)·u.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -30,8 +30,8 @@ import numpy as np
 from .diagnostics import (BALANCE_TOL, REGIMES, RegimeLabel, _check_classifiable, _check_tol,
                           regime_index)
 from .errors import DegenerateWindow, PowerTriadError, ZeroCandidatePower
-from .moments import MomentStats, SampleBatch, _check_finite, _dot
-from .textio import fmt_rows, parse_kv
+from .moments import CHUNK, MomentStats, SampleBatch, _check_finite, _dot, fmt_rows
+from .textio import parse_fields, parse_kv
 
 # Consistency slack for empirical moments: exz² may exceed ex2·ez2 only by rounding.
 MOMENT_CONSISTENCY_TOL = 1e-12
@@ -355,29 +355,24 @@ def track_moving_optimum(
         ex2, ez2, t_true = m_xx, m_zz, np.full(n, np.nan)
     error = t_hat - t_true
     np.abs(error, out=error)
-    codes = regime_index(ex2, t_hat * t_hat * ez2, balance_tol)
-    regimes = tuple(np.array(REGIMES, dtype=object)[codes].tolist())
+    labels, regimes = np.array(REGIMES, dtype=object), []
+    for lo in range(0, n, CHUNK):  # a block at a time: no temporary of size n
+        s = slice(lo, lo + CHUNK)
+        codes = regime_index(ex2[s], t_hat[s] * t_hat[s] * ez2[s], balance_tol)
+        regimes += labels[codes].tolist()
     return TrackTrace(
         forgetting=forgetting,
         t_true=t_true,
         t_tracked=t_hat,
         tracking_error=error,
-        regimes=regimes,
+        regimes=tuple(regimes),
     )
 
 
 def parse_controller_config(text: str) -> ControllerConfig:
     """Build a ControllerConfig from flat ``key = value`` text."""
-    coercers = {f.name: type(f.default) for f in fields(ControllerConfig)}
-    values: dict[str, object] = {}
-    for key, value in parse_kv(text, "controller key").items():
-        if key not in coercers:
-            raise ValueError(f"unknown controller key {key!r}")
-        try:
-            values[key] = coercers[key](value)
-        except ValueError:
-            raise ValueError(f"bad value for controller key {key!r}: {value!r}") from None
-    return ControllerConfig(**values)
+    pairs = parse_kv(text, "controller key")
+    return ControllerConfig(**parse_fields(ControllerConfig, pairs, "controller key", ValueError))
 
 
 def load_controller_config(path) -> ControllerConfig:

@@ -1,7 +1,7 @@
-"""Deterministic text emission and flat key-value config parsing.
+"""Deterministic text emission, and flat key-value parsing into typed fields.
 
 Every number this toolkit writes has 17 significant decimal digits, from
-:func:`fmt_float` or, as the same text, ``"%.17g"`` in :func:`fmt_rows`.  That
+:func:`fmt_float` or, as the same text, ``"%.17g"`` in moments.fmt_rows.  That
 is enough to round-trip any IEEE-754 double exactly, so emitted CSV/JSON
 re-parses to bit-identical values and repeated runs produce byte-identical files.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+from dataclasses import MISSING, fields
 
 INDENT = 2
 
@@ -18,20 +18,6 @@ INDENT = 2
 def fmt_float(value: float) -> str:
     """Lossless decimal text for a float (17 significant digits)."""
     return format(float(value), ".17g")
-
-
-def fmt_rows(header: str, template: str, n: int, columns) -> str:
-    """A header line, then n rows of a one-row %-template; ``columns(rows)`` gives their columns.
-
-    The moments.CHUNK-row blocks go through moments._fork_map, so columns must
-    call no public function.  Header and blocks are joined in one copy.
-    """
-    from .moments import CHUNK, _fork_map  # moments imports this module
-
-    def block(lo: int) -> str:
-        rows = slice(lo, min(lo + CHUNK, n))
-        return template * (rows.stop - lo) % tuple(chain.from_iterable(zip(*columns(rows))))
-    return "".join(chain((header + "\n",), _fork_map(block, range(0, n, CHUNK))))
 
 
 def dumps_stable(obj) -> str:
@@ -105,3 +91,21 @@ def parse_kv(text: str, kind: str = "key", fold=lambda key: key) -> dict[str, st
             raise ValueError(f"duplicate {kind} {key!r}")
         pairs[key] = value.strip()
     return pairs
+
+
+def parse_fields(cls, pairs: dict[str, str], what: str, error: type) -> dict[str, object]:
+    """The ``pairs`` values, each converted by the type of dataclass ``cls``'s field default.
+
+    A key that names no defaulted field raises ``error("unknown <what> 'key'")``,
+    a value its type refuses ``error("bad value for <what> 'key': 'value'")``.
+    """
+    types = {f.name: type(f.default) for f in fields(cls) if f.default is not MISSING}
+    values: dict[str, object] = {}
+    for key, value in pairs.items():
+        if key not in types:
+            raise error(f"unknown {what} {key!r}")
+        try:
+            values[key] = types[key](value)
+        except ValueError:
+            raise error(f"bad value for {what} {key!r}: {value!r}") from None
+    return values

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Callable, Sequence
 
@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import InvalidSpec, ZeroCandidatePower
 from .moments import CHUNK, MomentSummary, SampleBatch, _summary, map_chunks, merge
+from .textio import parse_fields
 
 PROBLEM_KINDS = (
     "gaussian_shrinkage",
@@ -307,22 +308,10 @@ def _parse_call(text: str) -> tuple[str, dict[str, str]]:
     return name, params
 
 
-_PROBLEM_COERCERS = {f.name: type(f.default) for f in fields(ProblemSpec) if f.name != "kind"}
-
-
 def parse_problem_spec(text: str) -> ProblemSpec:
     """Parse ``kind(param=value, ...)`` text, e.g. gaussian_shrinkage(noise_power=0.5)."""
     kind, raw = _parse_call(text)
-    values: dict[str, object] = {}
-    for key, value in raw.items():
-        coerce = _PROBLEM_COERCERS.get(key)
-        if coerce is None:
-            raise InvalidSpec(f"unknown problem parameter {key!r}")
-        try:
-            values[key] = coerce(value)
-        except ValueError:
-            raise InvalidSpec(f"bad value for problem parameter {key!r}: {value!r}") from None
-    return ProblemSpec(kind=kind, **values)
+    return ProblemSpec(kind, **parse_fields(ProblemSpec, raw, "problem parameter", InvalidSpec))
 
 
 def parse_estimator_spec(text: str) -> EstimatorSpec:

@@ -482,6 +482,33 @@ def test_map_and_zoo_run_name_their_missing_input(tmp_path, capsys):
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+_CONFLICT = "give either --input or --problem, not both"
+_SPEC = "unknown estimator kind 'bogus'"
+_NEED = "need --input or --problem"
+
+
+@pytest.mark.parametrize("command, messages", [
+    ("diagnose", (_CONFLICT, _SPEC, _SPEC, _NEED)),
+    ("scale", (_CONFLICT, _SPEC, _SPEC, _NEED)),
+    ("path", (_CONFLICT, _SPEC, _SPEC, _NEED)),
+    ("track", (_CONFLICT, "unknown problem kind 'nope'", _NEED, _NEED)),
+    ("map", ("map works on generated problems; give --problem", _SPEC,
+             "need --problem", "need --problem")),
+    ("zoo", (_CONFLICT, _SPEC, "zoo run needs --problem", "zoo run needs --problem")),
+])
+def test_input_errors_keep_one_order(tmp_path, capsys, command, messages):
+    """Conflict, then estimator spec, then input; map and zoo run first refuse a missing --problem.
+
+    Each argv also holds every error of the lower ranks; track has no --estimator.
+    """
+    spec = [] if command == "track" else ["--estimator", "bogus"]
+    absent = str(tmp_path / "absent.csv")
+    for argv, message in zip(([*spec, "--input", absent, "--problem", "nope"],
+                              [*spec, "--problem", "nope"], spec, []), messages):
+        assert main([*_argv(command), *argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_config_value_of_the_wrong_type_fails(tmp_path, capsys):
     cfg = _write(tmp_path / "run.cfg", "samples = x\n")
     assert main(["diagnose", "--problem", "gaussian_shrinkage", "--config", cfg]) == 1

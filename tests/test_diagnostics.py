@@ -15,7 +15,6 @@ from powertriad import (
     ZeroSignalPower,
     check_penalty,
     classify_regime,
-    decompose_coupling,
     report_to_json,
     stats_of,
     track_moving_optimum,
@@ -48,12 +47,17 @@ GOLDEN_REPORT = """{
 }"""
 
 
+def _halves(stats):
+    """The identity's right side: half the mse and half the power gap ev2 - ex2."""
+    return 0.5 * stats.mse, 0.5 * (stats.ev2 - stats.ex2)
+
+
 def test_hand_checked_decomposition():
-    parts = decompose_coupling(DOMINANT_STATS)
-    assert parts.coupling == 1.0
-    assert parts.half_mse == 0.5
-    assert parts.half_power_gap == 0.5
-    assert parts.residual == 0.0
+    half_mse, half_power_gap = _halves(DOMINANT_STATS)
+    assert DOMINANT_STATS.coupling == 1.0
+    assert half_mse == 0.5
+    assert half_power_gap == 0.5
+    assert DOMINANT_STATS.coupling - half_mse - half_power_gap == 0.0
 
 
 def test_dominant_example_regime_and_verdict():
@@ -141,8 +145,9 @@ def test_nan_tolerances_are_rejected():
 @settings(deadline=None)
 def test_decomposition_residual_is_rounding_noise(batch):
     stats = stats_of(batch)
-    parts = decompose_coupling(stats)
-    assert abs(parts.residual) <= 1e-12 * max(1.0, abs(parts.coupling), stats.ex2, stats.ev2)
+    half_mse, half_power_gap = _halves(stats)
+    residual = stats.coupling - half_mse - half_power_gap
+    assert abs(residual) <= 1e-12 * max(1.0, abs(stats.coupling), stats.ex2, stats.ev2)
 
 
 @given(batches)
