@@ -16,7 +16,7 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict, fields
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -140,18 +140,12 @@ def _apply_config(args: argparse.Namespace) -> None:
         setattr(args, key, coerced)
 
 
-def _write(fh, text: str) -> None:
-    """fh.write(text) a MiB at a time, so that no encoded copy of the whole text is made."""
-    for lo in range(0, len(text), 1 << 20):
-        fh.write(text[lo:lo + (1 << 20)])
-
-
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, blocks: Iterable[str]) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".powertriad-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            _write(fh, text)
+            fh.writelines(blocks)
         os.umask(umask := os.umask(0))
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes 0600; give open()'s mode
         os.replace(tmp, path)
@@ -161,22 +155,23 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit(out: Optional[str], *files: tuple[str, str]) -> None:
-    """Write each (suffix, text) to out + suffix atomically, or every text to stdout in order."""
-    for suffix, text in files:
+def _emit(out: Optional[str], *files: tuple[str, Iterable[str]]) -> None:
+    """Write each (suffix, blocks) to out + suffix atomically, or to stdout, block by block."""
+    for suffix, blocks in files:
         if out:
-            _write_atomic(out + suffix, text)
+            _write_atomic(out + suffix, blocks)
         else:
-            _write(sys.stdout, text)
+            sys.stdout.writelines(blocks)
 
 
 def _input(
-    args: argparse.Namespace, many: bool = False
+    args: argparse.Namespace, many: bool = False, generated_only: tuple[str, ...] = ()
 ) -> tuple[list[zoo.EstimatorSpec], Optional[moments.SampleBatch], Optional[zoo.ProblemSpec]]:
     """The command's --estimator specs, its parsed --input batch or None, its --problem or None.
 
-    Errors keep one order: the --input/--problem conflict, then the
-    estimator specs (more than one only if ``many``), then the input.
+    Errors keep one order: the --input/--problem conflict, the estimator specs
+    (more than one only if ``many``), then the input; ``generated_only`` holds
+    the texts that refuse an --input and no input, for generated-only commands.
     """
     if args.input and args.problem:
         raise ValueError("give either --input or --problem, not both")
@@ -184,6 +179,8 @@ def _input(
     if len(specs) > 1 and not many:
         raise ValueError("this command takes a single --estimator")
     estimators = [zoo.parse_estimator_spec(text) for text in specs]
+    if generated_only and not args.problem:
+        raise ValueError(generated_only[not args.input])
     if args.input:
         return estimators, moments.read_csv(args.input), None
     if not args.problem:
@@ -220,7 +217,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     stats = _stats(args)
     report = diagnostics.triad_report(stats, balance_tol=args.balance_tol,
                                       tol=args.degeneracy_tol)
-    _emit(args.out, ("", diagnostics.report_to_json(report) + "\n"))
+    _emit(args.out, ("", (diagnostics.report_to_json(report) + "\n",)))
     if report.regime is diagnostics.RegimeLabel.POWER_DOMINANT:
         return EXIT_POWER_DOMINANT
     return EXIT_OK
@@ -228,7 +225,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 def cmd_scale(args: argparse.Namespace) -> int:
     certificate = scaling.certify_optimum(scaling.ScalingProblem.from_stats(_stats(args)))
-    _emit(args.out, ("", dumps_stable(asdict(certificate)) + "\n"))
+    _emit(args.out, ("", (dumps_stable(asdict(certificate)) + "\n",)))
     return EXIT_OK
 
 
@@ -239,8 +236,8 @@ def cmd_path(args: argparse.Namespace) -> int:
     trace = scaling.run_path(problem, controller, balance_tol=args.balance_tol)
     summary = {f.name: getattr(trace, f.name) for f in fields(trace)}
     summary["iterates"] = len(trace.iterates)
-    _emit(args.out, (".csv", scaling.trace_to_csv(trace)),
-          (".json", dumps_stable(summary) + "\n"))
+    _emit(args.out, (".csv", (scaling.trace_to_csv(trace),)),
+          (".json", (dumps_stable(summary) + "\n",)))
     return EXIT_OK
 
 
@@ -253,17 +250,14 @@ def cmd_track(args: argparse.Namespace) -> int:
     trace = scaling.track_moving_optimum(batch, args.forgetting, reference=reference,
                                          balance_tol=args.balance_tol)
     del batch, reference  # the text is made from the trace alone
-    _emit(args.out, ("", scaling.track_to_csv(trace)))
+    _emit(args.out, ("", scaling.track_csv_blocks(trace)))
     return EXIT_OK
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    if args.input:
-        raise ValueError("map works on generated problems; give --problem")
-    if not args.problem:
-        raise ValueError("need --problem")
     # every spec is parsed before the draw: the one pass reduces them all
-    estimators, _, problem = _input(args, many=True)
+    estimators, _, problem = _input(args, many=True, generated_only=(
+        "map works on generated problems; give --problem", "need --problem"))
     estimators = estimators or [zoo.parse_estimator_spec(t) for t in DEFAULT_MAP_ESTIMATORS]
     raw, summaries = zoo.summarize(zoo.problem_source(problem, args.samples), estimators)
     points = [safezone_map.map_point(est.label, _finalize(est, raw, summary),
@@ -283,7 +277,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         files = safezone_map.emit_dataset(dataset)
         rendered = {"csv": files.csv, "json": files.geometry,
                     "svg": safezone_map.render_svg(dataset)}
-        _emit(args.out, *((f"_{name}.{fmt}", rendered[fmt]) for fmt in formats))
+        _emit(args.out, *((f"_{name}.{fmt}", (rendered[fmt],)) for fmt in formats))
     return EXIT_OK
 
 
@@ -293,17 +287,15 @@ def cmd_zoo(args: argparse.Namespace) -> int:
         lines.extend(f"  {kind}" for kind in zoo.PROBLEM_KINDS)
         lines.append("estimator kinds:")
         lines.extend(f"  {kind}" for kind in zoo.ESTIMATOR_KINDS)
-        _emit(args.out, ("", "\n".join(lines) + "\n"))
+        _emit(args.out, ("", ("\n".join(lines) + "\n",)))
         return EXIT_OK
-    if not args.problem:
-        raise ValueError("zoo run needs --problem")
-    estimators, _, problem = _input(args)
-    batch = zoo.generate(problem, args.samples)
-    for est in estimators:
+    estimators, _, problem = _input(args, generated_only=("zoo run needs --problem",) * 2)
+    source = zoo.problem_source(problem, args.samples)
+    for est in estimators:  # every check and fit runs before the first row is written
         if est.kind == "amplifier":
-            zoo.verify_amplifier(est, zoo.summarize(zoo.batch_source(batch), [])[0])
-        batch = zoo.apply_estimator(est, batch)
-    _emit(args.out, ("", moments.to_csv_text(batch)))
+            zoo.verify_amplifier(est, zoo.summarize(source, [])[0])
+        source = zoo.estimator_source(est, source)
+    _emit(args.out, ("", moments.csv_blocks(source)))
     return EXIT_OK
 
 

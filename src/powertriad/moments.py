@@ -308,16 +308,16 @@ def _fork_map(fn: Callable[[object], object], items: Iterable) -> Iterator:
             os.waitpid(pid, 0)
 
 
-def fmt_rows(header: str, template: str, n: int, columns) -> str:
-    """A header line, then n rows of a one-row %-template; ``columns(rows)`` gives their columns.
+def fmt_rows(header: str, template: str, n: int, columns) -> Iterator[str]:
+    """Yield a header line, then n rows of a one-row %-template in blocks of CHUNK rows.
 
-    The CHUNK-row blocks go through _fork_map, so columns must call no
-    public function.  Header and blocks are joined in one copy.
-    """
+    ``columns(rows)`` gives a block's columns; it runs through _fork_map, so
+    it must call no public function."""
     def block(lo: int) -> str:
         rows = slice(lo, min(lo + CHUNK, n))
         return template * (rows.stop - lo) % tuple(chain.from_iterable(zip(*columns(rows))))
-    return "".join(chain((header + "\n",), _fork_map(block, range(0, n, CHUNK))))
+    yield header + "\n"
+    yield from _fork_map(block, range(0, n, CHUNK))
 
 
 def merge(a: MomentSummary, b: MomentSummary) -> MomentSummary:
@@ -359,15 +359,29 @@ def stats_of(batch: SampleBatch, *, compensated: bool = False) -> MomentStats:
     return finalize(accumulate(MomentSummary(), batch, compensated=compensated))
 
 
+Rows = Callable[[int, int], tuple[np.ndarray, np.ndarray]]
+
+
+def batch_source(batch: SampleBatch) -> tuple[int, Rows]:
+    """The pairs of a batch; rows(lo, hi) is a view of its rows [lo, hi)."""
+    return len(batch), lambda lo, hi: (batch.x[lo:hi], batch.v[lo:hi])
+
+
+def csv_blocks(source: tuple[int, Rows]) -> Iterator[str]:
+    """A source's pairs as ``x,v`` CSV in fmt_rows' blocks; rows must call no public function."""
+    n, rows = source
+    return fmt_rows(CSV_HEADER, "%.17g,%.17g\n", n,
+                    lambda s: [a.tolist() for a in rows(s.start, s.stop)])
+
+
 def to_csv_text(batch: SampleBatch) -> str:
     """Render a batch as ``x,v`` CSV with lossless decimal text."""
-    return fmt_rows(CSV_HEADER, "%.17g,%.17g\n", len(batch),
-                    lambda s: (batch.x[s].tolist(), batch.v[s].tolist()))
+    return "".join(csv_blocks(batch_source(batch)))
 
 
 def write_csv(path, batch: SampleBatch) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(to_csv_text(batch))
+        fh.writelines(csv_blocks(batch_source(batch)))
 
 
 def read_csv(path) -> SampleBatch:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -383,13 +383,18 @@ def load_controller_config(path) -> ControllerConfig:
 def trace_to_csv(trace: ScalingTrace) -> str:
     """Serialize the iterates as ``k,t,mse,regime`` rows."""
     steps = trace.iterates
-    return fmt_rows(
+    return "".join(fmt_rows(
         TRACE_CSV_HEADER, "%d,%.17g,%.17g,%s\n", len(steps),
-        lambda s: zip(*((st.k, st.t, st.mse, st.regime._value_) for st in steps[s])))
+        lambda s: zip(*((st.k, st.t, st.mse, st.regime._value_) for st in steps[s]))))
 
 
 def track_to_csv(trace: TrackTrace) -> str:
     """Serialize a tracking run as ``k,t_true,t_tracked,tracking_error,regime`` rows."""
+    return "".join(track_csv_blocks(trace))
+
+
+def track_csv_blocks(trace: TrackTrace) -> Iterator[str]:
+    """track_to_csv's text in fmt_rows' blocks: the header line, then blocks of CHUNK rows."""
     # regime text via _value_: the Enum ``.value`` property costs about 5x as much per row
     return fmt_rows(
         TRACK_CSV_HEADER, "%d,%.17g,%.17g,%.17g,%s\n", len(trace),

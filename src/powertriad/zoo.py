@@ -27,12 +27,13 @@ import math
 import re
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidSpec, ZeroCandidatePower
-from .moments import CHUNK, MomentSummary, SampleBatch, _summary, map_chunks, merge
+from .moments import (CHUNK, MomentSummary, Rows, SampleBatch, _summary, batch_source,
+                      map_chunks, merge)
 from .textio import parse_fields
 
 PROBLEM_KINDS = (
@@ -186,20 +187,30 @@ def _estimate(estimator: EstimatorSpec, z: np.ndarray) -> np.ndarray:
     return z if estimator.kind == "identity" else estimator.c * z
 
 
-def apply_estimator(estimator: EstimatorSpec, batch: SampleBatch) -> SampleBatch:
-    """Turn raw (x, z) pairs into (x, estimate) pairs.
+def estimator_source(estimator: EstimatorSpec, source: tuple[int, Rows]) -> tuple[int, Rows]:
+    """The source of the (x, v) pairs an estimator makes of a source's raw (x, z) pairs.
 
-    empirical_mmse fits its multiplier on the first half of the batch and
-    emits only the second half, so the fit never sees its evaluation data.
-    Its c comes from the block sums of the first half, as in summarize, so a
-    non-finite pair there raises NonFiniteSample.
-    """
-    if estimator.kind != "empirical_mmse":
-        return SampleBatch(batch.x, _estimate(estimator, batch.v))
-    half = _half(len(batch))
-    head = _summary(batch.x[:half], batch.v[:half])
-    c = _fit(head.sum_xv, head.sum_vv)
-    return SampleBatch(batch.x[half:], c * batch.v[half:])
+    empirical_mmse fits c by summarize on the first half, before any row is
+    served, and serves only rows n//2..n, so the fit never sees its
+    evaluation data.  The rows call no public function."""
+    n, rows = source
+    half, scale = 0, lambda z: _estimate(estimator, z)
+    if estimator.kind == "empirical_mmse":
+        half = _half(n)
+        head = summarize((half, rows), [])[0]
+        c = _fit(head.sum_xv, head.sum_vv)
+        scale = lambda z: c * z
+
+    def pairs(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        x, z = rows(half + lo, half + hi)
+        return x, scale(z)
+    return n - half, pairs
+
+
+def apply_estimator(estimator: EstimatorSpec, batch: SampleBatch) -> SampleBatch:
+    """Turn raw (x, z) pairs into (x, estimate) pairs: estimator_source on the whole batch."""
+    n, rows = estimator_source(estimator, batch_source(batch))
+    return SampleBatch(*rows(0, n))  # a batch's rows are views of any length
 
 
 def _half(n: int) -> int:
@@ -217,9 +228,6 @@ def verify_amplifier(estimator: EstimatorSpec, raw: MomentSummary) -> None:
         raise InvalidSpec(f"amplifier(c={estimator.c!r}) is not power dominant on this input")
 
 
-Rows = Callable[[int, int], tuple[np.ndarray, np.ndarray]]
-
-
 def problem_source(problem: ProblemSpec, n: int) -> tuple[int, Rows]:
     """n pairs of a generated problem; rows(lo, hi) draws the one or two chunks [lo, hi) meets."""
     if n < 0:
@@ -234,11 +242,6 @@ def problem_source(problem: ProblemSpec, n: int) -> tuple[int, Rows]:
         return x[j:j + hi - lo], z[j:j + hi - lo]
 
     return n, rows
-
-
-def batch_source(batch: SampleBatch) -> tuple[int, Rows]:
-    """The pairs of a batch; rows(lo, hi) is a view of its rows [lo, hi)."""
-    return len(batch), lambda lo, hi: (batch.x[lo:hi], batch.v[lo:hi])
 
 
 def summarize(

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, files, determinism."""
 
 import dataclasses
+import io
 import json
 import os
 import re
@@ -11,10 +12,12 @@ import sys
 import numpy as np
 import pytest
 
+from powertriad import moments
 from powertriad.cli import main
-from powertriad.moments import SampleBatch, read_csv
+from powertriad.moments import SampleBatch, read_csv, to_csv_text
 from powertriad.scaling import ScalingCertificate, ScalingTrace
-from powertriad.zoo import batch_source, summarize
+from powertriad.zoo import (apply_estimator, batch_source, generate, parse_estimator_spec,
+                            parse_problem_spec, summarize)
 
 DOMINANT_CSV = "x,v\n1,2\n-1,0\n"   # ex2=1, ev2=2, exv=1
 
@@ -471,6 +474,92 @@ def test_diagnose_on_zoo_run_rows_matches_diagnose_on_the_problem(tmp_path, caps
     assert capsys.readouterr() == direct
 
 
+@pytest.mark.parametrize("estimator", [None, "zero", "identity", "scale(c=0.5)",
+                                       "empirical_mmse", "amplifier(c=2)"])
+def test_zoo_run_writes_the_rows_of_the_generated_batch(tmp_path, capsys, estimator):
+    """Row by row from its source, zoo run writes what the whole-batch library path renders.
+
+    The last size puts n//2, where empirical_mmse's rows start, inside a chunk.
+    """
+    spec = "drifting_power(noise_power=0.5, seed=3)"
+    for n in (2, 65535, 65536, 3 * 65536 + 17):
+        batch = generate(parse_problem_spec(spec), n)
+        if estimator:
+            batch = apply_estimator(parse_estimator_spec(estimator), batch)
+        expected = to_csv_text(batch)
+        argv = ["zoo", "run", "--problem", spec, "--samples", str(n)]
+        argv += ["--estimator", estimator] if estimator else []
+        assert main(argv) == 0
+        assert capsys.readouterr() == (expected, "")
+        out = tmp_path / f"rows{n}.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text() == expected and capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--problem", FRAGILE, "--samples", "2", "--estimator", "amplifier(c=1.0000001)"],
+    ["--problem", "gaussian_shrinkage", "--samples", "1", "--estimator", "empirical_mmse"],
+])
+def test_zoo_run_refuses_before_its_first_byte(tmp_path, capsys, argv):
+    """A failed amplifier check or empirical_mmse split writes nothing, to stdout or --out."""
+    out = tmp_path / "rows.csv"
+    for extra in ([], ["--out", str(out)]):
+        assert main(["zoo", "run", *argv, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose second write fails, as a closed pipe would."""
+
+    def write(self, text):
+        if self.tell():
+            raise OSError("stdout write failed")
+        return super().write(text)
+
+
+def test_a_failed_write_ends_the_forked_block_writers(monkeypatch, capsys):
+    """zoo run stops at the failed write, exits 1 and leaves no forked child running."""
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    monkeypatch.setattr(moments, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(sys, "stdout", _FailingStdout())
+    assert main(["zoo", "run", "--problem", "heavy_tail", "--samples", str(3 * 65536)]) == 1
+    assert sys.stdout.getvalue() == "x,v\n"
+    assert capsys.readouterr().err == "error: stdout write failed\n"
+    assert forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Start the command from a small `python -S` process and print the peak
+# resident set of the command's own process, in kB (Linux ru_maxrss).
+_PEAK_RSS = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.executable, [sys.executable, "-m", "powertriad", *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(status, usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux only")
+def test_zoo_run_holds_no_whole_batch(tmp_path, child_env):
+    """Two million rows peak far below their 32 MB of doubles, their copies and their text."""
+    out = tmp_path / "rows.csv"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", _PEAK_RSS, "zoo", "run", "--problem", "heavy_tail",
+         "--samples", "2000000", "--out", str(out)],
+        capture_output=True, text=True, env=child_env)
+    status, peak_kb = map(int, result.stdout.split())
+    assert status == 0 and result.stderr == ""
+    assert out.read_text().count("\n") == 2_000_001
+    assert peak_kb <= 100 * 1024, f"zoo run peaked at {peak_kb / 1024:.0f} MB"
+
+
 def test_map_and_zoo_run_name_their_missing_input(tmp_path, capsys):
     src = _write(tmp_path / "pairs.csv", DOMINANT_CSV)
     for argv, message in (
@@ -492,12 +581,11 @@ _NEED = "need --input or --problem"
     ("scale", (_CONFLICT, _SPEC, _SPEC, _NEED)),
     ("path", (_CONFLICT, _SPEC, _SPEC, _NEED)),
     ("track", (_CONFLICT, "unknown problem kind 'nope'", _NEED, _NEED)),
-    ("map", ("map works on generated problems; give --problem", _SPEC,
-             "need --problem", "need --problem")),
-    ("zoo", (_CONFLICT, _SPEC, "zoo run needs --problem", "zoo run needs --problem")),
+    ("map", (_CONFLICT, _SPEC, _SPEC, "need --problem")),
+    ("zoo", (_CONFLICT, _SPEC, _SPEC, "zoo run needs --problem")),
 ])
 def test_input_errors_keep_one_order(tmp_path, capsys, command, messages):
-    """Conflict, then estimator spec, then input; map and zoo run first refuse a missing --problem.
+    """Conflict, then estimator spec, then input, for every command; map and zoo run need --problem.
 
     Each argv also holds every error of the lower ranks; track has no --estimator.
     """
