@@ -156,12 +156,16 @@ def _write_atomic(path: str, blocks: Iterable[str]) -> None:
 
 
 def _emit(out: Optional[str], *files: tuple[str, Iterable[str]]) -> None:
-    """Write each (suffix, blocks) to out + suffix atomically, or to stdout, block by block."""
+    """Write each (suffix, blocks) to out + suffix atomically, or to stdout, block by block;
+    a closable iterator of blocks (fmt_rows' forked writers) is closed even if a write fails."""
     for suffix, blocks in files:
-        if out:
-            _write_atomic(out + suffix, blocks)
-        else:
-            sys.stdout.writelines(blocks)
+        try:
+            if out:
+                _write_atomic(out + suffix, blocks)
+            else:
+                sys.stdout.writelines(blocks)
+        finally:
+            getattr(blocks, "close", lambda: None)()
 
 
 def _input(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -142,21 +143,26 @@ class TrackTrace:
     """Per-step tracking record under exponential forgetting.
 
     Columns are parallel arrays: true optimum (NaN when no reference was
-    supplied), tracked estimate, absolute tracking error, regime label.
+    supplied), tracked estimate, absolute tracking error, and the regime as a uint8
+    index into diagnostics.REGIMES; ``regimes`` is their labels, built on first read.
     """
 
     forgetting: float
     t_true: np.ndarray
     t_tracked: np.ndarray
     tracking_error: np.ndarray
-    regimes: tuple[RegimeLabel, ...]
+    regime_codes: np.ndarray
 
     def __len__(self) -> int:
         return int(self.t_tracked.size)
 
+    @cached_property
+    def regimes(self) -> tuple[RegimeLabel, ...]:
+        return tuple(np.array(REGIMES, dtype=object)[self.regime_codes].tolist())
+
     @property
     def forbidden_steps(self) -> int:
-        return sum(1 for r in self.regimes if r is RegimeLabel.POWER_DOMINANT)
+        return int(np.count_nonzero(self.regime_codes == REGIMES.index(RegimeLabel.POWER_DOMINANT)))
 
 
 def mse_of_t(p: ScalingProblem, t: float) -> float:
@@ -262,20 +268,26 @@ def run_path(
     )
 
 
-def _ewma(u: np.ndarray, lam: float) -> np.ndarray:
-    """Overwrite each row of u with its EWMA m_i = λ·m_(i-1) + (1-λ)·u_i, m_(-1) = 0.
+def _ewma_block(lam: float, n: int) -> int:
+    """_ewma's block length b on n steps: λ^-r stays below e^41 (about 2^59), b <= 2^14."""
+    return min(max(1, int(41.0 / -math.log(lam))), 1 << 14, n)
 
-    Per block of b steps m_i = (1-λ)·λ^i·cumsum(u_r·λ^-r) + carry·λ^(i+1); b keeps
-    λ^-r below e^41 (about 2^59) and is at most 2^14.  The blocks in about 2^13
-    columns go through numpy together; only the carry from block to block,
-    carry_j = last_j + carry_(j-1)·λ^b, is a loop over Python floats.  It rounds
-    as a pass one block at a time does, so the bits do not depend on the grouping.
+
+def _ewma(u: np.ndarray, lam: float, carry: Optional[list] = None) -> np.ndarray:
+    """Overwrite each row of u with its EWMA m_i = λ·m_(i-1) + (1-λ)·u_i, from m_(-1) = carry.
+
+    carry (a float per row, zeros if None) is updated to each row's last m, so a
+    stream cut into chunks of whole blocks gives the bits of one pass.  Per block
+    of b steps m_i = (1-λ)·λ^i·cumsum(u_r·λ^-r) + carry·λ^(i+1).  The blocks in
+    about 2^13 columns go through numpy together; only the carry from block to
+    block, carry_j = last_j + carry_(j-1)·λ^b, is a loop over Python floats.  It
+    rounds as a pass one block at a time does, so the bits do not depend on the grouping.
     """
     rows, n = u.shape
-    b = min(max(1, int(41.0 / -math.log(lam))), 1 << 14, n)
+    b = _ewma_block(lam, n)
     r = np.arange(b)
     grow, shrink, decay = lam ** -r, (1.0 - lam) * lam ** r, lam ** (r + 1)
-    carry = [0.0] * rows
+    carry = [0.0] * rows if carry is None else carry
     whole = n - n % b
     # whole blocks, about 2^13 columns at a time (wider temporaries leave the cache
     # and slow λ near 1), then the short last block
@@ -315,7 +327,8 @@ def track_moving_optimum(
     (ex2_k, ez2_k, exz_k) from the stream's generator; when present, the true
     optimum, tracking error and regime are measured against it.  Without a
     reference the regime falls back to the forgotten window's own moments and
-    the true/error columns are NaN.
+    the true/error columns are NaN.  The stream is tracked a chunk at a time
+    into the output columns, with the moments carried from chunk to chunk.
     """
     if not 0.0 < forgetting <= 1.0:
         raise ValueError("forgetting must lie in (0, 1]")
@@ -335,38 +348,35 @@ def track_moving_optimum(
     # a NaN or infinity makes one of these non-negative sums non-finite
     if not math.isfinite(_dot(x, x) + _dot(z, z)):
         _check_finite(x, z)
-    m = np.empty((3, n))
-    np.multiply(x, z, out=m[0])
-    np.multiply(z, z, out=m[1])
-    np.multiply(x, x, out=m[2])
-    if forgetting == 1.0:
-        np.cumsum(m, axis=1, out=m)
-        m /= np.arange(1, n + 1, dtype=np.float64)
-    else:
-        _ewma(m, forgetting)
-    m_xz, m_zz, m_xx = m
-    dead = m_zz <= 0.0
-    if bool(dead.any()):
-        raise DegenerateWindow(int(np.argmax(dead)))
-    t_hat = m_xz / m_zz
-    if reference is not None:
-        ex2, ez2, t_true = ref[:, 0], ref[:, 1], ref[:, 2] / ref[:, 1]
-    else:
-        ex2, ez2, t_true = m_xx, m_zz, np.full(n, np.nan)
-    error = t_hat - t_true
-    np.abs(error, out=error)
-    labels, regimes = np.array(REGIMES, dtype=object), []
-    for lo in range(0, n, CHUNK):  # a block at a time: no temporary of size n
-        s = slice(lo, lo + CHUNK)
-        codes = regime_index(ex2[s], t_hat[s] * t_hat[s] * ez2[s], balance_tol)
-        regimes += labels[codes].tolist()
-    return TrackTrace(
-        forgetting=forgetting,
-        t_true=t_true,
-        t_tracked=t_hat,
-        tracking_error=error,
-        regimes=tuple(regimes),
-    )
+    # chunks of whole EWMA blocks (see _ewma): the blocks, so the bits, of one pass
+    size = CHUNK - CHUNK % (1 if forgetting == 1.0 else _ewma_block(forgetting, n))
+    # rows m_xz, m_zz, and m_xx only when it labels the window
+    stack = np.empty((2 if reference is not None else 3, min(size, n)))
+    carry = [0.0] * len(stack)
+    t_true = ref[:, 2] / ref[:, 1] if reference is not None else np.full(n, np.nan)
+    t_hat, error, codes = np.empty(n), np.empty(n), np.empty(n, dtype=np.uint8)
+    for lo in range(0, n, size):
+        hi = min(lo + size, n)
+        m = stack[:, :hi - lo]
+        np.multiply(x[lo:hi], z[lo:hi], out=m[0])
+        np.multiply(z[lo:hi], z[lo:hi], out=m[1])
+        if reference is None:
+            np.multiply(x[lo:hi], x[lo:hi], out=m[2])
+        if forgetting == 1.0:
+            m[:, 0] += carry
+            np.cumsum(m, axis=1, out=m)
+            carry = m[:, -1].tolist()
+            m /= np.arange(lo + 1, hi + 1, dtype=np.float64)
+        else:
+            _ewma(m, forgetting, carry)
+        dead = m[1] <= 0.0
+        if bool(dead.any()):
+            raise DegenerateWindow(lo + int(np.argmax(dead)))
+        t = np.divide(m[0], m[1], out=t_hat[lo:hi])
+        np.abs(np.subtract(t, t_true[lo:hi], out=error[lo:hi]), out=error[lo:hi])
+        ex2, ez2 = (ref[lo:hi, 0], ref[lo:hi, 1]) if reference is not None else (m[2], m[1])
+        codes[lo:hi] = regime_index(ex2, t * t * ez2, balance_tol)
+    return TrackTrace(forgetting, t_true, t_hat, error, codes)
 
 
 def parse_controller_config(text: str) -> ControllerConfig:
@@ -396,7 +406,8 @@ def track_to_csv(trace: TrackTrace) -> str:
 def track_csv_blocks(trace: TrackTrace) -> Iterator[str]:
     """track_to_csv's text in fmt_rows' blocks: the header line, then blocks of CHUNK rows."""
     # regime text via _value_: the Enum ``.value`` property costs about 5x as much per row
+    texts = np.array([r._value_ for r in REGIMES], dtype=object)
     return fmt_rows(
         TRACK_CSV_HEADER, "%d,%.17g,%.17g,%.17g,%s\n", len(trace),
         lambda s: (range(len(trace))[s], trace.t_true[s].tolist(), trace.t_tracked[s].tolist(),
-                   trace.tracking_error[s].tolist(), [r._value_ for r in trace.regimes[s]]))
+                   trace.tracking_error[s].tolist(), texts[trace.regime_codes[s]].tolist()))

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from powertriad import moments
+from powertriad import cli, moments
 from powertriad.cli import main
 from powertriad.moments import SampleBatch, read_csv, to_csv_text
 from powertriad.scaling import ScalingCertificate, ScalingTrace
@@ -532,6 +532,39 @@ def test_a_failed_write_ends_the_forked_block_writers(monkeypatch, capsys):
     assert forks
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+class _RecordingBlocks:
+    """A block iterator that records what happened to it."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.events.append("next")
+        return "block\n"
+
+    def close(self):
+        self.events.append("close")
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_emit_closes_its_blocks_before_a_failed_write_raises(monkeypatch, tmp_path, to_file):
+    events = []
+    if to_file:
+        monkeypatch.setattr(os, "fdopen", lambda fd, *a, **k: os.close(fd) or _FailingStdout())
+    else:
+        monkeypatch.setattr(sys, "stdout", _FailingStdout())
+    with pytest.raises(OSError, match="stdout write failed"):
+        try:
+            cli._emit(str(tmp_path / "out") if to_file else None, ("", _RecordingBlocks(events)))
+        finally:
+            events.append("raised")
+    assert events == ["next", "next", "close", "raised"]
+    assert list(tmp_path.iterdir()) == []
 
 
 # Start the command from a small `python -S` process and print the peak

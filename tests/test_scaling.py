@@ -28,6 +28,8 @@ from powertriad import (
     stats_of,
     track_moving_optimum,
 )
+from powertriad.diagnostics import REGIMES, regime_index
+from powertriad.moments import CHUNK
 from powertriad.scaling import (
     TRACE_CSV_HEADER,
     TRACK_CSV_HEADER,
@@ -456,20 +458,72 @@ def test_dead_window_index_after_underflow_matches_recurrence(lam):
     assert err.value.index == first_dead > 0
 
 
+def _track_whole(x, z, lam, reference, tol=1e-6):
+    """The tracker as one pass over the whole (3, n) product stack: the oracle for its chunks.
+
+    _ewma_one_block_at_a_time gives the bits of one _ewma pass (see the test above)."""
+    m = np.stack((x * z, z * z, x * x))
+    if lam == 1.0:
+        m = np.cumsum(m, axis=1) / np.arange(1, x.size + 1, dtype=np.float64)
+    else:
+        m = _ewma_one_block_at_a_time(m, lam)
+    dead = m[1] <= 0.0
+    if dead.any():
+        raise DegenerateWindow(int(np.argmax(dead)))
+    t_hat = m[0] / m[1]
+    if reference is None:
+        ex2, ez2, t_true = m[2], m[1], np.full(x.size, np.nan)
+    else:
+        ex2, ez2, t_true = reference[:, 0], reference[:, 1], reference[:, 2] / reference[:, 1]
+    labels = tuple(REGIMES[i] for i in regime_index(ex2, t_hat * t_hat * ez2, tol))
+    return (t_true, t_hat, np.abs(t_hat - t_true)), labels
+
+
+@pytest.mark.parametrize("with_reference", [False, True], ids=["no-reference", "reference"])
+@pytest.mark.parametrize("lam", [1.0, 0.99, 0.5, 0.01])
+def test_chunked_tracking_matches_one_whole_pass_bit_for_bit(lam, with_reference):
+    problem = parse_problem_spec("drifting_power")
+    # _ewma's block length on a long stream; λ = 1 has no blocks, only chunks of CHUNK
+    b = CHUNK if lam == 1.0 else min(max(1, int(41.0 / -math.log(lam))), 1 << 14)
+    for n in sorted({1, b - 1, b, CHUNK, 3 * CHUNK + 17} - {0}):
+        batch = generate(problem, n)
+        reference = population_moments(problem, np.arange(n)) if with_reference else None
+        columns, labels = _track_whole(batch.x, batch.v, lam, reference)
+        trace = track_moving_optimum(batch, lam, reference=reference)
+        for got, want in zip((trace.t_true, trace.t_tracked, trace.tracking_error), columns):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert trace.regime_codes.dtype == np.uint8
+        assert trace.regimes == labels
+        assert trace.forbidden_steps == labels.count(RegimeLabel.POWER_DOMINANT)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.01])
+def test_chunked_tracking_reports_a_dead_window_past_the_first_chunk(lam):
+    n = 3 * CHUNK + 17
+    rng = np.random.default_rng(5)
+    x = rng.normal(0.0, 1.0, n)
+    z = np.where(np.arange(n) < CHUNK + 1000, x + rng.normal(0.0, 0.5, n), 0.0)
+    with pytest.raises(DegenerateWindow) as whole:
+        _track_whole(x, z, lam, None)
+    with pytest.raises(DegenerateWindow) as chunked:
+        track_moving_optimum(SampleBatch(x, z), lam)
+    assert chunked.value.index == whole.value.index > CHUNK
+
+
 @pytest.mark.parametrize("lam", [1.0, 0.99])
 def test_tracking_peak_memory_is_bounded(lam):
-    """The moments are formed in place in one (3, n) stack: 12 float arrays of n at most."""
-    n = 1 << 17
+    """Three float columns, the uint8 code column, and chunk scratch of 16 float arrays of CHUNK."""
+    n = 1 << 20
     problem = parse_problem_spec("drifting_power")
     batch = generate(problem, n)
-    reference = population_moments(problem, np.arange(n))
-    tracemalloc.start()
-    try:
-        track_moving_optimum(batch, lam, reference=reference)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12 * 8 * n
+    for reference in (None, population_moments(problem, np.arange(n))):
+        tracemalloc.start()
+        try:
+            track_moving_optimum(batch, lam, reference=reference)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25 * n + 16 * 8 * CHUNK
 
 
 def test_tracking_validates_balance_tol():
@@ -500,9 +554,10 @@ def test_track_csv_layout():
 
 def _reference_track_to_csv(trace) -> str:
     lines = [TRACK_CSV_HEADER]
+    regimes = trace.regimes
     lines.extend(
         f"{k},{format(float(trace.t_true[k]), '.17g')},{format(float(trace.t_tracked[k]), '.17g')},"
-        f"{format(float(trace.tracking_error[k]), '.17g')},{trace.regimes[k].value}"
+        f"{format(float(trace.tracking_error[k]), '.17g')},{regimes[k].value}"
         for k in range(len(trace))
     )
     return "\n".join(lines) + "\n"
@@ -527,8 +582,8 @@ def test_track_to_csv_matches_per_row_rendering(n, with_reference):
         column[:k] = _SPECIAL[:k]
         column[-k:] = _SPECIAL[:k][::-1]
         columns[name] = column
-    labels = tuple(RegimeLabel)
-    trace = dataclasses.replace(trace, regimes=tuple(labels[i % 3] for i in range(n)), **columns)
+    codes = (np.arange(n) % len(REGIMES)).astype(np.uint8)
+    trace = dataclasses.replace(trace, regime_codes=codes, **columns)
     assert track_to_csv(trace) == _reference_track_to_csv(trace)
 
 
