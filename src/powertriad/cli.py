@@ -197,10 +197,11 @@ def _input(
 
 def _finalize(est: zoo.EstimatorSpec, raw: moments.MomentSummary,
               summary: moments.MomentSummary) -> moments.MomentStats:
-    """An estimator's statistics, refusing an amplifier that is not dominant on the raw data."""
+    """An estimator's statistics; an empty input is refused before a non-dominant amplifier."""
+    stats = moments.finalize(summary)
     if est.kind == "amplifier":
         zoo.verify_amplifier(est, raw)
-    return moments.finalize(summary)
+    return stats
 
 
 def _stats(args: argparse.Namespace) -> moments.MomentStats:

@@ -3,15 +3,13 @@
 Every diagnostic in this toolkit is a function of seven running sums over
 aligned pairs (x_i, v_i) with errors e_i = v_i - x_i: n, Σx², Σv², Σx·v,
 Σe, Σe², Σv·e.  Summaries are plain immutable values, so parallel
-reduction is just a merge of independently built summaries; there is no
-interior mutability to synchronize.  map_chunks reduces CHUNK-sized pieces
-on worker threads, one per usable CPU, and hands the results back in chunk
-order, so a merge in that order does not depend on scheduling.
+reduction is just a merge of independently built summaries.
 
-CSV text holds the GIL, so read_csv's file pieces and fmt_rows' row
-blocks go to processes instead: _fork_map runs this one and a forked child
-per further usable CPU, each holding about one piece or block at a time,
-and yields the results in order, so the bytes are those of one process.
+_fork_map spreads CHUNK-sized blocks of a reduction, read_csv's file pieces
+and fmt_rows' row blocks over this process and a forked child per further
+usable CPU (CSV text holds the GIL, so threads would take turns), each
+holding about one item at a time, and yields the results in order, so the
+sums merge and the bytes join as they do in one process.
 
 mean_e is read off Σe, mse off Σe² and coupling off Σv·e rather than off
 differences of the power sums (Σv - Σx, Σv² - 2Σx·v + Σx² and Σv² - Σx·v),
@@ -122,7 +120,7 @@ class MomentStats:
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     # einsum rather than np.dot: a BLAS dot on 65536 doubles can stall for
-    # milliseconds in OpenBLAS's thread hand-off, and it does not scale on threads
+    # milliseconds in OpenBLAS's thread hand-off
     return float(np.einsum("i,i->", a, b))
 
 
@@ -230,25 +228,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def map_chunks(fn: Callable[[int], object], chunks: Iterable[int]) -> list:
-    """[fn(i) for i in chunks], run on one worker thread per usable CPU.
-
-    Results come back in the order of ``chunks`` whatever the schedule.  A
-    failing call cancels the calls that have not started, and the first
-    failure in that order is raised.  One chunk, or one CPU, runs inline
-    without a pool.  fn runs off the calling thread, so it must not call
-    anything that is not thread-safe, such as a tracer's wrappers around the
-    public functions: give it private helpers only.
-    """
-    chunks = list(chunks)
-    workers = min(len(chunks), _usable_cpus())
-    if workers <= 1:
-        return [fn(i) for i in chunks]
-    from concurrent.futures import ThreadPoolExecutor  # only multi-chunk inputs pay the import
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, chunks))
-
-
 def _fork_map(fn: Callable[[object], object], items: Iterable) -> Iterator:
     """Yield fn(item) in order, item k computed by process k mod W, one process per usable CPU.
 
@@ -257,7 +236,8 @@ def _fork_map(fn: Callable[[object], object], items: Iterable) -> Iterator:
     child that dies or raises closes its pipe, and its items are computed
     here, so every result and exception comes from fn in order.  One item,
     one CPU, no os.fork or a second live thread runs inline.  fn must call
-    no function a tracer may wrap: give it private helpers only.
+    no function a tracer may wrap (give it private helpers only) and return
+    a picklable value.
     """
     items = list(items)
     workers = min(len(items), _usable_cpus())

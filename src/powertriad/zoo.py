@@ -32,8 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidSpec, ZeroCandidatePower
-from .moments import (CHUNK, MomentSummary, Rows, SampleBatch, _summary, batch_source,
-                      map_chunks, merge)
+from .moments import (CHUNK, MomentSummary, Rows, SampleBatch, _fork_map, _summary,
+                      batch_source, merge)
 from .textio import parse_fields
 
 PROBLEM_KINDS = (
@@ -165,12 +165,8 @@ def generate(problem: ProblemSpec, n: int) -> SampleBatch:
     n, rows = problem_source(problem, n)
     xs = np.empty(n)
     zs = np.empty(n)
-
-    def fill(lo: int) -> None:
-        hi = min(n, lo + CHUNK)
-        xs[lo:hi], zs[lo:hi] = rows(lo, hi)
-
-    map_chunks(fill, range(0, n, CHUNK))
+    for lo in range(0, n, CHUNK):
+        xs[lo:lo + CHUNK], zs[lo:lo + CHUNK] = rows(lo, min(n, lo + CHUNK))
     return SampleBatch._adopt(xs, zs)
 
 
@@ -250,8 +246,8 @@ def summarize(
     """The raw summary of a source's (x, z) pairs, and the summary of each estimator's (x, v).
 
     A source is (n, rows); rows(lo, hi) serves the pairs [lo, hi) of at most
-    one CHUNK.  Blocks of CHUNK pairs are reduced on worker threads and merge
-    in order on this thread, so every bit depends only on the data and the
+    one CHUNK.  Blocks of CHUNK pairs are reduced through _fork_map and merge
+    in order in this process, so every bit depends only on the data and the
     estimators.  The raw pairs and each c·z are summed in blocks from 0, but
     empirical_mmse fits c = Σxz/Σz² on the first half and sums c·z in blocks
     from n//2, as stats_of does on apply_estimator's output.  A non-finite
@@ -269,7 +265,7 @@ def summarize(
         head = raw if cut >= x.size else _summary(x[:cut], z[:cut], lo)
         return [raw, head] + [_summary(x, _estimate(e, z), lo) for e in fixed]
 
-    parts = map_chunks(block, range(0, n, CHUNK))
+    parts = _fork_map(block, range(0, n, CHUNK))
     raw, head, *sums = reduce(lambda a, b: list(map(merge, a, b)), parts,
                               [MomentSummary()] * (2 + len(fixed)))
     if len(fixed) < len(estimators):
@@ -279,7 +275,7 @@ def summarize(
             x, z = rows(lo, min(lo + CHUNK, n))
             return _summary(x, c * z, lo)
 
-        tail = reduce(merge, map_chunks(fitted, range(half, n, CHUNK)), MomentSummary())
+        tail = reduce(merge, _fork_map(fitted, range(half, n, CHUNK)), MomentSummary())
     sums = iter(sums)
     return raw, [tail if e.kind == "empirical_mmse" else next(sums) for e in estimators]
 

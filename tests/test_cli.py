@@ -391,6 +391,25 @@ def test_diagnose_on_csv_without_rows_prints_only_the_error(tmp_path, child_env,
     assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["diagnose", "--input", "HEADER_ONLY"],
+    ["diagnose", "--problem", "gaussian_shrinkage", "--samples", "0"],
+    ["map", "--problem", "gaussian_shrinkage", "--samples", "0"],
+], ids=["diagnose-input", "diagnose-problem", "map-problem"])
+def test_an_empty_input_is_refused_as_empty_with_or_without_an_amplifier(tmp_path, capsys,
+                                                                          command):
+    """An empty input has no power to check an amplifier against: the empty-input error comes first."""
+    command = [_write(tmp_path / "pairs.csv", "x,v\n") if arg == "HEADER_ONLY" else arg
+               for arg in command]
+    errors = []
+    for estimator in ([], ["--estimator", "amplifier(c=2)"]):
+        assert main(command + estimator) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors == ["error: cannot finalize a summary with no samples\n"] * 2
+
+
 def test_map_parses_every_estimator_before_the_problem(capsys):
     """Both bad: map reports the estimator spec, as diagnose does."""
     assert main(["map", "--problem", "nope", "--estimator", "bogus"]) == 1

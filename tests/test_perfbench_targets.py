@@ -39,14 +39,19 @@ def test_tracer_installs_and_undoes():
     assert powertriad.cli.main is original
 
 
-def test_traced_multi_chunk_run_keeps_every_span_on_the_calling_thread(capsys):
-    """The tracer keeps one span stack; chunk workers must never enter a wrapped function."""
+def test_traced_multi_chunk_run_keeps_every_span_on_the_calling_thread(tmp_path, capsys,
+                                                                       monkeypatch):
+    """The tracer keeps one span stack; forked block reducers must never enter a wrapped function."""
     tracing = _load_tracing()
+    monkeypatch.setattr(powertriad.moments, "_usable_cpus", lambda: 3)
     threads = set()
+    pids = tmp_path / "pids"
 
     class Tracer(tracing.Tracer):
         def open(self, name):
             threads.add(threading.get_ident())
+            with open(pids, "a") as fh:  # a child's spans would be lost with its memory
+                fh.write(f"{os.getpid()}\n")
             return super().open(name)
 
     tracer = Tracer()
@@ -59,6 +64,7 @@ def test_traced_multi_chunk_run_keeps_every_span_on_the_calling_thread(capsys):
         undo()
     assert code == 3 and capsys.readouterr().err == ""
     assert threads == {threading.get_ident()}
+    assert set(pids.read_text().split()) == {str(os.getpid())}
     assert tracer.stack == []
     spans = tracer.as_records()
     assert spans and spans[0]["name"] == "cli.main"
@@ -96,7 +102,7 @@ def test_traced_forked_text_run_keeps_every_span_in_this_process(tmp_path, capsy
 
 
 def test_import_loads_no_thread_pool(child_env):
-    """The worker pool and any process pool are imported on first use, so start-up time cannot drift."""
+    """Importing the package loads no thread- or process-pool module, so start-up time cannot drift."""
     code = ("import powertriad, powertriad.cli, sys; "
             "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -2,7 +2,7 @@
 
 import dataclasses
 import math
-import sys
+import os
 
 import numpy as np
 import pytest
@@ -34,7 +34,7 @@ from powertriad import moments
 from powertriad.scaling import ScalingProblem
 from powertriad.zoo import (batch_source, generate_chunk, problem_source, summarize,
                             verify_amplifier, with_seed)
-from powertriad.moments import to_csv_text
+from powertriad.moments import CHUNK, to_csv_text
 
 GAUSS = ProblemSpec(kind="gaussian_shrinkage", signal_power=1.0, noise_power=1.0, seed=42)
 
@@ -392,18 +392,12 @@ def test_stats_of_a_batch_is_its_summarized_reduction():
     assert stats_of(batch) == finalize(summarize(batch_source(batch), [])[0])
 
 
-def test_generate_is_the_concatenated_chunks(monkeypatch):
-    # more workers than cores, switching often: each chunk must land in its own slice
-    monkeypatch.setattr(moments, "_usable_cpus", lambda: 5)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        whole = generate(GAUSS, POOL_N)
-    finally:
-        sys.setswitchinterval(interval)
+def test_generate_is_the_concatenated_chunks():
     chunks = [generate_chunk(GAUSS, i) for i in range(4)]
-    assert np.array_equal(whole.x, np.concatenate([c.x for c in chunks])[:POOL_N])
-    assert np.array_equal(whole.v, np.concatenate([c.v for c in chunks])[:POOL_N])
+    for n in (0, 1, CHUNK, POOL_N):
+        whole = generate(GAUSS, n)
+        assert np.array_equal(whole.x, np.concatenate([c.x for c in chunks])[:n])
+        assert np.array_equal(whole.v, np.concatenate([c.v for c in chunks])[:n])
 
 
 def test_a_failing_chunk_raises_the_first_failure_in_chunk_order(monkeypatch):
@@ -413,3 +407,5 @@ def test_a_failing_chunk_raises_the_first_failure_in_chunk_order(monkeypatch):
     with pytest.raises(NonFiniteSample) as err:
         summarize(batch_source(SampleBatch(x, np.ones(POOL_N))), [])
     assert err.value.index == 70_000
+    with pytest.raises(ChildProcessError):  # the forked reducer was reaped
+        os.waitpid(-1, os.WNOHANG)
