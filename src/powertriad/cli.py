@@ -297,7 +297,7 @@ def cmd_zoo(args: argparse.Namespace) -> int:
     estimators, _, problem = _input(args, generated_only=("zoo run needs --problem",) * 2)
     source = zoo.problem_source(problem, args.samples)
     for est in estimators:  # every check and fit runs before the first row is written
-        if est.kind == "amplifier":
+        if est.kind == "amplifier" and source[0]:  # an empty source has no power to check
             zoo.verify_amplifier(est, zoo.summarize(source, [])[0])
         source = zoo.estimator_source(est, source)
     _emit(args.out, ("", moments.csv_blocks(source)))

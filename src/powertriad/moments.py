@@ -179,16 +179,17 @@ def _check_finite(x: np.ndarray, v: np.ndarray, offset: int = 0) -> None:
         raise NonFiniteSample(offset + i, float(x[i]), float(v[i]))
 
 
-def _summary(xs: np.ndarray, vs: np.ndarray, offset: int = 0) -> MomentSummary:
+def _summary(xs: np.ndarray, vs: np.ndarray, offset: int = 0, buf=None) -> MomentSummary:
     """The sums of aligned arrays whose first pair sits at input position ``offset``.
 
     The arrays are reduced CHUNK pairs at a time and the chunks' sums are
     added in order, which is what merging the chunks' summaries does; so an
     array of any length gets the bits that summarize merges from its chunks.
-    Raises NonFiniteSample naming the first offending pair by its input
-    position.
+    The errors go into ``buf``, a scratch array of at least min(size, CHUNK)
+    doubles, or a fresh one.  Raises NonFiniteSample naming the first
+    offending pair by its input position.
     """
-    buf = np.empty(min(xs.size, CHUNK))
+    buf = np.empty(min(xs.size, CHUNK)) if buf is None else buf
     sxx = svv = sxv = se = see = sve = 0.0
     for lo in range(0, xs.size, CHUNK):
         x, v = xs[lo:lo + CHUNK], vs[lo:lo + CHUNK]
@@ -339,11 +340,13 @@ def stats_of(batch: SampleBatch, *, compensated: bool = False) -> MomentStats:
     return finalize(accumulate(MomentSummary(), batch, compensated=compensated))
 
 
+# rows(lo, hi) gives the (x, v) arrays of a source's pairs [lo, hi); a call's
+# arrays may be overwritten by the next call, so each is used before it
 Rows = Callable[[int, int], tuple[np.ndarray, np.ndarray]]
 
 
 def batch_source(batch: SampleBatch) -> tuple[int, Rows]:
-    """The pairs of a batch; rows(lo, hi) is a view of its rows [lo, hi)."""
+    """The pairs of a batch; rows(lo, hi) is a view of its rows [lo, hi) (see Rows)."""
     return len(batch), lambda lo, hi: (batch.x[lo:hi], batch.v[lo:hi])
 
 

@@ -135,21 +135,23 @@ def population_moments(problem: ProblemSpec, k: np.ndarray) -> np.ndarray:
     return np.column_stack((s, s + problem.noise_power, s))
 
 
-def _draw(problem: ProblemSpec, chunk_index: int):
-    """Chunk i's (x, z) arrays: global indices [i·CHUNK, (i+1)·CHUNK)."""
+def _draw(problem: ProblemSpec, chunk_index: int, out=None):
+    """Chunk i's (x, z) arrays, global indices [i·CHUNK, (i+1)·CHUNK), drawn into out if given."""
     rng = np.random.Generator(np.random.Philox(key=problem.seed).jumped(chunk_index))
+    x, z = (np.empty(CHUNK), np.empty(CHUNK)) if out is None else out
     s = problem.signal_power  # a scalar gives the same doubles where s(k) is constant
     if problem.kind in ("step_change", "drifting_power"):
         lo = chunk_index * CHUNK
         s = _signal_power_at(problem, np.arange(lo, lo + CHUNK))
     if problem.kind == "deterministic_parameter":
-        x = np.full(CHUNK, math.sqrt(problem.signal_power))
+        x.fill(math.sqrt(problem.signal_power))
     elif problem.kind == "heavy_tail":
         # double-exponential signal: variance 2b² means scale b = sqrt(s/2)
-        x = rng.laplace(0.0, np.sqrt(s / 2.0), CHUNK)
+        x[:] = rng.laplace(0.0, np.sqrt(s / 2.0), CHUNK)
     else:
-        x = np.sqrt(s) * rng.standard_normal(CHUNK)
-    z = rng.standard_normal(CHUNK)
+        rng.standard_normal(out=x)
+        x *= np.sqrt(s)
+    rng.standard_normal(out=z)
     z *= math.sqrt(problem.noise_power)
     z += x  # x + σ·noise, in place
     return x, z
@@ -176,11 +178,16 @@ def _fit(sum_xv: float, sum_vv: float) -> float:
     return sum_xv / sum_vv
 
 
-def _estimate(estimator: EstimatorSpec, z: np.ndarray) -> np.ndarray:
-    """v = c·z for an estimator with a fixed multiplier (c is 0 for zero, 1 for identity)."""
+def _estimate(estimator: EstimatorSpec, z: np.ndarray, out=None) -> np.ndarray:
+    """v = c·z for an estimator with a fixed multiplier (c is 0 for zero, 1 for identity),
+    written into out[:z.size] if given."""
+    if estimator.kind == "identity":
+        return z
+    v = np.empty_like(z) if out is None else out[:z.size]
     if estimator.kind == "zero":
-        return np.zeros_like(z)
-    return z if estimator.kind == "identity" else estimator.c * z
+        v.fill(0.0)
+        return v
+    return np.multiply(z, estimator.c, out=v)
 
 
 def estimator_source(estimator: EstimatorSpec, source: tuple[int, Rows]) -> tuple[int, Rows]:
@@ -225,13 +232,15 @@ def verify_amplifier(estimator: EstimatorSpec, raw: MomentSummary) -> None:
 
 
 def problem_source(problem: ProblemSpec, n: int) -> tuple[int, Rows]:
-    """n pairs of a generated problem; rows(lo, hi) draws the one or two chunks [lo, hi) meets."""
+    """n pairs of a generated problem; rows(lo, hi) draws the one or two chunks [lo, hi) meets,
+    the first into one reused pair of arrays (see moments.Rows)."""
     if n < 0:
         raise InvalidSpec("sample count cannot be negative")
+    buf = np.empty(CHUNK), np.empty(CHUNK)
 
     def rows(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         i, j = divmod(lo, CHUNK)
-        x, z = _draw(problem, i)
+        x, z = _draw(problem, i, buf)
         if j + hi - lo > CHUNK:  # the range runs on into chunk i + 1
             x2, z2 = _draw(problem, i + 1)
             x, z, j = np.concatenate((x[j:], x2)), np.concatenate((z[j:], z2)), 0
@@ -256,14 +265,15 @@ def summarize(
     n, rows = source
     fixed = [e for e in estimators if e.kind != "empirical_mmse"]
     half = n if len(fixed) == len(estimators) else _half(n)
+    v, e = np.empty(CHUNK), np.empty(CHUNK)  # each forked process writes its own copy
 
     def block(lo: int) -> list[MomentSummary]:
         """[raw, first-half raw, each fixed estimator] of the block at lo."""
         x, z = rows(lo, min(lo + CHUNK, n))
-        raw = _summary(x, z, lo)
+        raw = _summary(x, z, lo, e)
         cut = max(half - lo, 0)
-        head = raw if cut >= x.size else _summary(x[:cut], z[:cut], lo)
-        return [raw, head] + [_summary(x, _estimate(e, z), lo) for e in fixed]
+        head = raw if cut >= x.size else _summary(x[:cut], z[:cut], lo, e)
+        return [raw, head] + [_summary(x, _estimate(f, z, v), lo, e) for f in fixed]
 
     parts = _fork_map(block, range(0, n, CHUNK))
     raw, head, *sums = reduce(lambda a, b: list(map(merge, a, b)), parts,
@@ -273,7 +283,7 @@ def summarize(
 
         def fitted(lo: int) -> MomentSummary:
             x, z = rows(lo, min(lo + CHUNK, n))
-            return _summary(x, c * z, lo)
+            return _summary(x, np.multiply(z, c, out=v[:z.size]), lo, e)
 
         tail = reduce(merge, _fork_map(fitted, range(half, n, CHUNK)), MomentSummary())
     sums = iter(sums)

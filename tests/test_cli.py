@@ -462,6 +462,17 @@ def test_zoo_run_amplifier_doubles_the_candidate(tmp_path):
     assert np.array_equal(amp.v, 2.0 * raw.v)
 
 
+def test_zoo_run_of_an_empty_source_takes_an_amplifier(tmp_path, capsys):
+    """An empty source has no power to check: with an amplifier it writes the header, as without."""
+    gen = ["zoo", "run", "--problem", "gaussian_shrinkage", "--samples", "0"]
+    for estimator in ([], ["--estimator", "scale(c=2)"], ["--estimator", "amplifier(c=2)"]):
+        assert main(gen + estimator) == 0
+        assert capsys.readouterr() == ("x,v\n", "")
+        out = tmp_path / "rows.csv"
+        assert main(gen + estimator + ["--out", str(out)]) == 0
+        assert out.read_text() == "x,v\n" and capsys.readouterr() == ("", "")
+
+
 def test_zoo_run_empirical_mmse_emits_the_scaled_second_half(tmp_path, capsys):
     """The rows are (x, c·z) of the second half, c = Σxz/Σz² of the first, as diagnose uses."""
     gen = ["--problem", "gaussian_shrinkage(noise_power=0.5, seed=3)", "--samples", "9"]

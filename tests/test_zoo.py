@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -398,6 +400,52 @@ def test_generate_is_the_concatenated_chunks():
         whole = generate(GAUSS, n)
         assert np.array_equal(whole.x, np.concatenate([c.x for c in chunks])[:n])
         assert np.array_equal(whole.v, np.concatenate([c.v for c in chunks])[:n])
+
+
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_reused_row_buffers_never_leak_between_calls(kind):
+    """A source's rows draw into one reused pair of arrays; no call sees another's pairs."""
+    problem = ProblemSpec(kind=kind, seed=5, change_index=CHUNK + 100, drift_period=3000.0)
+    whole = generate(problem, 3 * CHUNK)
+    held = generate_chunk(problem, 1)
+    held_bytes = held.x.tobytes() + held.v.tobytes()
+    _, rows = problem_source(problem, 3 * CHUNK)
+    # an aligned chunk, a range from chunk 1 into chunk 2, then one pair
+    for lo, hi in ((CHUNK, 2 * CHUNK), (CHUNK + 7, 2 * CHUNK + 7), (2 * CHUNK + 3, 2 * CHUNK + 4)):
+        x, z = rows(lo, hi)
+        assert np.array_equal(x, whole.x[lo:hi]) and np.array_equal(z, whole.v[lo:hi]), (lo, hi)
+    assert held.x.tobytes() + held.v.tobytes() == held_bytes
+
+
+_FAULTS_PER_CHUNK = """
+import resource
+from powertriad import moments
+from powertriad.moments import CHUNK
+from powertriad.zoo import EstimatorSpec, ProblemSpec, problem_source, summarize
+
+moments._usable_cpus = lambda: 1
+problem = ProblemSpec(kind="gaussian_shrinkage", seed=42)
+estimators = [EstimatorSpec(kind="scale", c=0.7), EstimatorSpec(kind="zero")]
+
+def faults(chunks):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    summarize(problem_source(problem, chunks * CHUNK), estimators)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+faults(1)  # pages first touched by any call
+print((faults(64) - faults(16)) / (64 - 16))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's ru_minflt")
+def test_page_faults_do_not_grow_with_the_chunk_count(child_env):
+    """One process draws and reduces every chunk in the same buffers, faulting in no fresh pages.
+
+    The count runs in a fresh interpreter: whether freed memory is handed back
+    to the system, and faulted in again, depends on the heap's history."""
+    result = subprocess.run([sys.executable, "-c", _FAULTS_PER_CHUNK], env=child_env,
+                            capture_output=True, text=True, check=True)
+    assert float(result.stdout) < 16, result.stdout
 
 
 def test_a_failing_chunk_raises_the_first_failure_in_chunk_order(monkeypatch):
