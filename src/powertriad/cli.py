@@ -170,8 +170,8 @@ def _emit(out: Optional[str], *files: tuple[str, Iterable[str]]) -> None:
 
 def _input(
     args: argparse.Namespace, many: bool = False, generated_only: tuple[str, ...] = ()
-) -> tuple[list[zoo.EstimatorSpec], Optional[moments.SampleBatch], Optional[zoo.ProblemSpec]]:
-    """The command's --estimator specs, its parsed --input batch or None, its --problem or None.
+) -> tuple[list[zoo.EstimatorSpec], tuple[int, moments.Rows], Optional[zoo.ProblemSpec]]:
+    """The --estimator specs, the --input or --problem source, and the --problem or None.
 
     Errors keep one order: the --input/--problem conflict, the estimator specs
     (more than one only if ``many``), then the input; ``generated_only`` holds
@@ -186,13 +186,13 @@ def _input(
     if generated_only and not args.problem:
         raise ValueError(generated_only[not args.input])
     if args.input:
-        return estimators, moments.read_csv(args.input), None
+        return estimators, zoo.batch_source(moments.read_csv(args.input)), None
     if not args.problem:
         raise ValueError("need --input or --problem")
     problem = zoo.parse_problem_spec(args.problem)
     if args.seed is not None:
         problem = zoo.with_seed(problem, args.seed)
-    return estimators, None, problem
+    return estimators, zoo.problem_source(problem, args.samples), problem
 
 
 def _finalize(est: zoo.EstimatorSpec, raw: moments.MomentSummary,
@@ -209,9 +209,7 @@ def _stats(args: argparse.Namespace) -> moments.MomentStats:
 
     The input is reduced chunk by chunk to its raw summary and the estimator's.
     """
-    estimators, batch, problem = _input(args)
-    source = (zoo.batch_source(batch) if problem is None
-              else zoo.problem_source(problem, args.samples))
+    estimators, source, _ = _input(args)
     raw, summaries = zoo.summarize(source, estimators)
     if not estimators:
         return moments.finalize(raw)
@@ -247,24 +245,21 @@ def cmd_path(args: argparse.Namespace) -> int:
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    _, batch, problem = _input(args)
-    reference = None
-    if batch is None:
-        batch = zoo.generate(problem, args.samples)
-        reference = zoo.population_moments(problem, np.arange(args.samples))
-    trace = scaling.track_moving_optimum(batch, args.forgetting, reference=reference,
-                                         balance_tol=args.balance_tol)
-    del batch, reference  # the text is made from the trace alone
+    _, source, problem = _input(args)
+    reference = None if problem is None else (
+        lambda lo, hi: zoo.population_moments(problem, np.arange(lo, hi)))
+    trace = scaling.track_source(source, args.forgetting, reference, args.balance_tol)
+    del source  # frees an --input batch: the text is made from the trace alone
     _emit(args.out, ("", scaling.track_csv_blocks(trace)))
     return EXIT_OK
 
 
 def cmd_map(args: argparse.Namespace) -> int:
     # every spec is parsed before the draw: the one pass reduces them all
-    estimators, _, problem = _input(args, many=True, generated_only=(
+    estimators, source, _ = _input(args, many=True, generated_only=(
         "map works on generated problems; give --problem", "need --problem"))
     estimators = estimators or [zoo.parse_estimator_spec(t) for t in DEFAULT_MAP_ESTIMATORS]
-    raw, summaries = zoo.summarize(zoo.problem_source(problem, args.samples), estimators)
+    raw, summaries = zoo.summarize(source, estimators)
     points = [safezone_map.map_point(est.label, _finalize(est, raw, summary),
                                      balance_tol=args.balance_tol)
               for est, summary in zip(estimators, summaries)]
@@ -294,8 +289,7 @@ def cmd_zoo(args: argparse.Namespace) -> int:
         lines.extend(f"  {kind}" for kind in zoo.ESTIMATOR_KINDS)
         _emit(args.out, ("", ("\n".join(lines) + "\n",)))
         return EXIT_OK
-    estimators, _, problem = _input(args, generated_only=("zoo run needs --problem",) * 2)
-    source = zoo.problem_source(problem, args.samples)
+    estimators, source, _ = _input(args, generated_only=("zoo run needs --problem",) * 2)
     for est in estimators:  # every check and fit runs before the first row is written
         if est.kind == "amplifier" and source[0]:  # an empty source has no power to check
             zoo.verify_amplifier(est, zoo.summarize(source, [])[0])

@@ -171,12 +171,16 @@ def _exact_sum(a: np.ndarray) -> float:
     return total / (1 << 1074)
 
 
-def _check_finite(x: np.ndarray, v: np.ndarray, offset: int = 0) -> None:
-    """Raise NonFiniteSample for the first pair holding a NaN or infinity, at ``offset`` + i."""
-    finite = np.isfinite(x) & np.isfinite(v)
-    if not bool(finite.all()):
-        i = int(np.argmin(finite))
-        raise NonFiniteSample(offset + i, float(x[i]), float(v[i]))
+def _powers(x: np.ndarray, v: np.ndarray, offset: int = 0) -> tuple[float, float]:
+    """Σx² and Σv²; raises NonFiniteSample at ``offset`` + i for a first non-finite pair i."""
+    xx, vv = _dot(x, x), _dot(v, v)
+    # a NaN or infinity anywhere makes one of these non-negative sums non-finite
+    if not math.isfinite(xx + vv):
+        finite = np.isfinite(x) & np.isfinite(v)
+        if not bool(finite.all()):
+            i = int(np.argmin(finite))
+            raise NonFiniteSample(offset + i, float(x[i]), float(v[i]))
+    return xx, vv
 
 
 def _summary(xs: np.ndarray, vs: np.ndarray, offset: int = 0, buf=None) -> MomentSummary:
@@ -193,10 +197,7 @@ def _summary(xs: np.ndarray, vs: np.ndarray, offset: int = 0, buf=None) -> Momen
     sxx = svv = sxv = se = see = sve = 0.0
     for lo in range(0, xs.size, CHUNK):
         x, v = xs[lo:lo + CHUNK], vs[lo:lo + CHUNK]
-        bxx, bvv = _dot(x, x), _dot(v, v)
-        # a NaN or infinity anywhere makes one of these non-negative sums non-finite
-        if not math.isfinite(bxx + bvv):
-            _check_finite(x, v, offset + lo)
+        bxx, bvv = _powers(x, v, offset + lo)
         e = np.subtract(v, x, out=buf[: x.size])
         sxx, svv, sxv = sxx + bxx, svv + bvv, sxv + _dot(x, v)
         se, see, sve = se + float(np.sum(e)), see + _dot(e, e), sve + _dot(v, e)

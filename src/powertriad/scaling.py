@@ -24,14 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .diagnostics import (BALANCE_TOL, REGIMES, RegimeLabel, _check_classifiable, _check_tol,
                           regime_index)
 from .errors import DegenerateWindow, PowerTriadError, ZeroCandidatePower
-from .moments import CHUNK, MomentStats, SampleBatch, _check_finite, _dot, fmt_rows
+from .moments import CHUNK, MomentStats, Rows, SampleBatch, _powers, batch_source, fmt_rows
 from .textio import parse_fields, parse_kv
 
 # Consistency slack for empirical moments: exz² may exceed ex2·ez2 only by rounding.
@@ -317,51 +317,54 @@ def track_moving_optimum(
     reference: Optional[Sequence[tuple[float, float, float]]] = None,
     balance_tol: float = BALANCE_TOL,
 ) -> TrackTrace:
-    """Follow a drifting optimum with exponentially forgotten moments.
+    """Follow a drifting optimum through a batch: track_source, with ``reference`` an
+    optional (n, 3) array of the per-step population moments (ex2_k, ez2_k, exz_k)."""
+    ref = None if reference is None else np.asarray(reference, dtype=np.float64)
+    if ref is not None and ref.shape != (len(stream), 3):
+        raise ValueError("reference must supply (ex2, ez2, exz) per step")
+    return track_source(batch_source(stream), forgetting,
+                        None if ref is None else lambda lo, hi: ref[lo:hi], balance_tol)
 
-    Maintains m_xz(k) = λ·m_xz(k-1) + (1-λ)·x_k·z_k and m_zz likewise and
-    emits t_k = m_xz/m_zz at every step.  λ = 1 switches to cumulative
-    running means, which reproduces the full-prefix fitted scale.
 
-    ``reference`` optionally supplies per-step population moments
-    (ex2_k, ez2_k, exz_k) from the stream's generator; when present, the true
-    optimum, tracking error and regime are measured against it.  Without a
-    reference the regime falls back to the forgotten window's own moments and
-    the true/error columns are NaN.  The stream is tracked a chunk at a time
-    into the output columns, with the moments carried from chunk to chunk.
-    """
+def track_source(source: tuple[int, Rows], forgetting: float,
+                 reference: Optional[Callable[[int, int], np.ndarray]] = None,
+                 balance_tol: float = BALANCE_TOL) -> TrackTrace:
+    """Follow a drifting optimum t_k = m_xz/m_zz through a source's pairs (see zoo.summarize).
+
+    m_xz(k) = λ·m_xz(k-1) + (1-λ)·x_k·z_k and m_zz likewise, or running means at λ = 1
+    (the full-prefix fitted scale).  ``reference(lo, hi)``, if given, holds the population
+    moments (ex2, ez2, exz) of steps [lo, hi) that t_true, the error and the regime use;
+    else the regime uses the window's own moments and t_true is NaN.  Each chunk checks
+    its reference rows, its samples, then its windows: of faults in two chunks, the
+    earlier one is reported."""
     if not 0.0 < forgetting <= 1.0:
         raise ValueError("forgetting must lie in (0, 1]")
     _check_tol("balance_tol", balance_tol)
-    x, z = stream.x, stream.v
-    n = int(x.size)
+    n, rows = source
     if n == 0:
         raise ValueError("cannot track an empty stream")
-    if reference is not None:
-        ref = np.asarray(reference, dtype=np.float64)
-        if ref.shape != (n, 3):
-            raise ValueError("reference must supply (ex2, ez2, exz) per step")
-        # min and max are NaN if any entry is, and ±inf if any is: no temporary of size n
-        if not (np.isfinite(ref.min()) and np.isfinite(ref.max())):
-            step = int(np.argmin(np.isfinite(ref).all(axis=1)))
-            raise PowerTriadError(f"reference moments at step {step} are not finite")
-    # a NaN or infinity makes one of these non-negative sums non-finite
-    if not math.isfinite(_dot(x, x) + _dot(z, z)):
-        _check_finite(x, z)
     # chunks of whole EWMA blocks (see _ewma): the blocks, so the bits, of one pass
     size = CHUNK - CHUNK % (1 if forgetting == 1.0 else _ewma_block(forgetting, n))
     # rows m_xz, m_zz, and m_xx only when it labels the window
     stack = np.empty((2 if reference is not None else 3, min(size, n)))
     carry = [0.0] * len(stack)
-    t_true = ref[:, 2] / ref[:, 1] if reference is not None else np.full(n, np.nan)
-    t_hat, error, codes = np.empty(n), np.empty(n), np.empty(n, dtype=np.uint8)
+    t_true, t_hat, error = np.full(n, np.nan), np.empty(n), np.empty(n)
+    codes = np.empty(n, dtype=np.uint8)
     for lo in range(0, n, size):
         hi = min(lo + size, n)
+        if reference is not None:
+            ref = reference(lo, hi)
+            if not (np.isfinite(ref.min()) and np.isfinite(ref.max())):  # NaN or inf in any entry
+                step = lo + int(np.argmin(np.isfinite(ref).all(axis=1)))
+                raise PowerTriadError(f"reference moments at step {step} are not finite")
+            np.divide(ref[:, 2], ref[:, 1], out=t_true[lo:hi])
+        x, z = rows(lo, hi)
+        _powers(x, z, lo)
         m = stack[:, :hi - lo]
-        np.multiply(x[lo:hi], z[lo:hi], out=m[0])
-        np.multiply(z[lo:hi], z[lo:hi], out=m[1])
+        np.multiply(x, z, out=m[0])
+        np.multiply(z, z, out=m[1])
         if reference is None:
-            np.multiply(x[lo:hi], x[lo:hi], out=m[2])
+            np.multiply(x, x, out=m[2])
         if forgetting == 1.0:
             m[:, 0] += carry
             np.cumsum(m, axis=1, out=m)
@@ -374,7 +377,7 @@ def track_moving_optimum(
             raise DegenerateWindow(lo + int(np.argmax(dead)))
         t = np.divide(m[0], m[1], out=t_hat[lo:hi])
         np.abs(np.subtract(t, t_true[lo:hi], out=error[lo:hi]), out=error[lo:hi])
-        ex2, ez2 = (ref[lo:hi, 0], ref[lo:hi, 1]) if reference is not None else (m[2], m[1])
+        ex2, ez2 = (ref[:, 0], ref[:, 1]) if reference is not None else (m[2], m[1])
         codes[lo:hi] = regime_index(ex2, t * t * ez2, balance_tol)
     return TrackTrace(forgetting, t_true, t_hat, error, codes)
 

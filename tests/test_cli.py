@@ -14,10 +14,11 @@ import pytest
 
 from powertriad import cli, moments
 from powertriad.cli import main
-from powertriad.moments import SampleBatch, read_csv, to_csv_text
-from powertriad.scaling import ScalingCertificate, ScalingTrace
+from powertriad.moments import CHUNK, SampleBatch, read_csv, to_csv_text
+from powertriad.scaling import (ScalingCertificate, ScalingTrace, track_moving_optimum,
+                                track_to_csv)
 from powertriad.zoo import (apply_estimator, batch_source, generate, parse_estimator_spec,
-                            parse_problem_spec, summarize)
+                            parse_problem_spec, population_moments, summarize)
 
 DOMINANT_CSV = "x,v\n1,2\n-1,0\n"   # ex2=1, ev2=2, exv=1
 
@@ -203,6 +204,26 @@ def test_track_refuses_a_non_finite_sample_as_diagnose_does(tmp_path, capsys, ba
     assert main(["track", "--input", src, "--forgetting", forgetting]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == expected
+
+
+@pytest.mark.parametrize("forgetting", ["1", "0.99", "0.5"])
+@pytest.mark.parametrize("spec", ["drifting_power", "step_change(change_index=65541)",
+                                  "heavy_tail(seed=4)"])
+def test_track_problem_matches_the_library_across_chunk_edges(tmp_path, capsys, spec,
+                                                              forgetting):
+    """The command draws the problem and its reference a tracker chunk at a time; the library
+    tracks the whole batch against the whole reference. The bytes agree."""
+    problem = parse_problem_spec(spec)
+    out = tmp_path / "track.csv"
+    for n in (1, CHUNK - 1, CHUNK + 1, 3 * CHUNK + 17):
+        expected = track_to_csv(track_moving_optimum(
+            generate(problem, n), float(forgetting),
+            reference=population_moments(problem, np.arange(n))))
+        argv = ["track", "--problem", spec, "--samples", str(n), "--forgetting", forgetting]
+        assert main(argv) == 0
+        assert capsys.readouterr() == (expected, "")
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
 
 
 def test_track_rejects_estimator_flag(capsys):
@@ -621,6 +642,23 @@ def test_zoo_run_holds_no_whole_batch(tmp_path, child_env):
     assert status == 0 and result.stderr == ""
     assert out.read_text().count("\n") == 2_000_001
     assert peak_kb <= 100 * 1024, f"zoo run peaked at {peak_kb / 1024:.0f} MB"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux only")
+def test_track_problem_holds_no_whole_batch_or_reference(tmp_path, child_env):
+    """Two million steps peak near their output columns (25 bytes a step), without the 32 MB
+    batch and the 48 MB reference of a whole draw."""
+    n = 2_000_000
+    out = tmp_path / "track.csv"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", _PEAK_RSS, "track", "--problem", "drifting_power",
+         "--samples", str(n), "--out", str(out)],
+        capture_output=True, text=True, env=child_env)
+    status, peak_kb = map(int, result.stdout.split())
+    assert status == 0 and result.stderr == ""
+    with open(out, "rb") as fh:
+        assert sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 20), b"")) == n + 1
+    assert peak_kb <= 25 * n // 1024 + 80 * 1024, f"track peaked at {peak_kb / 1024:.0f} MB"
 
 
 def test_map_and_zoo_run_name_their_missing_input(tmp_path, capsys):

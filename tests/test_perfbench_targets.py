@@ -100,6 +100,23 @@ def test_traced_forked_text_run_keeps_every_span_in_this_process(tmp_path, capsy
     assert set(pids.read_text().split()) == {str(os.getpid())}
     assert len((tmp_path / "t").read_text().splitlines()) == n + 1
 
+    # a generated problem is tracked from its source: one reference span per tracker chunk
+    # of 65264 steps (whole EWMA blocks at the default forgetting), and no whole batch
+    pids.unlink()
+    tracer = Tracer()
+    undo = tracing.install(tracer)
+    try:
+        code = powertriad.cli.main(["track", "--problem", "gaussian_shrinkage", "--samples",
+                                    str(n), "--out", str(tmp_path / "g")])
+    finally:
+        undo()
+    assert code == 0 and capsys.readouterr().err == ""
+    assert set(pids.read_text().split()) == {str(os.getpid())}
+    names = [span["name"] for span in tracer.as_records()]
+    assert names.count("zoo.population_moments") == 4
+    assert "zoo.generate" not in names
+    assert len((tmp_path / "g").read_text().splitlines()) == n + 1
+
 
 def test_import_loads_no_thread_pool(child_env):
     """Importing the package loads no thread- or process-pool module, so start-up time cannot drift."""

@@ -386,6 +386,19 @@ def test_tracking_refuses_a_non_finite_sample_before_a_dead_window(lam):
     assert err.value.index == 2
 
 
+@pytest.mark.parametrize("fault", ["sample", "reference"])
+def test_of_two_faults_in_two_tracker_chunks_the_earlier_is_reported(fault):
+    """A dead window at step 0 is reported before a NaN at step 150000, two chunks later."""
+    n = 200_000
+    x, z, reference = np.ones(n), np.ones(n), np.ones((n, 3))
+    z[:10] = 0.0
+    (x if fault == "sample" else reference)[150_000] = math.nan
+    with pytest.raises(DegenerateWindow) as err:
+        track_moving_optimum(SampleBatch(x, z), 0.5,
+                             reference=reference if fault == "reference" else None)
+    assert str(err.value) == "candidate power window is zero at step 0"
+
+
 def _recurrence(u, lam):
     """Pure-Python m = λ·m + (1-λ)·u from m = 0, one float at a time."""
     m, out = 0.0, []
