@@ -85,9 +85,10 @@ class TriadReport:
     verdict: PenaltyVerdict
 
 
-def regime_index(ex2, ev2, balance_tol):
-    """Index into REGIMES of ev2 against ex2, elementwise on arrays; NaN is conservative."""
-    gap = ev2 - ex2
+def regime_index(ex2, gap, balance_tol):
+    """Index into REGIMES of a power gap ev2 - ex2 against the band balance_tol·ex2,
+    elementwise on arrays; NaN is conservative.  The caller forms the gap, from the error
+    sums where ev2 - ex2 would cancel."""
     band = balance_tol * ex2
     return (gap > band) * 2 + (abs(gap) <= band)
 
@@ -105,22 +106,29 @@ def _check_classifiable(ex2: float, balance_tol: float) -> None:
         raise ZeroSignalPower("signal mean power is zero; regimes are undefined")
 
 
+def _classify(ex2: float, ev2: float, gap: float, balance_tol: float) -> RegimeLabel:
+    """The regime of the power gap ``gap``, once ex2 and ev2 pass classify_powers' checks."""
+    _check_classifiable(ex2, balance_tol)
+    if not (math.isfinite(ex2) and math.isfinite(ev2)):
+        raise PowerTriadError(f"mean powers must be finite: ex2={float(ex2)!r}, ev2={float(ev2)!r}")
+    return REGIMES[regime_index(ex2, gap, balance_tol)]
+
+
 def classify_powers(ex2: float, ev2: float, balance_tol: float = BALANCE_TOL) -> RegimeLabel:
-    """Classify from the two mean powers alone.
+    """Classify from the two mean powers alone, by their difference ev2 - ex2.
 
     Requires ex2 > 0: with a zero-power signal every ratio and regime is
     undefined.  A power that is not finite has no regime either: it is
     refused rather than labelled.  balance_tol = 0 degrades to the exact
     trichotomy.
     """
-    _check_classifiable(ex2, balance_tol)
-    if not (math.isfinite(ex2) and math.isfinite(ev2)):
-        raise PowerTriadError(f"mean powers must be finite: ex2={float(ex2)!r}, ev2={float(ev2)!r}")
-    return REGIMES[regime_index(ex2, ev2, balance_tol)]
+    return _classify(ex2, ev2, ev2 - ex2, balance_tol)
 
 
 def classify_regime(stats: MomentStats, balance_tol: float = BALANCE_TOL) -> RegimeLabel:
-    return classify_powers(stats.ex2, stats.ev2, balance_tol)
+    """Classify a finalized estimate as classify_powers does, but by the gap 2·coupling - mse,
+    from the error sums: ev2 - ex2 cancels when v tracks a high-power x, these do not."""
+    return _classify(stats.ex2, stats.ev2, 2.0 * stats.coupling - stats.mse, balance_tol)
 
 
 def check_penalty(

@@ -31,7 +31,8 @@ import numpy as np
 from .diagnostics import (BALANCE_TOL, REGIMES, RegimeLabel, _check_classifiable, _check_tol,
                           regime_index)
 from .errors import DegenerateWindow, PowerTriadError, ZeroCandidatePower
-from .moments import CHUNK, MomentStats, Rows, SampleBatch, _powers, batch_source, fmt_rows
+from .moments import (CHUNK, MomentStats, Rows, SampleBatch, _dot, _powers, batch_source,
+                      fmt_rows)
 from .textio import parse_fields, parse_kv
 
 # Consistency slack for empirical moments: exz² may exceed ex2·ez2 only by rounding.
@@ -142,19 +143,22 @@ class ControllerConfig:
 class TrackTrace:
     """Per-step tracking record under exponential forgetting.
 
-    Columns are parallel arrays: true optimum (NaN when no reference was
-    supplied), tracked estimate, absolute tracking error, and the regime as a uint8
-    index into diagnostics.REGIMES; ``regimes`` is their labels, built on first read.
+    Parallel t_true, t_tracked and regime_codes (uint8 indices into diagnostics.REGIMES): 17 bytes
+    a step, 9 with t_true a NaN view for want of a reference.  Errors and labels are derived.
     """
 
     forgetting: float
     t_true: np.ndarray
     t_tracked: np.ndarray
-    tracking_error: np.ndarray
     regime_codes: np.ndarray
 
     def __len__(self) -> int:
         return int(self.t_tracked.size)
+
+    @cached_property
+    @np.errstate(invalid="ignore")  # |inf - inf| is NaN, as |NaN - t| is, with no warning
+    def tracking_error(self) -> np.ndarray:
+        return np.abs(self.t_tracked - self.t_true)
 
     @cached_property
     def regimes(self) -> tuple[RegimeLabel, ...]:
@@ -228,7 +232,7 @@ def run_path(
     threshold = controller.conv_tol * max(1.0, abs(t_star))
 
     def step_of(k: int, t: float) -> TraceStep:
-        regime = REGIMES[regime_index(p.ex2, t * t * p.ez2, balance_tol)]
+        regime = REGIMES[regime_index(p.ex2, t * t * p.ez2 - p.ex2, balance_tol)]
         return TraceStep(k=k, t=t, mse=mse_of_t(p, t), regime=regime)
 
     t = float(controller.t0)
@@ -334,7 +338,9 @@ def track_source(source: tuple[int, Rows], forgetting: float,
     m_xz(k) = λ·m_xz(k-1) + (1-λ)·x_k·z_k and m_zz likewise, or running means at λ = 1
     (the full-prefix fitted scale).  ``reference(lo, hi)``, if given, holds the population
     moments (ex2, ez2, exz) of steps [lo, hi) that t_true, the error and the regime use;
-    else the regime uses the window's own moments and t_true is NaN.  Each chunk checks
+    else t_true is NaN and the regime is the window's own: its gap m_xz²/m_zz - m_xx is minus
+    its mse at t_k, taken from the rows m_zd and m_dd of d = t_a·z - x, with t_a fitted on
+    the first chunk, so that the gap does not cancel and is never positive.  Each chunk checks
     its reference rows, its samples, then its windows: of faults in two chunks, the
     earlier one is reported."""
     if not 0.0 < forgetting <= 1.0:
@@ -345,10 +351,10 @@ def track_source(source: tuple[int, Rows], forgetting: float,
         raise ValueError("cannot track an empty stream")
     # chunks of whole EWMA blocks (see _ewma): the blocks, so the bits, of one pass
     size = CHUNK - CHUNK % (1 if forgetting == 1.0 else _ewma_block(forgetting, n))
-    # rows m_xz, m_zz, and m_xx only when it labels the window
-    stack = np.empty((2 if reference is not None else 3, min(size, n)))
+    # rows m_xz, m_zz, and, only when they label the window, m_xx, m_zd and m_dd
+    stack = np.empty((2 if reference is not None else 5, min(size, n)))
     carry = [0.0] * len(stack)
-    t_true, t_hat, error = np.full(n, np.nan), np.empty(n), np.empty(n)
+    t_true, t_hat = np.empty(n) if reference is not None else np.broadcast_to(np.nan, n), np.empty(n)
     codes = np.empty(n, dtype=np.uint8)
     for lo in range(0, n, size):
         hi = min(lo + size, n)
@@ -364,7 +370,13 @@ def track_source(source: tuple[int, Rows], forgetting: float,
         np.multiply(x, z, out=m[0])
         np.multiply(z, z, out=m[1])
         if reference is None:
+            if lo == 0:  # the anchor of d = t_a·z - x: chunk 0's fit (Chan, Golub & LeVeque 1983)
+                zz = _dot(z, z)
+                t_a = _dot(x, z) / zz if zz > 0.0 else 0.0
             np.multiply(x, x, out=m[2])
+            d = np.subtract(np.multiply(z, t_a, out=m[4]), x, out=m[4])
+            np.multiply(z, d, out=m[3])
+            np.multiply(d, d, out=m[4])
         if forgetting == 1.0:
             m[:, 0] += carry
             np.cumsum(m, axis=1, out=m)
@@ -376,10 +388,12 @@ def track_source(source: tuple[int, Rows], forgetting: float,
         if bool(dead.any()):
             raise DegenerateWindow(lo + int(np.argmax(dead)))
         t = np.divide(m[0], m[1], out=t_hat[lo:hi])
-        np.abs(np.subtract(t, t_true[lo:hi], out=error[lo:hi]), out=error[lo:hi])
-        ex2, ez2 = (ref[:, 0], ref[:, 1]) if reference is not None else (m[2], m[1])
-        codes[lo:hi] = regime_index(ex2, t * t * ez2, balance_tol)
-    return TrackTrace(forgetting, t_true, t_hat, error, codes)
+        if reference is not None:
+            codes[lo:hi] = regime_index(ref[:, 0], t * t * ref[:, 1] - ref[:, 0], balance_tol)
+        else:  # the gap at t is minus the window's mse, m_dd - m_zd²/m_zz clamped at 0
+            gap = np.minimum(m[3] * m[3] / m[1] - m[4], 0.0)
+            codes[lo:hi] = regime_index(m[2], gap, balance_tol)
+    return TrackTrace(forgetting, t_true, t_hat, codes)
 
 
 def parse_controller_config(text: str) -> ControllerConfig:
@@ -412,5 +426,6 @@ def track_csv_blocks(trace: TrackTrace) -> Iterator[str]:
     texts = np.array([r._value_ for r in REGIMES], dtype=object)
     return fmt_rows(
         TRACK_CSV_HEADER, "%d,%.17g,%.17g,%.17g,%s\n", len(trace),
-        lambda s: (range(len(trace))[s], trace.t_true[s].tolist(), trace.t_tracked[s].tolist(),
-                   trace.tracking_error[s].tolist(), texts[trace.regime_codes[s]].tolist()))
+        np.errstate(invalid="ignore")(lambda s: (range(len(trace))[s], trace.t_true[s].tolist(),
+            trace.t_tracked[s].tolist(), np.abs(trace.t_tracked[s] - trace.t_true[s]).tolist(),
+            texts[trace.regime_codes[s]].tolist())))  # the error as tracking_error computes it

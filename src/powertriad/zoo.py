@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -119,38 +119,52 @@ class EstimatorSpec:
         return f"{self.kind}(c={self.c:g})"
 
 
-def _signal_power_at(problem: ProblemSpec, k: np.ndarray) -> np.ndarray:
-    """The signal-power schedule s(k) for global step indices k."""
+def _signal_power_at(problem: ProblemSpec, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The signal-power schedule s(k) for global step indices k, written into out (may be k)."""
     sp = problem.signal_power
     if problem.kind == "step_change":
-        return np.where(k < problem.change_index, sp, sp * problem.change_factor)
-    if problem.kind == "drifting_power":
-        return sp * (1.0 + problem.drift_amplitude * np.sin(2.0 * np.pi * k / problem.drift_period))
-    return np.full(k.shape, sp, dtype=np.float64)
+        before = k < problem.change_index
+        out.fill(sp * problem.change_factor)
+        np.copyto(out, sp, where=before)
+    elif problem.kind == "drifting_power":  # sp·(1 + amplitude·sin(2π·k/period)), in that order
+        np.multiply(k, 2.0 * np.pi, out=out)
+        out /= problem.drift_period
+        np.sin(out, out=out)
+        out *= problem.drift_amplitude
+        out += 1.0
+        out *= sp
+    else:
+        out.fill(sp)
+    return out
 
 
 def population_moments(problem: ProblemSpec, k: np.ndarray) -> np.ndarray:
     """Closed-form (E[x²], E[z²], E[xz]) rows for global step indices k."""
-    s = _signal_power_at(problem, np.asarray(k))
+    s = _signal_power_at(problem, np.asarray(k), np.empty(np.shape(k)))
     return np.column_stack((s, s + problem.noise_power, s))
 
 
-def _draw(problem: ProblemSpec, chunk_index: int, out=None):
-    """Chunk i's (x, z) arrays, global indices [i·CHUNK, (i+1)·CHUNK), drawn into out if given."""
+@cache
+def _steps() -> np.ndarray:
+    """0, 1, ..., CHUNK - 1 as doubles, built once per process: a chunk's steps less its first."""
+    return np.arange(CHUNK, dtype=np.float64)
+
+
+def _draw(problem: ProblemSpec, chunk_index: int, x: np.ndarray, z: np.ndarray):
+    """Fill x and z, CHUNK long each, with chunk i's pairs [i·CHUNK, (i+1)·CHUNK); return them."""
     rng = np.random.Generator(np.random.Philox(key=problem.seed).jumped(chunk_index))
-    x, z = (np.empty(CHUNK), np.empty(CHUNK)) if out is None else out
-    s = problem.signal_power  # a scalar gives the same doubles where s(k) is constant
-    if problem.kind in ("step_change", "drifting_power"):
-        lo = chunk_index * CHUNK
-        s = _signal_power_at(problem, np.arange(lo, lo + CHUNK))
     if problem.kind == "deterministic_parameter":
         x.fill(math.sqrt(problem.signal_power))
     elif problem.kind == "heavy_tail":
         # double-exponential signal: variance 2b² means scale b = sqrt(s/2)
-        x[:] = rng.laplace(0.0, np.sqrt(s / 2.0), CHUNK)
+        x[:] = rng.laplace(0.0, math.sqrt(problem.signal_power / 2.0), CHUNK)
     else:
         rng.standard_normal(out=x)
-        x *= np.sqrt(s)
+        if problem.kind in ("step_change", "drifting_power"):  # s(k) waits in z, drawn next
+            k = np.add(_steps(), chunk_index * CHUNK, out=z)
+            x *= np.sqrt(_signal_power_at(problem, k, z), out=z)
+        else:
+            x *= math.sqrt(problem.signal_power)
     rng.standard_normal(out=z)
     z *= math.sqrt(problem.noise_power)
     z += x  # x + σ·noise, in place
@@ -159,7 +173,7 @@ def _draw(problem: ProblemSpec, chunk_index: int, out=None):
 
 def generate_chunk(problem: ProblemSpec, chunk_index: int) -> SampleBatch:
     """Draw one substream chunk covering global indices [i·CHUNK, (i+1)·CHUNK)."""
-    return SampleBatch._adopt(*_draw(problem, chunk_index))
+    return SampleBatch._adopt(*_draw(problem, chunk_index, np.empty(CHUNK), np.empty(CHUNK)))
 
 
 def generate(problem: ProblemSpec, n: int) -> SampleBatch:
@@ -232,18 +246,16 @@ def verify_amplifier(estimator: EstimatorSpec, raw: MomentSummary) -> None:
 
 
 def problem_source(problem: ProblemSpec, n: int) -> tuple[int, Rows]:
-    """n pairs of a generated problem; rows(lo, hi) draws the one or two chunks [lo, hi) meets,
-    the first into one reused pair of arrays (see moments.Rows)."""
+    """n pairs of a generated problem; rows(lo, hi) serves views of one reused two-chunk window
+    (moments.Rows): lo's chunk in the first half, the next in the second if [lo, hi) reaches it."""
     if n < 0:
         raise InvalidSpec("sample count cannot be negative")
-    buf = np.empty(CHUNK), np.empty(CHUNK)
+    x, z = np.empty(2 * CHUNK), np.empty(2 * CHUNK)  # a read on the chunk grid uses half of each
 
     def rows(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        i, j = divmod(lo, CHUNK)
-        x, z = _draw(problem, i, buf)
-        if j + hi - lo > CHUNK:  # the range runs on into chunk i + 1
-            x2, z2 = _draw(problem, i + 1)
-            x, z, j = np.concatenate((x[j:], x2)), np.concatenate((z[j:], z2)), 0
+        j = lo % CHUNK
+        for h in range(0, j + hi - lo, CHUNK):
+            _draw(problem, (lo + h) // CHUNK, x[h:h + CHUNK], z[h:h + CHUNK])
         return x[j:j + hi - lo], z[j:j + hi - lo]
 
     return n, rows

@@ -89,6 +89,19 @@ def test_diagnose_dominant_csv_input(tmp_path, capsys):
     assert report["verdict"]["degenerate"] is False
 
 
+def test_diagnose_labels_a_high_power_input_by_its_error_sums(tmp_path, capsys):
+    """At ex2 = 1e12, ev2 - ex2 rounds this input's power gap of +4.1e-5 to -1.2e-4; the error
+    sums' 2·coupling - mse keep its sign, so at --balance-tol 0 the estimate is dominant."""
+    rng = np.random.default_rng(0)
+    x = 1e6 + rng.standard_normal(4096)
+    v = x + 1e-9 * rng.standard_normal(4096)
+    rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), v.tolist()))
+    src = _write(tmp_path / "pairs.csv", "x,v\n" + rows)
+    assert main(["diagnose", "--input", src, "--balance-tol", "0"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["regime"] == "power_dominant" and report["verdict"]["satisfied"] is True
+
+
 def test_diagnose_balanced_csv_is_safe(tmp_path, capsys):
     src = _write(tmp_path / "pairs.csv", "x,v\n1,1\n-1,-1\n")
     assert main(["diagnose", "--input", src]) == 0

@@ -271,8 +271,8 @@ def _edge_pairs(tol):
 def test_regime_index_is_the_former_scalar_and_array_rules(tol):
     ex2, ev2 = _edge_pairs(tol)
     want = [_if_chain(a, b, tol) for a, b in zip(ex2.tolist(), ev2.tolist())]
-    assert [REGIMES[regime_index(a, b, tol)] for a, b in zip(ex2.tolist(), ev2.tolist())] == want
-    assert [REGIMES[i] for i in regime_index(ex2, ev2, tol).tolist()] == want
+    assert [REGIMES[regime_index(a, b - a, tol)] for a, b in zip(ex2.tolist(), ev2.tolist())] == want
+    assert [REGIMES[i] for i in regime_index(ex2, ev2 - ex2, tol).tolist()] == want
     assert _nested_where(ex2, ev2, tol) == want
     # the edges fall on every side: a negative band holds no balance
     assert len(set(want)) == (3 if tol >= 0.0 else 2)
@@ -322,3 +322,20 @@ def test_tracked_window_without_signal_power_is_balance():
     trace = track_moving_optimum(SampleBatch([0.0, 0.0, 1.0], [1.0, 1.0, 1.0]), 1.0)
     assert trace.regimes == (RegimeLabel.POWER_BALANCE, RegimeLabel.POWER_BALANCE,
                              RegimeLabel.POWER_CONSERVATIVE)
+
+
+@pytest.mark.parametrize("offset", [1e0, 1e2, 1e3, 1e4, 1e6])
+def test_regime_at_zero_tolerance_is_the_sign_of_the_exact_power_gap(offset):
+    """v = a·x + ε·noise on x = offset + noise: ev2 - ex2 rounds a gap below ulp(ex2) to either
+    sign, the error sums' 2·coupling - mse keep it.  The reference is Σ(v - x)(v + x) in longdouble."""
+    signs = {1: RegimeLabel.POWER_DOMINANT, 0: RegimeLabel.POWER_BALANCE,
+             -1: RegimeLabel.POWER_CONSERVATIVE}
+    for eps in (1e-9, 1e-7, 1e-5, 1e-3, 1e-1):
+        for a in (0.5, 1.0, 2.0):
+            for seed in range(3):
+                rng = np.random.default_rng(seed)
+                x = offset + rng.standard_normal(4096)
+                v = a * x + eps * rng.standard_normal(4096)
+                xl, vl = x.astype(np.longdouble), v.astype(np.longdouble)
+                want = signs[int(np.sign(np.sum((vl - xl) * (vl + xl))))]
+                assert classify_regime(stats_of(SampleBatch(x, v)), 0.0) is want, (eps, a, seed)

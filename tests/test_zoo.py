@@ -417,6 +417,13 @@ def test_reused_row_buffers_never_leak_between_calls(kind):
     assert held.x.tobytes() + held.v.tobytes() == held_bytes
 
 
+def test_rows_across_a_chunk_edge_are_views_of_one_window():
+    """rows draws into one window of two chunks and serves views of it, on the grid or not."""
+    _, rows = problem_source(ProblemSpec(kind="drifting_power", seed=3), 3 * CHUNK)
+    served = [rows(lo, lo + CHUNK)[1] for lo in (0, 7, CHUNK + 7, 2 * CHUNK)]
+    assert all(z.base is served[0].base for z in served)
+
+
 _FAULTS_PER_CHUNK = """
 import resource
 from powertriad import moments
@@ -424,7 +431,7 @@ from powertriad.moments import CHUNK
 from powertriad.zoo import EstimatorSpec, ProblemSpec, problem_source, summarize
 
 moments._usable_cpus = lambda: 1
-problem = ProblemSpec(kind="gaussian_shrinkage", seed=42)
+problem = ProblemSpec(kind=KIND, seed=42)
 estimators = [EstimatorSpec(kind="scale", c=0.7), EstimatorSpec(kind="zero")]
 
 def faults(chunks):
@@ -438,12 +445,15 @@ print((faults(64) - faults(16)) / (64 - 16))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's ru_minflt")
-def test_page_faults_do_not_grow_with_the_chunk_count(child_env):
-    """One process draws and reduces every chunk in the same buffers, faulting in no fresh pages.
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_page_faults_do_not_grow_with_the_chunk_count(child_env, kind):
+    """One process draws and reduces every chunk in the same buffers, faulting in no fresh pages;
+    a time-varying s(k) is written into the window, not into fresh arrays.
 
     The count runs in a fresh interpreter: whether freed memory is handed back
     to the system, and faulted in again, depends on the heap's history."""
-    result = subprocess.run([sys.executable, "-c", _FAULTS_PER_CHUNK], env=child_env,
+    script = _FAULTS_PER_CHUNK.replace("KIND", repr(kind))
+    result = subprocess.run([sys.executable, "-c", script], env=child_env,
                             capture_output=True, text=True, check=True)
     assert float(result.stdout) < 16, result.stdout
 
