@@ -4,12 +4,14 @@ Every number this toolkit writes has 17 significant decimal digits, from
 :func:`fmt_float` or, as the same text, ``"%.17g"`` in moments.fmt_rows.  That
 is enough to round-trip any IEEE-754 double exactly, so emitted CSV/JSON
 re-parses to bit-identical values and repeated runs produce byte-identical files.
+A JSON document is ``json.dumps``'s indent-2 layout, keys in field order, with
+every float at 17 significant digits.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import re
 from dataclasses import MISSING, fields
 
 INDENT = 2
@@ -20,54 +22,23 @@ def fmt_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
+# A JSON string, which is kept whole, or a float token: a number with a '.' or an
+# exponent, which is how float.__repr__ writes every float and int.__repr__ never does.
+_STRING_OR_FLOAT = re.compile(r'("(?:[^"\\]|\\.)*")|-?\d+(?:\.\d+(?:e[-+]\d+)?|e[-+]\d+)')
+
+
 def dumps_stable(obj) -> str:
     """Serialize nested dict/list/scalar data to JSON with fixed key order.
 
-    dicts are emitted in insertion order; floats via fmt_float.  Rejects
-    non-finite floats, which have no JSON representation.
+    ``json.dumps`` lays out the document (indent 2, dicts in insertion order);
+    each float is then rewritten through fmt_float.  Rejects non-finite floats,
+    which have no JSON representation.
     """
-    parts: list[str] = []
-    _write_json(obj, parts, 0)
-    return "".join(parts)
-
-
-def _write_json(obj, parts: list[str], level: int) -> None:
-    pad = " " * (INDENT * level)
-    child_pad = " " * (INDENT * (level + 1))
-    if isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        parts.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            parts.append(child_pad + json.dumps(str(key)) + ": ")
-            _write_json(value, parts, level + 1)
-            parts.append(",\n" if i < len(obj) - 1 else "\n")
-        parts.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        parts.append("[\n")
-        for i, value in enumerate(obj):
-            parts.append(child_pad)
-            _write_json(value, parts, level + 1)
-            parts.append(",\n" if i < len(obj) - 1 else "\n")
-        parts.append(pad + "]")
-    elif isinstance(obj, bool):
-        parts.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError("non-finite number has no JSON representation")
-        parts.append(fmt_float(obj))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif obj is None:
-        parts.append("null")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    try:
+        text = json.dumps(obj, indent=INDENT, allow_nan=False)
+    except ValueError:
+        raise ValueError("non-finite number has no JSON representation") from None
+    return _STRING_OR_FLOAT.sub(lambda m: m.group(1) or fmt_float(m.group()), text)
 
 
 def parse_kv(text: str, kind: str = "key", fold=lambda key: key) -> dict[str, str]:

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import stat
@@ -15,8 +16,8 @@ import pytest
 from powertriad import cli, moments
 from powertriad.cli import main
 from powertriad.moments import CHUNK, SampleBatch, read_csv, to_csv_text
-from powertriad.scaling import (ScalingCertificate, ScalingTrace, track_moving_optimum,
-                                track_to_csv)
+from powertriad.scaling import (ScalingCertificate, ScalingTrace, _ewma_block,
+                                track_moving_optimum, track_to_csv)
 from powertriad.zoo import (apply_estimator, batch_source, generate, parse_estimator_spec,
                             parse_problem_spec, population_moments, summarize)
 
@@ -26,6 +27,11 @@ DOMINANT_CSV = "x,v\n1,2\n-1,0\n"   # ex2=1, ev2=2, exv=1
 def _write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def _write_pairs(path, x, v):
+    """An x,v CSV with every value written by repr, so it parses back to the same bits."""
+    return _write(path, "x,v\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), v.tolist())))
 
 
 def test_zoo_list_inventory(capsys):
@@ -95,11 +101,46 @@ def test_diagnose_labels_a_high_power_input_by_its_error_sums(tmp_path, capsys):
     rng = np.random.default_rng(0)
     x = 1e6 + rng.standard_normal(4096)
     v = x + 1e-9 * rng.standard_normal(4096)
-    rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), v.tolist()))
-    src = _write(tmp_path / "pairs.csv", "x,v\n" + rows)
+    src = _write_pairs(tmp_path / "pairs.csv", x, v)
     assert main(["diagnose", "--input", src, "--balance-tol", "0"]) == 3
     report = json.loads(capsys.readouterr().out)
     assert report["regime"] == "power_dominant" and report["verdict"]["satisfied"] is True
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "power_ratio is ev2 / ex2 from raw powers, which rounds below 1 at ex2 = 1e12; "
+    "1 + (2·coupling - mse) / ex2 from the error sums is >= 1 here, but it changes the last "
+    "digit of most ordinary reports, so it lands with ROADMAP item 1's digit changes"))
+def test_diagnose_reports_a_dominant_estimate_with_a_power_ratio_of_at_least_one(tmp_path,
+                                                                                  capsys):
+    """The high-power input above is dominant at --balance-tol 0, and the ratio of its raw
+    powers prints as power_ratio 0.99999999999999989."""
+    rng = np.random.default_rng(0)
+    x = 1e6 + rng.standard_normal(4096)
+    v = x + 1e-9 * rng.standard_normal(4096)
+    assert main(["diagnose", "--input", _write_pairs(tmp_path / "pairs.csv", x, v),
+                 "--balance-tol", "0"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["regime"] == "power_dominant"
+    assert report["power_ratio"] >= 1.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "error_variance = mse - bias² cancels under a large constant error; ROADMAP item 1 "
+    "anchors the error sums at the first chunk's mean error"))
+def test_diagnose_error_variance_of_a_large_constant_error_is_accurate(tmp_path, capsys):
+    """mse - bias² prints error_variance -5.9604644775390625e-08; a two-pass sum reads 1.00e-08."""
+    n = 100_000
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal(n)
+    v = x + 1e4 + 1e-4 * rng.standard_normal(n)
+    e = v - x
+    mean = math.fsum(e) / n
+    reference = math.fsum((e - mean) ** 2) / n  # e - mean is exact: both lie near 1e4
+    main(["diagnose", "--input", _write_pairs(tmp_path / "pairs.csv", x, v)])
+    error_variance = json.loads(capsys.readouterr().out)["error_variance"]
+    assert error_variance >= 0.0
+    assert error_variance == pytest.approx(reference, rel=1e-8, abs=0.0)
 
 
 def test_diagnose_balanced_csv_is_safe(tmp_path, capsys):
@@ -128,6 +169,25 @@ def test_scale_certificate(tmp_path, capsys):
     assert doc["mse_at_star"] == 0.5
     assert doc["collinear"] is False
     assert doc["conservation_margin"] == 0.5
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "mse_at_star = mse_of_t(t*) and the margin ex2 - t*²·ez2 cancel in raw powers; "
+    "ROADMAP item 1 forms both from sums anchored at the first chunk's fit"))
+def test_scale_certificate_of_a_high_power_input_is_accurate(tmp_path, capsys):
+    """Raw powers print mse_at_star 2.98e-08 and conservation_margin 0; a longdouble residual
+    reads 1.00e-14."""
+    n = 100_000
+    rng = np.random.default_rng(1)
+    x = 1e4 + rng.standard_normal(n)
+    z = x + 1e-7 * rng.standard_normal(n)
+    xl, zl = x.astype(np.longdouble), z.astype(np.longdouble)
+    t_star = (xl * zl).sum() / (zl * zl).sum()
+    reference = float(((t_star * zl - xl) ** 2).sum() / n)
+    assert main(["scale", "--input", _write_pairs(tmp_path / "pairs.csv", x, z)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["mse_at_star"] == pytest.approx(reference, rel=1e-8, abs=0.0)
+    assert doc["conservation_margin"] == pytest.approx(reference, rel=1e-8, abs=0.0)
 
 
 def test_path_writes_trace_and_summary(tmp_path, capsys):
@@ -172,8 +232,7 @@ def test_path_on_a_high_power_input_prints_no_nan(tmp_path, capsys):
     rng = np.random.default_rng(5)
     x = 1e3 + rng.standard_normal(1000)
     v = x + 1e-6 * rng.standard_normal(1000)
-    rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), v.tolist()))
-    assert main(["path", "--input", _write(tmp_path / "pairs.csv", "x,v\n" + rows)]) == 0
+    assert main(["path", "--input", _write_pairs(tmp_path / "pairs.csv", x, v)]) == 0
     out = capsys.readouterr().out
     assert re.search(r"\b(nan|inf)\b", out) is None
     assert json.loads(out[out.index("{"):])["converged"] is False
@@ -217,6 +276,27 @@ def test_track_refuses_a_non_finite_sample_as_diagnose_does(tmp_path, capsys, ba
     assert main(["track", "--input", src, "--forgetting", forgetting]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == expected
+
+
+def test_track_refuses_a_non_finite_sample_in_its_last_chunk_before_any_output(tmp_path,
+                                                                               child_env):
+    """Row 199000 lies in the last tracker chunk (65264 rows at the default forgetting 0.99).
+    The error comes before the first byte: stdout stays empty and no --out file is left."""
+    tracker_chunk = CHUNK - CHUNK % _ewma_block(cli.DEFAULT_FORGETTING, 200_000)
+    assert 199_000 // tracker_chunk == 199_999 // tracker_chunk > 0
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal(200_000)
+    v = x + rng.standard_normal(200_000)
+    x[199_000] = np.nan
+    src = _write_pairs(tmp_path / "pairs.csv", x, v)
+    out = tmp_path / "track.csv"
+    for argv in (["track", "--input", src], ["track", "--input", src, "--out", str(out)]):
+        result = subprocess.run([sys.executable, "-m", "powertriad", *argv],
+                                capture_output=True, env=child_env)
+        assert result.returncode == 1
+        assert result.stderr.startswith(b"error: non-finite sample at index 199000: x=nan, ")
+        assert result.stdout == b""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.csv"]
 
 
 @pytest.mark.parametrize("forgetting", ["1", "0.99", "0.5"])

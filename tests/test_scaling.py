@@ -29,7 +29,7 @@ from powertriad import (
     track_moving_optimum,
 )
 from powertriad.diagnostics import REGIMES, regime_index
-from powertriad.moments import CHUNK
+from powertriad.moments import CHUNK, _dot
 from powertriad.scaling import (
     TRACE_CSV_HEADER,
     TRACK_CSV_HEADER,
@@ -472,23 +472,31 @@ def test_dead_window_index_after_underflow_matches_recurrence(lam):
 
 
 def _track_whole(x, z, lam, reference, tol=1e-6):
-    """The tracker as one pass over the whole (3, n) product stack: the oracle for its chunks.
+    """The tracker as one pass over the whole product stack: the oracle for its chunks.
 
-    _ewma_one_block_at_a_time gives the bits of one _ewma pass (see the test above)."""
-    m = np.stack((x * z, z * z, x * x))
-    if lam == 1.0:
-        m = np.cumsum(m, axis=1) / np.arange(1, x.size + 1, dtype=np.float64)
-    else:
-        m = _ewma_one_block_at_a_time(m, lam)
+    _ewma_one_block_at_a_time gives the bits of one _ewma pass (see the test above).  Without
+    a reference the window's gap is minus its mse at t̂, from the rows z·d and d² of
+    d = t_a·z - x, with t_a fitted on the tracker's first chunk: CHUNK - CHUNK mod b rows."""
+    def windows(m):
+        if lam == 1.0:
+            return np.cumsum(m, axis=1) / np.arange(1, x.size + 1, dtype=np.float64)
+        return _ewma_one_block_at_a_time(m, lam)
+
+    m = windows(np.stack((x * z, z * z, x * x)))
     dead = m[1] <= 0.0
     if dead.any():
         raise DegenerateWindow(int(np.argmax(dead)))
     t_hat = m[0] / m[1]
     if reference is None:
-        ex2, ez2, t_true = m[2], m[1], np.full(x.size, np.nan)
+        b = 1 if lam == 1.0 else min(max(1, int(41.0 / -math.log(lam))), 1 << 14, x.size)
+        first = slice(0, CHUNK - CHUNK % b)
+        d = _dot(x[first], z[first]) / _dot(z[first], z[first]) * z - x
+        m_zd, m_dd = windows(np.stack((z * d, d * d)))
+        ex2, gap, t_true = m[2], np.minimum(m_zd * m_zd / m[1] - m_dd, 0.0), np.full(x.size, np.nan)
     else:
         ex2, ez2, t_true = reference[:, 0], reference[:, 1], reference[:, 2] / reference[:, 1]
-    labels = tuple(REGIMES[i] for i in regime_index(ex2, t_hat * t_hat * ez2 - ex2, tol))
+        gap = t_hat * t_hat * ez2 - ex2
+    labels = tuple(REGIMES[i] for i in regime_index(ex2, gap, tol))
     return (t_true, t_hat, np.abs(t_hat - t_true)), labels
 
 
@@ -498,11 +506,19 @@ def test_chunked_tracking_matches_one_whole_pass_bit_for_bit(lam, with_reference
     problem = parse_problem_spec("drifting_power")
     # _ewma's block length on a long stream; λ = 1 has no blocks, only chunks of CHUNK
     b = CHUNK if lam == 1.0 else min(max(1, int(41.0 / -math.log(lam))), 1 << 14)
+    cases = []
     for n in sorted({1, b - 1, b, CHUNK, 3 * CHUNK + 17} - {0}):
-        batch = generate(problem, n)
         reference = population_moments(problem, np.arange(n)) if with_reference else None
-        columns, labels = _track_whole(batch.x, batch.v, lam, reference)
-        trace = track_moving_optimum(batch, lam, reference=reference)
+        cases.append((generate(problem, n), reference, 1e-6))
+    if not with_reference:
+        # high power, accurate estimate: at balance_tol 0 the raw gap t̂²·m_zz - m_xx is
+        # rounding noise, and only the anchored rows label the windows as the tracker does
+        rng = np.random.default_rng(1)
+        x = 1e3 + rng.standard_normal(3 * CHUNK + 17)
+        cases.append((SampleBatch(x, x + 1e-6 * rng.standard_normal(x.size)), None, 0.0))
+    for batch, reference, tol in cases:
+        columns, labels = _track_whole(batch.x, batch.v, lam, reference, tol)
+        trace = track_moving_optimum(batch, lam, reference=reference, balance_tol=tol)
         for got, want in zip((trace.t_true, trace.t_tracked, trace.tracking_error), columns):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert trace.regime_codes.dtype == np.uint8
