@@ -164,6 +164,7 @@ def _emit(out: Optional[str], *files: tuple[str, Iterable[str]]) -> None:
                 _write_atomic(out + suffix, blocks)
             else:
                 sys.stdout.writelines(blocks)
+                sys.stdout.flush()
         finally:
             getattr(blocks, "close", lambda: None)()
 
@@ -246,11 +247,13 @@ def cmd_path(args: argparse.Namespace) -> int:
 
 def cmd_track(args: argparse.Namespace) -> int:
     _, source, problem = _input(args)
-    reference = None if problem is None else (
-        lambda lo, hi: zoo.population_moments(problem, np.arange(lo, hi)))
-    trace = scaling.track_source(source, args.forgetting, reference, args.balance_tol)
-    del source  # frees an --input batch: the text is made from the trace alone
-    _emit(args.out, ("", scaling.track_csv_blocks(trace)))
+    of = lambda moments_at: None if problem is None else (
+        lambda lo, hi: moments_at(problem, np.arange(lo, hi)))
+    # every error comes before the first byte; the forked writers then re-read the source (an
+    # --input batch is kept, as a second parse would cost more) and call no public function
+    _emit(args.out, ("", scaling.track_csv_blocks(
+        source, args.forgetting, of(zoo.population_moments), args.balance_tol,
+        of(zoo._population_moments))))
     return EXIT_OK
 
 
@@ -304,6 +307,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         _apply_config(args)
         return args.func(args)
+    except BrokenPipeError:  # a closed stdout (`| head`) ends quietly, its buffer to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
     except (PowerTriadError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -49,6 +49,8 @@ CSV_HEADER = "x,v"
 CHUNK = 1 << 16
 # bytes of CSV text per np.loadtxt call in read_csv, cut after the next newline
 _PIECE = 1 << 22
+# rows per piece of fmt_rows' text
+_LINES = 1 << 13
 
 
 class SampleBatch:
@@ -264,7 +266,7 @@ def _fork_map(fn: Callable[[object], object], items: Iterable) -> Iterator:
                     with open(wr, "wb") as out:
                         for item in items[w::workers]:
                             data = pickle.dumps(fn(item), pickle.HIGHEST_PROTOCOL)
-                            out.write(len(data).to_bytes(8, "little") + data)
+                            out.writelines((len(data).to_bytes(8, "little"), data))  # no copy
                             out.flush()
                 finally:
                     os._exit(0)
@@ -290,16 +292,23 @@ def _fork_map(fn: Callable[[object], object], items: Iterable) -> Iterator:
             os.waitpid(pid, 0)
 
 
-def fmt_rows(header: str, template: str, n: int, columns) -> Iterator[str]:
-    """Yield a header line, then n rows of a one-row %-template in blocks of CHUNK rows.
+def fmt_rows(header: str, template: str, n: int, columns, size: int = CHUNK) -> Iterator[str]:
+    """Yield a header line, then n rows of a one-row %-template in blocks of ``size`` rows:
+    CHUNK, or the tracker's chunks for track.
 
-    ``columns(rows)`` gives a block's columns; it runs through _fork_map, so
-    it must call no public function."""
-    def block(lo: int) -> str:
-        rows = slice(lo, min(lo + CHUNK, n))
-        return template * (rows.stop - lo) % tuple(chain.from_iterable(zip(*columns(rows))))
+    ``columns(rows)`` gives sliceable columns (arrays, ranges, tuples) of the rows of a block;
+    it runs through _fork_map, so it must call no public function.  A block is formatted
+    _LINES rows at a time, so that few of its floats and little of its text live at once."""
+    def block(lo: int) -> list[str]:
+        k, cols = min(size, n - lo), list(columns(slice(lo, min(lo + size, n))))
+        texts = []
+        for a in range(0, k, _LINES):
+            part = [c[a:a + _LINES] for c in cols]  # arrays as lists, ranges and tuples as they are
+            part = [c.tolist() if isinstance(c, np.ndarray) else c for c in part]
+            texts.append(template * min(_LINES, k - a) % tuple(chain.from_iterable(zip(*part))))
+        return texts
     yield header + "\n"
-    yield from _fork_map(block, range(0, n, CHUNK))
+    yield from chain.from_iterable(_fork_map(block, range(0, n, size)))
 
 
 def merge(a: MomentSummary, b: MomentSummary) -> MomentSummary:
@@ -354,8 +363,7 @@ def batch_source(batch: SampleBatch) -> tuple[int, Rows]:
 def csv_blocks(source: tuple[int, Rows]) -> Iterator[str]:
     """A source's pairs as ``x,v`` CSV in fmt_rows' blocks; rows must call no public function."""
     n, rows = source
-    return fmt_rows(CSV_HEADER, "%.17g,%.17g\n", n,
-                    lambda s: [a.tolist() for a in rows(s.start, s.stop)])
+    return fmt_rows(CSV_HEADER, "%.17g,%.17g\n", n, lambda s: rows(s.start, s.stop))
 
 
 def to_csv_text(batch: SampleBatch) -> str:

@@ -321,19 +321,28 @@ def track_moving_optimum(
     reference: Optional[Sequence[tuple[float, float, float]]] = None,
     balance_tol: float = BALANCE_TOL,
 ) -> TrackTrace:
-    """Follow a drifting optimum through a batch: track_source, with ``reference`` an
-    optional (n, 3) array of the per-step population moments (ex2_k, ez2_k, exz_k)."""
+    """Follow a drifting optimum through a batch as track_source does, keeping every step;
+    ``reference`` is an optional (n, 3) array of the population moments (ex2_k, ez2_k, exz_k)."""
     ref = None if reference is None else np.asarray(reference, dtype=np.float64)
     if ref is not None and ref.shape != (len(stream), 3):
         raise ValueError("reference must supply (ex2, ez2, exz) per step")
-    return track_source(batch_source(stream), forgetting,
-                        None if ref is None else lambda lo, hi: ref[lo:hi], balance_tol)
+    n, size, track = _tracker(batch_source(stream), forgetting,
+                              None if ref is None else lambda lo, hi: ref[lo:hi], balance_tol)
+    trace = TrackTrace(forgetting, np.empty(n) if ref is not None else np.broadcast_to(np.nan, n),
+                       np.empty(n), np.empty(n, dtype=np.uint8))
+    start = None
+    for lo in range(0, n, size):  # each chunk is written straight into the trace's columns
+        start = track(lo, start, trace.t_true[lo:], trace.t_tracked[lo:],
+                      trace.regime_codes[lo:])[0]
+    return trace
 
 
 def track_source(source: tuple[int, Rows], forgetting: float,
                  reference: Optional[Callable[[int, int], np.ndarray]] = None,
-                 balance_tol: float = BALANCE_TOL) -> TrackTrace:
-    """Follow a drifting optimum t_k = m_xz/m_zz through a source's pairs (see zoo.summarize).
+                 balance_tol: float = BALANCE_TOL) -> list:
+    """Follow a drifting optimum t_k = m_xz/m_zz through a source's pairs (see zoo.summarize),
+    keeping no column: the tracker's state at the start of each chunk is returned, from which
+    track_csv_blocks re-tracks the chunk with the bits of this pass.
 
     m_xz(k) = λ·m_xz(k-1) + (1-λ)·x_k·z_k and m_zz likewise, or running means at λ = 1
     (the full-prefix fitted scale).  ``reference(lo, hi)``, if given, holds the population
@@ -343,6 +352,21 @@ def track_source(source: tuple[int, Rows], forgetting: float,
     the first chunk, so that the gap does not cancel and is never positive.  Each chunk checks
     its reference rows, its samples, then its windows: of faults in two chunks, the
     earlier one is reported."""
+    n, size, track = _tracker(source, forgetting, reference, balance_tol)
+    starts, w = [None], min(size, n)
+    out = np.empty(w), np.empty(w), np.empty(w, dtype=np.uint8)
+    for lo in range(0, n, size):
+        starts.append(track(lo, starts[-1], *out)[0])
+    return starts[:-1]
+
+
+def _tracker(source: tuple[int, Rows], forgetting: float,
+             reference: Optional[Callable[[int, int], np.ndarray]], balance_tol: float):
+    """(n, size, track): track(lo, start, t_true, t_hat, codes) tracks the chunk at lo from its
+    start state (the anchor t_a and the windows' carry; None at lo = 0) into the heads of the
+    arrays given, and returns the next chunk's state and the chunk's t_true (None without a
+    reference), t_hat and regime codes.  It calls no public function but ``reference``, so
+    that it can run in fmt_rows' forked writers."""
     if not 0.0 < forgetting <= 1.0:
         raise ValueError("forgetting must lie in (0, 1]")
     _check_tol("balance_tol", balance_tol)
@@ -353,17 +377,16 @@ def track_source(source: tuple[int, Rows], forgetting: float,
     size = CHUNK - CHUNK % (1 if forgetting == 1.0 else _ewma_block(forgetting, n))
     # rows m_xz, m_zz, and, only when they label the window, m_xx, m_zd and m_dd
     stack = np.empty((2 if reference is not None else 5, min(size, n)))
-    carry = [0.0] * len(stack)
-    t_true, t_hat = np.empty(n) if reference is not None else np.broadcast_to(np.nan, n), np.empty(n)
-    codes = np.empty(n, dtype=np.uint8)
-    for lo in range(0, n, size):
-        hi = min(lo + size, n)
+
+    def track(lo, start, t_true, t_hat, codes):
+        t_a, carry = start or (0.0, [0.0] * len(stack))
+        hi, carry = min(lo + size, n), list(carry)
         if reference is not None:
             ref = reference(lo, hi)
             if not (np.isfinite(ref.min()) and np.isfinite(ref.max())):  # NaN or inf in any entry
                 step = lo + int(np.argmin(np.isfinite(ref).all(axis=1)))
                 raise PowerTriadError(f"reference moments at step {step} are not finite")
-            np.divide(ref[:, 2], ref[:, 1], out=t_true[lo:hi])
+            t_true = np.divide(ref[:, 2], ref[:, 1], out=t_true[:hi - lo])
         x, z = rows(lo, hi)
         _powers(x, z, lo)
         m = stack[:, :hi - lo]
@@ -387,13 +410,15 @@ def track_source(source: tuple[int, Rows], forgetting: float,
         dead = m[1] <= 0.0
         if bool(dead.any()):
             raise DegenerateWindow(lo + int(np.argmax(dead)))
-        t = np.divide(m[0], m[1], out=t_hat[lo:hi])
+        t = np.divide(m[0], m[1], out=t_hat[:hi - lo])
         if reference is not None:
-            codes[lo:hi] = regime_index(ref[:, 0], t * t * ref[:, 1] - ref[:, 0], balance_tol)
+            codes[:hi - lo] = regime_index(ref[:, 0], t * t * ref[:, 1] - ref[:, 0], balance_tol)
         else:  # the gap at t is minus the window's mse, m_dd - m_zd²/m_zz clamped at 0
             gap = np.minimum(m[3] * m[3] / m[1] - m[4], 0.0)
-            codes[lo:hi] = regime_index(m[2], gap, balance_tol)
-    return TrackTrace(forgetting, t_true, t_hat, codes)
+            codes[:hi - lo] = regime_index(m[2], gap, balance_tol)
+        return (t_a, carry), None if reference is None else t_true, t, codes[:hi - lo]
+
+    return n, size, track
 
 
 def parse_controller_config(text: str) -> ControllerConfig:
@@ -417,15 +442,34 @@ def trace_to_csv(trace: ScalingTrace) -> str:
 
 def track_to_csv(trace: TrackTrace) -> str:
     """Serialize a tracking run as ``k,t_true,t_tracked,tracking_error,regime`` rows."""
-    return "".join(track_csv_blocks(trace))
+    return "".join(fmt_rows(TRACK_CSV_HEADER, _TRACK_ROW, len(trace), lambda s: _track_columns(
+        s.start, trace.t_true[s], trace.t_tracked[s], trace.regime_codes[s])))
 
 
-def track_csv_blocks(trace: TrackTrace) -> Iterator[str]:
-    """track_to_csv's text in fmt_rows' blocks: the header line, then blocks of CHUNK rows."""
-    # regime text via _value_: the Enum ``.value`` property costs about 5x as much per row
-    texts = np.array([r._value_ for r in REGIMES], dtype=object)
-    return fmt_rows(
-        TRACK_CSV_HEADER, "%d,%.17g,%.17g,%.17g,%s\n", len(trace),
-        np.errstate(invalid="ignore")(lambda s: (range(len(trace))[s], trace.t_true[s].tolist(),
-            trace.t_tracked[s].tolist(), np.abs(trace.t_tracked[s] - trace.t_true[s]).tolist(),
-            texts[trace.regime_codes[s]].tolist())))  # the error as tracking_error computes it
+def track_csv_blocks(source: tuple[int, Rows], forgetting: float,
+                     reference: Optional[Callable[[int, int], np.ndarray]], balance_tol: float,
+                     private: Optional[Callable[[int, int], np.ndarray]]) -> Iterator[str]:
+    """track_to_csv's text of a source, after track_source has raised any error, in fmt_rows'
+    blocks of one tracker chunk, each re-tracked from its start state in a forked writer with
+    ``private``: ``reference``'s moments from a function that calls no public function.
+    Without a reference, t_true and the error are NaN on every row and written as such."""
+    starts = track_source(source, forgetting, reference, balance_tol)
+    n, size, track = _tracker(source, forgetting, private, balance_tol)
+    w = min(size, n)
+    out = np.empty(w), np.empty(w), np.empty(w, dtype=np.uint8)  # each writer fills its own copy
+    template = _TRACK_ROW if reference is not None else _TRACK_ROW_NAN
+    return fmt_rows(TRACK_CSV_HEADER, template, n, lambda s: _track_columns(
+        s.start, *track(s.start, starts[s.start // size], *out)[1:]), size)
+
+
+_TRACK_ROW, _TRACK_ROW_NAN = "%d,%.17g,%.17g,%.17g,%s\n", "%d,nan,%.17g,nan,%s\n"
+# regime text via _value_: the Enum ``.value`` property costs about 5x as much per row
+_REGIME_TEXTS = np.array([r._value_ for r in REGIMES], dtype=object)
+
+
+@np.errstate(invalid="ignore")  # |inf - inf| is NaN, as |NaN - t| is, with no warning
+def _track_columns(lo: int, t_true: Optional[np.ndarray], t_hat: np.ndarray, codes: np.ndarray):
+    """The columns of _TRACK_ROW from step lo, the error as tracking_error computes it, or,
+    if t_true is None, of _TRACK_ROW_NAN."""
+    k, texts = range(lo, lo + t_hat.size), _REGIME_TEXTS[codes]
+    return (k, t_hat, texts) if t_true is None else (k, t_true, t_hat, abs(t_hat - t_true), texts)

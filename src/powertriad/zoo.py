@@ -140,6 +140,10 @@ def _signal_power_at(problem: ProblemSpec, k: np.ndarray, out: np.ndarray) -> np
 
 def population_moments(problem: ProblemSpec, k: np.ndarray) -> np.ndarray:
     """Closed-form (E[x²], E[z²], E[xz]) rows for global step indices k."""
+    return _population_moments(problem, k)
+
+
+def _population_moments(problem: ProblemSpec, k: np.ndarray) -> np.ndarray:
     s = _signal_power_at(problem, np.asarray(k), np.empty(np.shape(k)))
     return np.column_stack((s, s + problem.noise_power, s))
 
@@ -247,15 +251,23 @@ def verify_amplifier(estimator: EstimatorSpec, raw: MomentSummary) -> None:
 
 def problem_source(problem: ProblemSpec, n: int) -> tuple[int, Rows]:
     """n pairs of a generated problem; rows(lo, hi) serves views of one reused two-chunk window
-    (moments.Rows): lo's chunk in the first half, the next in the second if [lo, hi) reaches it."""
+    (moments.Rows): lo's chunk in the first half, the next in the second if [lo, hi) reaches it.
+    A chunk the window holds is not drawn again, so reads in order draw each chunk once."""
     if n < 0:
         raise InvalidSpec("sample count cannot be negative")
     x, z = np.empty(2 * CHUNK), np.empty(2 * CHUNK)  # a read on the chunk grid uses half of each
+    held = [-1, -1]  # the chunk in each half
 
     def rows(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         j = lo % CHUNK
         for h in range(0, j + hi - lo, CHUNK):
-            _draw(problem, (lo + h) // CHUNK, x[h:h + CHUNK], z[h:h + CHUNK])
+            i = (lo + h) // CHUNK
+            if held[h // CHUNK] != i:
+                if held[1] == i:  # the read starts in the chunk drawn last: move it to the front
+                    x[:CHUNK], z[:CHUNK] = x[CHUNK:], z[CHUNK:]
+                else:
+                    _draw(problem, i, x[h:h + CHUNK], z[h:h + CHUNK])
+                held[h // CHUNK] = i
         return x[j:j + hi - lo], z[j:j + hi - lo]
 
     return n, rows

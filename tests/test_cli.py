@@ -319,6 +319,54 @@ def test_track_problem_matches_the_library_across_chunk_edges(tmp_path, capsys, 
         assert out.read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("forgetting, size", [("0.99", 65264), ("1", CHUNK)])
+def test_track_input_matches_the_library_at_tracker_chunk_edges(tmp_path, capsys, monkeypatch,
+                                                                forgetting, size):
+    """The text blocks are the tracker chunks of ``size`` steps, each re-tracked from its carry
+    in a forked writer, and t_true and the error are written as nan without a reference. The
+    bytes are those of the library's one pass, whose every column goes through %.17g."""
+    monkeypatch.setattr(moments, "_usable_cpus", lambda: 3)
+    lam = float(forgetting)
+    rng = np.random.default_rng(3)
+    for n in (size - 1, size, size + 1, 3 * size + 17):
+        assert CHUNK - CHUNK % (1 if lam == 1.0 else _ewma_block(lam, max(n, size))) == size
+        x = rng.standard_normal(n)
+        v = x + 0.5 * rng.standard_normal(n)
+        src = _write_pairs(tmp_path / "pairs.csv", x, v)
+        expected = track_to_csv(track_moving_optimum(SampleBatch(x, v), lam))
+        assert main(["track", "--input", src, "--forgetting", forgetting]) == 0
+        assert capsys.readouterr() == (expected, ""), n
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["zoo", "run", "--problem", "heavy_tail"], b"x,v\n"),
+    (["track", "--problem", "drifting_power"], b"k,t_true,t_tracked,tracking_error,regime\n"),
+])
+def test_a_closed_stdout_ends_the_command_quietly(child_env, argv, header):
+    """`powertriad ... | head -1`: exit 1 and nothing on stderr, whose end comes once every
+    process that holds it, forked writers included, has ended."""
+    with subprocess.Popen([sys.executable, "-m", "powertriad", *argv, "--samples", "300000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env) as proc:
+        assert proc.stdout.readline() == header
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        assert proc.stderr.read() == b""
+
+
+def test_a_closed_stdout_reaps_the_forked_block_writers(monkeypatch, capsys):
+    """A write to a pipe whose reader has gone raises BrokenPipeError: the command exits 1
+    without a word and leaves no forked child behind."""
+    monkeypatch.setattr(moments, "_usable_cpus", lambda: 3)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["zoo", "run", "--problem", "heavy_tail", "--samples", str(3 * 65536)]) == 1
+    assert capsys.readouterr().err == ""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_track_rejects_estimator_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["track", "--problem", "gaussian_shrinkage", "--estimator", "zero"])
@@ -739,8 +787,8 @@ def test_zoo_run_holds_no_whole_batch(tmp_path, child_env):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux only")
 def test_track_problem_holds_no_whole_batch_or_reference(tmp_path, child_env):
-    """Two million steps peak near their output columns (25 bytes a step), without the 32 MB
-    batch and the 48 MB reference of a whole draw."""
+    """Two million steps peak in bounded memory: no output column (25 bytes a step), and
+    neither the 32 MB batch nor the 48 MB reference of a whole draw."""
     n = 2_000_000
     out = tmp_path / "track.csv"
     result = subprocess.run(
@@ -752,6 +800,7 @@ def test_track_problem_holds_no_whole_batch_or_reference(tmp_path, child_env):
     with open(out, "rb") as fh:
         assert sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 20), b"")) == n + 1
     assert peak_kb <= 25 * n // 1024 + 80 * 1024, f"track peaked at {peak_kb / 1024:.0f} MB"
+    assert peak_kb <= 60 * 1024, f"track peaked at {peak_kb / 1024:.0f} MB"
 
 
 def test_map_and_zoo_run_name_their_missing_input(tmp_path, capsys):

@@ -38,8 +38,10 @@ from powertriad.scaling import (
     load_controller_config,
     parse_controller_config,
     trace_to_csv,
+    track_source,
     track_to_csv,
 )
+from powertriad import zoo
 
 REFERENCE_PROBLEM = ScalingProblem(ex2=1.0, ez2=2.0, exz=1.0)
 
@@ -537,6 +539,16 @@ def test_chunked_tracking_reports_a_dead_window_past_the_first_chunk(lam):
     with pytest.raises(DegenerateWindow) as chunked:
         track_moving_optimum(SampleBatch(x, z), lam)
     assert chunked.value.index == whole.value.index > CHUNK
+
+
+def test_the_check_pass_draws_each_generator_chunk_once(monkeypatch):
+    """Tracker chunks of 65264 steps start inside a generator chunk of 65536 pairs after the
+    first; the source keeps the chunk it drew last, so 1e6 steps draw their 16 chunks once."""
+    draws = []
+    draw = zoo._draw
+    monkeypatch.setattr(zoo, "_draw", lambda p, i, x, z: draws.append(i) or draw(p, i, x, z))
+    starts = track_source(zoo.problem_source(parse_problem_spec("drifting_power"), 10**6), 0.99)
+    assert len(starts) == 16 and draws == list(range(16))
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.99])
