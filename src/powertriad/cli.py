@@ -247,13 +247,11 @@ def cmd_path(args: argparse.Namespace) -> int:
 
 def cmd_track(args: argparse.Namespace) -> int:
     _, source, problem = _input(args)
-    of = lambda moments_at: None if problem is None else (
-        lambda lo, hi: moments_at(problem, np.arange(lo, hi)))
     # every error comes before the first byte; the forked writers then re-read the source (an
-    # --input batch is kept, as a second parse would cost more) and call no public function
+    # --input batch is kept, as a second parse would cost more) and the reference
     _emit(args.out, ("", scaling.track_csv_blocks(
-        source, args.forgetting, of(zoo.population_moments), args.balance_tol,
-        of(zoo._population_moments))))
+        source, args.forgetting, None if problem is None else
+        lambda lo, hi: zoo._population_moments(problem, np.arange(lo, hi)), args.balance_tol)))
     return EXIT_OK
 
 

@@ -51,6 +51,7 @@ CHUNK = 1 << 16
 _PIECE = 1 << 22
 # rows per piece of fmt_rows' text
 _LINES = 1 << 13
+OVERFLOW = "sums of squares overflow float64; rescale the samples"
 
 
 class SampleBatch:
@@ -174,14 +175,16 @@ def _exact_sum(a: np.ndarray) -> float:
 
 
 def _powers(x: np.ndarray, v: np.ndarray, offset: int = 0) -> tuple[float, float]:
-    """Σx² and Σv²; raises NonFiniteSample at ``offset`` + i for a first non-finite pair i."""
+    """Σx² and Σv²; raises NonFiniteSample at ``offset`` + i for a first non-finite pair i, and
+    PowerTriadError if a sum of finite pairs overflows."""
     xx, vv = _dot(x, x), _dot(v, v)
     # a NaN or infinity anywhere makes one of these non-negative sums non-finite
-    if not math.isfinite(xx + vv):
+    if not (math.isfinite(xx) and math.isfinite(vv)):
         finite = np.isfinite(x) & np.isfinite(v)
         if not bool(finite.all()):
             i = int(np.argmin(finite))
             raise NonFiniteSample(offset + i, float(x[i]), float(v[i]))
+        raise PowerTriadError(OVERFLOW)
     return xx, vv
 
 
@@ -335,6 +338,8 @@ def finalize(summary: MomentSummary) -> MomentStats:
     mean_e = summary.sum_e / n
     mse = summary.sum_ee / n
     coupling = summary.sum_ve / n
+    if not math.isfinite(max(summary.sum_xx, summary.sum_vv, summary.sum_ee)):  # none is NaN
+        raise PowerTriadError(OVERFLOW)
     # the raw sums give the same squared quantity with cancellation; below
     # rounding noise they cannot come from real pairs, so the summary is corrupt
     if not (mse >= 0.0 and ev2 - 2.0 * exv + ex2 >= -1e-12 * max(ex2, ev2)):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -31,8 +31,8 @@ import numpy as np
 from .diagnostics import (BALANCE_TOL, REGIMES, RegimeLabel, _check_classifiable, _check_tol,
                           regime_index)
 from .errors import DegenerateWindow, PowerTriadError, ZeroCandidatePower
-from .moments import (CHUNK, MomentStats, Rows, SampleBatch, _dot, _powers, batch_source,
-                      fmt_rows)
+from .moments import (CHUNK, OVERFLOW, MomentStats, Rows, SampleBatch, _dot, _powers,
+                      batch_source, fmt_rows)
 from .textio import parse_fields, parse_kv
 
 # Consistency slack for empirical moments: exz² may exceed ex2·ez2 only by rounding.
@@ -315,13 +315,10 @@ def _ewma(u: np.ndarray, lam: float, carry: Optional[list] = None) -> np.ndarray
     return u
 
 
-def track_moving_optimum(
-    stream: SampleBatch,
-    forgetting: float,
-    reference: Optional[Sequence[tuple[float, float, float]]] = None,
-    balance_tol: float = BALANCE_TOL,
-) -> TrackTrace:
-    """Follow a drifting optimum through a batch as track_source does, keeping every step;
+def track_moving_optimum(stream: SampleBatch, forgetting: float,
+                         reference: Optional[Sequence[tuple[float, float, float]]] = None,
+                         balance_tol: float = BALANCE_TOL) -> TrackTrace:
+    """Follow a drifting optimum through a batch as _tracker does, keeping every step;
     ``reference`` is an optional (n, 3) array of the population moments (ex2_k, ez2_k, exz_k)."""
     ref = None if reference is None else np.asarray(reference, dtype=np.float64)
     if ref is not None and ref.shape != (len(stream), 3):
@@ -330,43 +327,35 @@ def track_moving_optimum(
                               None if ref is None else lambda lo, hi: ref[lo:hi], balance_tol)
     trace = TrackTrace(forgetting, np.empty(n) if ref is not None else np.broadcast_to(np.nan, n),
                        np.empty(n), np.empty(n, dtype=np.uint8))
-    start = None
-    for lo in range(0, n, size):  # each chunk is written straight into the trace's columns
-        start = track(lo, start, trace.t_true[lo:], trace.t_tracked[lo:],
-                      trace.regime_codes[lo:])[0]
+    _track_chunks(n, size, track, trace.t_true, trace.t_tracked, trace.regime_codes)
     return trace
 
 
-def track_source(source: tuple[int, Rows], forgetting: float,
-                 reference: Optional[Callable[[int, int], np.ndarray]] = None,
-                 balance_tol: float = BALANCE_TOL) -> list:
-    """Follow a drifting optimum t_k = m_xz/m_zz through a source's pairs (see zoo.summarize),
-    keeping no column: the tracker's state at the start of each chunk is returned, from which
-    track_csv_blocks re-tracks the chunk with the bits of this pass.
-
-    m_xz(k) = λ·m_xz(k-1) + (1-λ)·x_k·z_k and m_zz likewise, or running means at λ = 1
-    (the full-prefix fitted scale).  ``reference(lo, hi)``, if given, holds the population
-    moments (ex2, ez2, exz) of steps [lo, hi) that t_true, the error and the regime use;
-    else t_true is NaN and the regime is the window's own: its gap m_xz²/m_zz - m_xx is minus
-    its mse at t_k, taken from the rows m_zd and m_dd of d = t_a·z - x, with t_a fitted on
-    the first chunk, so that the gap does not cancel and is never positive.  Each chunk checks
-    its reference rows, its samples, then its windows: of faults in two chunks, the
-    earlier one is reported."""
-    n, size, track = _tracker(source, forgetting, reference, balance_tol)
-    starts, w = [None], min(size, n)
-    out = np.empty(w), np.empty(w), np.empty(w, dtype=np.uint8)
+def _track_chunks(n: int, size: int, track, *columns: np.ndarray) -> list:
+    """Each chunk's start state, tracking the chunks in order (so that of faults in two chunks
+    the earlier one raises), each into the columns from its first step if any are given."""
+    starts = [None]
     for lo in range(0, n, size):
-        starts.append(track(lo, starts[-1], *out)[0])
+        starts.append(track(lo, starts[-1], *(c[lo:] for c in columns))[0])
     return starts[:-1]
 
 
 def _tracker(source: tuple[int, Rows], forgetting: float,
              reference: Optional[Callable[[int, int], np.ndarray]], balance_tol: float):
-    """(n, size, track): track(lo, start, t_true, t_hat, codes) tracks the chunk at lo from its
-    start state (the anchor t_a and the windows' carry; None at lo = 0) into the heads of the
-    arrays given, and returns the next chunk's state and the chunk's t_true (None without a
-    reference), t_hat and regime codes.  It calls no public function but ``reference``, so
-    that it can run in fmt_rows' forked writers."""
+    """(n, size, track) for a drifting optimum t_k = m_xz/m_zz through a source's pairs (see
+    zoo.summarize), tracked in chunks of ``size`` steps.
+    m_xz(k) = λ·m_xz(k-1) + (1-λ)·x_k·z_k and m_zz likewise, or running means at λ = 1
+    (the full-prefix fitted scale).  ``reference(lo, hi)``, if given, holds the population
+    moments (ex2, ez2, exz) of steps [lo, hi) that t_true, the error and the regime use;
+    else t_true is NaN and the regime is the window's own: its gap m_xz²/m_zz - m_xx is minus
+    its mse at t_k, taken from the rows m_zd and m_dd of d = t_a·z - x, with t_a fitted on
+    the first chunk, so that the gap does not cancel and is never positive.
+    track(lo, start, t_true, t_hat, codes) tracks the chunk at lo from its start state (the
+    anchor t_a and the windows' carry; None at lo = 0) into the heads of the arrays given, or
+    of its own scratch, and returns the next chunk's state and the chunk's t_true (None
+    without a reference), t_hat and regime codes, after checking the chunk's reference rows,
+    its samples, then its windows.  It calls no public function but ``reference``, so that it
+    can run in fmt_rows' forked writers."""
     if not 0.0 < forgetting <= 1.0:
         raise ValueError("forgetting must lie in (0, 1]")
     _check_tol("balance_tol", balance_tol)
@@ -375,10 +364,15 @@ def _tracker(source: tuple[int, Rows], forgetting: float,
         raise ValueError("cannot track an empty stream")
     # chunks of whole EWMA blocks (see _ewma): the blocks, so the bits, of one pass
     size = CHUNK - CHUNK % (1 if forgetting == 1.0 else _ewma_block(forgetting, n))
+    w = min(size, n)
     # rows m_xz, m_zz, and, only when they label the window, m_xx, m_zd and m_dd
-    stack = np.empty((2 if reference is not None else 5, min(size, n)))
+    stack = np.empty((2 if reference is not None else 5, w))
+    # made on first use, so a caller that passes columns allocates none; a forked writer's own copy
+    scratch = cache(lambda: (np.empty(w), np.empty(w), np.empty(w, dtype=np.uint8)))
 
-    def track(lo, start, t_true, t_hat, codes):
+    @np.errstate(over="ignore", invalid="ignore")  # a window that overflows is refused
+    def track(lo, start, *columns):
+        t_true, t_hat, codes = columns or scratch()
         t_a, carry = start or (0.0, [0.0] * len(stack))
         hi, carry = min(lo + size, n), list(carry)
         if reference is not None:
@@ -407,9 +401,12 @@ def _tracker(source: tuple[int, Rows], forgetting: float,
             m /= np.arange(lo + 1, hi + 1, dtype=np.float64)
         else:
             _ewma(m, forgetting, carry)
-        dead = m[1] <= 0.0
-        if bool(dead.any()):
-            raise DegenerateWindow(lo + int(np.argmax(dead)))
+        bad = m[1] <= 0.0  # the first step whose window is dead or not finite is refused
+        if not np.isfinite(m[:, -1]).all():  # an overflow stays non-finite to the chunk's end
+            bad |= ~np.isfinite(m).all(axis=0)
+        if bool(bad.any()):
+            i = int(np.argmax(bad))
+            raise DegenerateWindow(lo + i) if m[1, i] <= 0.0 else PowerTriadError(OVERFLOW)
         t = np.divide(m[0], m[1], out=t_hat[:hi - lo])
         if reference is not None:
             codes[:hi - lo] = regime_index(ref[:, 0], t * t * ref[:, 1] - ref[:, 0], balance_tol)
@@ -447,19 +444,17 @@ def track_to_csv(trace: TrackTrace) -> str:
 
 
 def track_csv_blocks(source: tuple[int, Rows], forgetting: float,
-                     reference: Optional[Callable[[int, int], np.ndarray]], balance_tol: float,
-                     private: Optional[Callable[[int, int], np.ndarray]]) -> Iterator[str]:
-    """track_to_csv's text of a source, after track_source has raised any error, in fmt_rows'
-    blocks of one tracker chunk, each re-tracked from its start state in a forked writer with
-    ``private``: ``reference``'s moments from a function that calls no public function.
-    Without a reference, t_true and the error are NaN on every row and written as such."""
-    starts = track_source(source, forgetting, reference, balance_tol)
-    n, size, track = _tracker(source, forgetting, private, balance_tol)
-    w = min(size, n)
-    out = np.empty(w), np.empty(w), np.empty(w, dtype=np.uint8)  # each writer fills its own copy
+                     reference: Optional[Callable[[int, int], np.ndarray]],
+                     balance_tol: float) -> Iterator[str]:
+    """track_to_csv's text of a source, after one pass of its tracker has raised any error, in
+    fmt_rows' blocks of one tracker chunk, each re-tracked from its start state in a forked
+    writer, so ``reference`` must call no public function.  Without a reference, t_true and
+    the error are NaN on every row and written as such."""
+    n, size, track = _tracker(source, forgetting, reference, balance_tol)
+    starts = _track_chunks(n, size, track)
     template = _TRACK_ROW if reference is not None else _TRACK_ROW_NAN
     return fmt_rows(TRACK_CSV_HEADER, template, n, lambda s: _track_columns(
-        s.start, *track(s.start, starts[s.start // size], *out)[1:]), size)
+        s.start, *track(s.start, starts[s.start // size])[1:]), size)
 
 
 _TRACK_ROW, _TRACK_ROW_NAN = "%d,%.17g,%.17g,%.17g,%s\n", "%d,nan,%.17g,nan,%s\n"

@@ -319,6 +319,17 @@ def test_track_problem_matches_the_library_across_chunk_edges(tmp_path, capsys, 
         assert out.read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("forgetting", ["1", "0.99", "0.5"])
+@pytest.mark.parametrize("spec", ["drifting_power", "step_change(change_index=65541)",
+                                  "heavy_tail(seed=4)"])
+def test_track_problem_from_forked_writers_matches_the_library(tmp_path, capsys, monkeypatch,
+                                                               spec, forgetting):
+    """The same bytes when fmt_rows forks a writer per further block, up to two, which
+    re-tracks its blocks from the check pass's start states and draws their reference."""
+    monkeypatch.setattr(moments, "_usable_cpus", lambda: 3)
+    test_track_problem_matches_the_library_across_chunk_edges(tmp_path, capsys, spec, forgetting)
+
+
 @pytest.mark.parametrize("forgetting, size", [("0.99", 65264), ("1", CHUNK)])
 def test_track_input_matches_the_library_at_tracker_chunk_edges(tmp_path, capsys, monkeypatch,
                                                                 forgetting, size):
@@ -972,3 +983,44 @@ def test_non_finite_spec_numbers_exit_one(tmp_path, capsys):
                  "--controller", controller]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: t0 must be finite\n"
+
+
+@pytest.mark.filterwarnings("error")  # a RuntimeWarning would escape main
+@pytest.mark.parametrize("argv", [
+    ["track", "--input", "BIG"], ["path", "--input", "BIG"],
+    ["diagnose", "--input", "BIG"], ["scale", "--input", "BIG"],
+    ["map", "--problem", "gaussian_shrinkage(signal_power=1e306)", "--samples", "100"],
+])
+def test_finite_samples_whose_squares_overflow_are_refused_with_one_line(tmp_path, capsys, argv):
+    """1e200² overflows float64: every command exits 1 with one error line, writes nothing and
+    warns of nothing, where track wrote nan and exited 0, and diagnose blamed the mse."""
+    big = _write(tmp_path / "big.csv", "x,v\n1e200,1e200\n2e200,1.5e200\n")
+    assert main([big if a == "BIG" else a for a in argv]) == 1
+    assert capsys.readouterr() == (
+        "", "error: sums of squares overflow float64; rescale the samples\n")
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--controller", "kind = gradient\neta 0.1\n", "line 2: expected 'key = value', got 'eta 0.1'"),
+    ("--config", "# a comment\n = 10\n", "line 2: empty key"),
+])
+def test_a_key_value_line_without_a_key_is_refused(tmp_path, capsys, flag, text, message):
+    cfg = _write(tmp_path / "run.cfg", text)
+    assert main(["path", "--problem", "gaussian_shrinkage", "--samples", "10", flag, cfg]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["diagnose", "--problem", "gaussian_shrinkage", "--samples", "-1"],
+     "sample count cannot be negative"),
+    (["diagnose", "--problem", "step_change(change_index=-1)"], "change_index cannot be negative"),
+    (["diagnose", "--problem", "gaussian_shrinkage", "--estimator", "scale(c=)"],
+     "malformed parameter 'c=' in 'scale(c=)'"),
+    (["track", "--problem", "gaussian_shrinkage", "--samples", "0"], "cannot track an empty stream"),
+])
+def test_a_refused_input_exits_one_and_writes_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    for extra in ([], ["--out", str(out)]):
+        assert main(argv + extra) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []

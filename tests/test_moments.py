@@ -91,6 +91,31 @@ def test_finalize_rejects_negative_mse_under_optimize_flag(child_env):
     assert "PowerTriadError: mse fell below rounding tolerance" in result.stderr
 
 
+OVERFLOW = "^sums of squares overflow float64; rescale the samples$"
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_chunk_whose_power_sum_overflows_is_refused():
+    """Finite pairs whose Σx² or Σv² overflows.  Each sum is checked on its own: at
+    x = v = 1e154 both are finite though their sum is not."""
+    for x, v in (([1e200], [1.0]), ([1.0], [1e200]), ([1e154, 1e154], [1.0, 1.0])):
+        with pytest.raises(PowerTriadError, match=OVERFLOW):
+            moments._powers(np.array(x), np.array(v))
+    assert all(map(math.isfinite, moments._powers(np.array([1e154]), np.array([1e154]))))
+
+
+@pytest.mark.filterwarnings("error")
+def test_finalize_refuses_merged_sums_that_overflow():
+    """Two chunks of x = 3.9e151 have finite chunk sums, 65536·x² ≈ 1.0e308, but not a finite
+    Σx²; at x = -1.3e154, v = 1.3e154 only Σe² overflows."""
+    x = np.full(2 * CHUNK, 3.9e151)
+    for batch in (SampleBatch(x, x), SampleBatch(x, -x), SampleBatch([-1.3e154], [1.3e154])):
+        with pytest.raises(PowerTriadError, match=OVERFLOW):
+            stats_of(batch)
+    with pytest.raises(PowerTriadError, match=OVERFLOW):
+        finalize(MomentSummary(n=1, sum_xx=1.0, sum_vv=1.0, sum_xv=1.0, sum_ee=math.inf))
+
+
 def test_single_pair_stats():
     stats = stats_of(SampleBatch([2.0], [3.0]))
     assert stats.n == 1

@@ -100,9 +100,13 @@ def test_traced_forked_text_run_keeps_every_span_in_this_process(tmp_path, capsy
     assert set(pids.read_text().split()) == {str(os.getpid())}
     assert len((tmp_path / "t").read_text().splitlines()) == n + 1
 
-    # a generated problem is tracked from its source: one reference span per tracker chunk
-    # of 65264 steps (whole EWMA blocks at the default forgetting), and no whole batch
+    # a generated problem is tracked from its source, and its reference drawn a tracker chunk
+    # of 65264 steps (whole EWMA blocks at the default forgetting) at a time: no whole batch
     pids.unlink()
+    calls = []
+    moments_at = powertriad.zoo._population_moments
+    monkeypatch.setattr(powertriad.zoo, "_population_moments",
+                        lambda p, k: calls.append((int(k[0]), k.size)) or moments_at(p, k))
     tracer = Tracer()
     undo = tracing.install(tracer)
     try:
@@ -112,9 +116,10 @@ def test_traced_forked_text_run_keeps_every_span_in_this_process(tmp_path, capsy
         undo()
     assert code == 0 and capsys.readouterr().err == ""
     assert set(pids.read_text().split()) == {str(os.getpid())}
-    names = [span["name"] for span in tracer.as_records()]
-    assert names.count("zoo.population_moments") == 4
-    assert "zoo.generate" not in names
+    assert "zoo.generate" not in [span["name"] for span in tracer.as_records()]
+    # the check pass draws each chunk once, in order; the writers this process runs, whole chunks
+    chunks = [(lo, min(65_264, n - lo)) for lo in range(0, n, 65_264)]
+    assert len(chunks) == 4 and calls[:4] == chunks and set(calls[4:]) <= set(chunks)
     assert len((tmp_path / "g").read_text().splitlines()) == n + 1
 
 

@@ -191,6 +191,20 @@ def test_emit_dataset_layout():
     assert sidecar["forbidden_region"] == {"axis": "power_ratio", "op": ">", "bound": 1.0}
 
 
+def test_parse_dataset_csv_refuses_text_emit_dataset_never_writes():
+    header = emit_dataset(build_left_map((map_point("a", DOUBLED),))).csv.splitlines()[0]
+    for text, message in (("", "^empty dataset text$"), ("label,x\n", "^unexpected dataset header"),
+                          (header + "\na,1,0.5,2\n", "^expected 5 columns, got ")):
+        with pytest.raises(ValueError, match=message):
+            parse_dataset_csv(text)
+
+
+def test_parse_dataset_csv_skips_a_blank_row():
+    csv_text = emit_dataset(build_left_map((map_point("a", DOUBLED), map_point("c", ZEROED)))).csv
+    header, first, rest = csv_text.split("\n", 2)
+    assert parse_dataset_csv(f"{header}\n{first}\n\n{rest}") == parse_dataset_csv(csv_text)
+
+
 def test_dataset_csv_round_trip():
     points = (map_point("a", DOUBLED), map_point("b", PERFECT),
               map_point("c", ZEROED))

@@ -13,6 +13,7 @@ from powertriad import (
     ControllerConfig,
     DegenerateWindow,
     NonFiniteSample,
+    PowerTriadError,
     RegimeLabel,
     SampleBatch,
     ScalingProblem,
@@ -28,17 +29,18 @@ from powertriad import (
     stats_of,
     track_moving_optimum,
 )
-from powertriad.diagnostics import REGIMES, regime_index
+from powertriad.diagnostics import BALANCE_TOL, REGIMES, regime_index
 from powertriad.moments import CHUNK, _dot
 from powertriad.scaling import (
     TRACE_CSV_HEADER,
     TRACK_CSV_HEADER,
     TraceStep,
     _ewma,
+    _track_chunks,
+    _tracker,
     load_controller_config,
     parse_controller_config,
     trace_to_csv,
-    track_source,
     track_to_csv,
 )
 from powertriad import zoo
@@ -547,8 +549,28 @@ def test_the_check_pass_draws_each_generator_chunk_once(monkeypatch):
     draws = []
     draw = zoo._draw
     monkeypatch.setattr(zoo, "_draw", lambda p, i, x, z: draws.append(i) or draw(p, i, x, z))
-    starts = track_source(zoo.problem_source(parse_problem_spec("drifting_power"), 10**6), 0.99)
+    source = zoo.problem_source(parse_problem_spec("drifting_power"), 10**6)
+    starts = _track_chunks(*_tracker(source, 0.99, None, BALANCE_TOL))
     assert len(starts) == 16 and draws == list(range(16))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [1.0, 0.5])
+def test_a_tracked_window_that_overflows_is_refused(lam):
+    """Two chunks of x = z = 3.9e151 pass each chunk's check, but at λ = 1 the running sums
+    overflow in the second (at λ < 1, _ewma's rescaling by up to e^41 overflows first); the
+    tracker wrote NaN steps labelled power_conservative."""
+    x = np.full(2 * CHUNK, 3.9e151)
+    for reference in (None, np.full((x.size, 3), 1.0)):
+        with pytest.raises(PowerTriadError, match="^sums of squares overflow float64"):
+            track_moving_optimum(SampleBatch(x, x), lam, reference=reference)
+
+
+def test_a_reference_of_the_wrong_shape_is_refused():
+    batch = SampleBatch([1.0, 2.0, 3.0], [1.0, 2.0, 2.0])
+    for reference in (np.ones((2, 3)), np.ones((3, 2)), np.ones(9)):
+        with pytest.raises(ValueError, match=r"^reference must supply \(ex2, ez2, exz\) per step$"):
+            track_moving_optimum(batch, 0.9, reference=reference)
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.99])
