@@ -196,15 +196,6 @@ def _input(
     return estimators, zoo.problem_source(problem, args.samples), problem
 
 
-def _finalize(est: zoo.EstimatorSpec, raw: moments.MomentSummary,
-              summary: moments.MomentSummary) -> moments.MomentStats:
-    """An estimator's statistics; an empty input is refused before a non-dominant amplifier."""
-    stats = moments.finalize(summary)
-    if est.kind == "amplifier":
-        zoo.verify_amplifier(est, raw)
-    return stats
-
-
 def _stats(args: argparse.Namespace) -> moments.MomentStats:
     """Statistics of the command's single estimator on its input, or of the raw input.
 
@@ -212,9 +203,7 @@ def _stats(args: argparse.Namespace) -> moments.MomentStats:
     """
     estimators, source, _ = _input(args)
     raw, summaries = zoo.summarize(source, estimators)
-    if not estimators:
-        return moments.finalize(raw)
-    return _finalize(estimators[0], raw, summaries[0])
+    return moments.finalize((summaries or [raw])[0])
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
@@ -261,7 +250,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         "map works on generated problems; give --problem", "need --problem"))
     estimators = estimators or [zoo.parse_estimator_spec(t) for t in DEFAULT_MAP_ESTIMATORS]
     raw, summaries = zoo.summarize(source, estimators)
-    points = [safezone_map.map_point(est.label, _finalize(est, raw, summary),
+    points = [safezone_map.map_point(est.label, moments.finalize(summary),
                                      balance_tol=args.balance_tol)
               for est, summary in zip(estimators, summaries)]
     scaling_problem = scaling.ScalingProblem.from_stats(moments.finalize(raw))
@@ -292,7 +281,7 @@ def cmd_zoo(args: argparse.Namespace) -> int:
         return EXIT_OK
     estimators, source, _ = _input(args, generated_only=("zoo run needs --problem",) * 2)
     for est in estimators:  # every check and fit runs before the first row is written
-        if est.kind == "amplifier" and source[0]:  # an empty source has no power to check
+        if est.kind == "amplifier":  # on the raw sums alone: c·z may overflow where z does not
             zoo.verify_amplifier(est, zoo.summarize(source, [])[0])
         source = zoo.estimator_source(est, source)
     _emit(args.out, ("", moments.csv_blocks(source)))

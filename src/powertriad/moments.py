@@ -33,7 +33,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import partial, reduce
 from itertools import chain
 from typing import Callable, Iterable, Iterator
 
@@ -188,44 +188,39 @@ def _powers(x: np.ndarray, v: np.ndarray, offset: int = 0) -> tuple[float, float
     return xx, vv
 
 
-def _summary(xs: np.ndarray, vs: np.ndarray, offset: int = 0, buf=None) -> MomentSummary:
-    """The sums of aligned arrays whose first pair sits at input position ``offset``.
+def _summary(x: np.ndarray, v: np.ndarray, offset: int, e: np.ndarray) -> MomentSummary:
+    """The sums of one block of at most CHUNK aligned pairs, the first at input position ``offset``.
 
-    The arrays are reduced CHUNK pairs at a time and the chunks' sums are
-    added in order, which is what merging the chunks' summaries does; so an
-    array of any length gets the bits that summarize merges from its chunks.
-    The errors go into ``buf``, a scratch array of at least min(size, CHUNK)
-    doubles, or a fresh one.  Raises NonFiniteSample naming the first
-    offending pair by its input position.
+    The errors go into ``e``, a scratch array of at least x.size doubles.  Raises
+    NonFiniteSample naming the first offending pair by its input position.
     """
-    buf = np.empty(min(xs.size, CHUNK)) if buf is None else buf
-    sxx = svv = sxv = se = see = sve = 0.0
-    for lo in range(0, xs.size, CHUNK):
-        x, v = xs[lo:lo + CHUNK], vs[lo:lo + CHUNK]
-        bxx, bvv = _powers(x, v, offset + lo)
-        e = np.subtract(v, x, out=buf[: x.size])
-        sxx, svv, sxv = sxx + bxx, svv + bvv, sxv + _dot(x, v)
-        se, see, sve = se + float(np.sum(e)), see + _dot(e, e), sve + _dot(v, e)
-    return MomentSummary(n=int(xs.size), sum_xx=sxx, sum_vv=svv, sum_xv=sxv,
-                         sum_e=se, sum_ee=see, sum_ve=sve)
+    xx, vv = _powers(x, v, offset)
+    e = np.subtract(v, x, out=e[:x.size])
+    return MomentSummary(n=int(x.size), sum_xx=xx, sum_vv=vv, sum_xv=_dot(x, v),
+                         sum_e=float(np.sum(e)), sum_ee=_dot(e, e), sum_ve=_dot(v, e))
 
 
 def accumulate(summary: MomentSummary, batch: SampleBatch, *,
                compensated: bool = False) -> MomentSummary:
-    """Return ``summary`` merged with the batch's summary.
+    """Return ``summary`` merged with the batch's summary, which merges the sums of the
+    batch's CHUNK-pair blocks in order from an empty summary, as zoo.summarize does.
 
-    The input summary is never modified.  ``compensated=True`` replaces the
-    batch's three power sums by their correctly rounded values, the ones
-    math.fsum gives, at about 1 ms per 65536-pair chunk; the error sums Σe,
-    Σe² and Σv·e, which do not cancel the way the power sums do, and merges
-    between summaries stay plain either way.
+    ``compensated=True`` replaces the batch's three power sums by their correctly rounded
+    values, the ones math.fsum gives, at about 1 ms per 65536-pair chunk; the error sums Σe,
+    Σe² and Σv·e, which do not cancel the way the power sums do, and merges between
+    summaries stay plain either way.  The input summary is never modified.
     Raises NonFiniteSample naming the first offending pair.
     """
     xs, vs = batch.x, batch.v
-    part = _summary(xs, vs)
+    e = np.empty(min(xs.size, CHUNK))
+    part = reduce(merge, (_summary(xs[lo:lo + CHUNK], vs[lo:lo + CHUNK], lo, e)
+                          for lo in range(0, xs.size, CHUNK)), MomentSummary())
     if compensated:
-        part = replace(part, sum_xx=_exact_sum(xs * xs), sum_vv=_exact_sum(vs * vs),
-                       sum_xv=_exact_sum(xs * vs))
+        try:
+            part = replace(part, sum_xx=_exact_sum(xs * xs), sum_vv=_exact_sum(vs * vs),
+                           sum_xv=_exact_sum(xs * vs))
+        except OverflowError:  # a correctly rounded sum of finite squares past float64
+            raise PowerTriadError(OVERFLOW) from None
     return merge(summary, part)
 
 
@@ -340,9 +335,9 @@ def finalize(summary: MomentSummary) -> MomentStats:
     coupling = summary.sum_ve / n
     if not math.isfinite(max(summary.sum_xx, summary.sum_vv, summary.sum_ee)):  # none is NaN
         raise PowerTriadError(OVERFLOW)
-    # the raw sums give the same squared quantity with cancellation; below
-    # rounding noise they cannot come from real pairs, so the summary is corrupt
-    if not (mse >= 0.0 and ev2 - 2.0 * exv + ex2 >= -1e-12 * max(ex2, ev2)):
+    # the raw sums give the same squared quantity with cancellation (in two differences, which
+    # Cauchy-Schwarz keeps from -inf); below rounding noise the summary is corrupt
+    if not (mse >= 0.0 and (ev2 - exv) + (ex2 - exv) >= -1e-12 * max(ex2, ev2)):
         raise PowerTriadError("mse fell below rounding tolerance")
     return MomentStats(n=n, ex2=ex2, ev2=ev2, exv=exv, mean_e=mean_e, mse=mse, coupling=coupling)
 

@@ -373,8 +373,8 @@ def _tracker(source: tuple[int, Rows], forgetting: float,
     @np.errstate(over="ignore", invalid="ignore")  # a window that overflows is refused
     def track(lo, start, *columns):
         t_true, t_hat, codes = columns or scratch()
-        t_a, carry = start or (0.0, [0.0] * len(stack))
-        hi, carry = min(lo + size, n), list(carry)
+        t_a, start = start or (0.0, [0.0] * len(stack))
+        hi, carry = min(lo + size, n), list(start)
         if reference is not None:
             ref = reference(lo, hi)
             if not (np.isfinite(ref.min()) and np.isfinite(ref.max())):  # NaN or inf in any entry
@@ -382,25 +382,36 @@ def _tracker(source: tuple[int, Rows], forgetting: float,
                 raise PowerTriadError(f"reference moments at step {step} are not finite")
             t_true = np.divide(ref[:, 2], ref[:, 1], out=t_true[:hi - lo])
         x, z = rows(lo, hi)
-        _powers(x, z, lo)
-        m = stack[:, :hi - lo]
-        np.multiply(x, z, out=m[0])
-        np.multiply(z, z, out=m[1])
-        if reference is None:
-            if lo == 0:  # the anchor of d = t_a·z - x: chunk 0's fit (Chan, Golub & LeVeque 1983)
-                zz = _dot(z, z)
-                t_a = _dot(x, z) / zz if zz > 0.0 else 0.0
-            np.multiply(x, x, out=m[2])
-            d = np.subtract(np.multiply(z, t_a, out=m[4]), x, out=m[4])
-            np.multiply(z, d, out=m[3])
-            np.multiply(d, d, out=m[4])
-        if forgetting == 1.0:
-            m[:, 0] += carry
-            np.cumsum(m, axis=1, out=m)
-            carry = m[:, -1].tolist()
-            m /= np.arange(lo + 1, hi + 1, dtype=np.float64)
-        else:
-            _ewma(m, forgetting, carry)
+        xx, zz = _powers(x, z, lo)
+        if reference is None and lo == 0:  # the anchor of d = t_a·z - x: chunk 0's fit
+            t_a = _dot(x, z) / zz if zz > 0.0 else 0.0  # (Chan, Golub & LeVeque 1983)
+        m, k = stack[:, :hi - lo], 0  # the rows are in units of 2^k
+        for again in (False, True):
+            if again:  # an EWMA block sum overflowed: again in units of 2^k that bring b, a bound
+                # on the carry and on half of each row's chunk sum, below 2^509; every window and
+                # m_zd² is then finite, and t and the labels (ratios, comparisons) keep their bits
+                b = xx + max(1.0, t_a * t_a) * zz + max(map(abs, start))
+                if not math.isfinite(b):  # sums of squares past float64 are refused
+                    break
+                k = math.frexp(b)[1] // 2 - 254
+                x, z, carry = np.ldexp(x, -k), np.ldexp(z, -k), np.ldexp(start, -2 * k).tolist()
+            np.multiply(x, z, out=m[0])
+            np.multiply(z, z, out=m[1])
+            if reference is None:
+                np.multiply(x, x, out=m[2])
+                d = np.subtract(np.multiply(z, t_a, out=m[4]), x, out=m[4])
+                np.multiply(z, d, out=m[3])
+                np.multiply(d, d, out=m[4])
+            if forgetting == 1.0:
+                m[:, 0] += carry
+                np.cumsum(m, axis=1, out=m)
+                carry = m[:, -1].tolist()
+                m /= np.arange(lo + 1, hi + 1, dtype=np.float64)
+            else:
+                _ewma(m, forgetting, carry)
+            if forgetting == 1.0 or np.isfinite(m[:, -1]).all():
+                break
+        carry = np.ldexp(carry, 2 * k).tolist()  # in units of 1, past float64 as inf
         bad = m[1] <= 0.0  # the first step whose window is dead or not finite is refused
         if not np.isfinite(m[:, -1]).all():  # an overflow stays non-finite to the chunk's end
             bad |= ~np.isfinite(m).all(axis=0)

@@ -95,7 +95,7 @@ class EstimatorSpec:
 
     zero / identity / empirical_mmse take no parameter; scale and amplifier
     carry the multiplier c.  Amplifiers demand c > 1; verify_amplifier also
-    confirms their excess power on the batch they are applied to.
+    confirms their excess power on the batch they are applied to, which summarize does.
     """
 
     kind: str
@@ -242,10 +242,10 @@ def _half(n: int) -> int:
 
 
 def verify_amplifier(estimator: EstimatorSpec, raw: MomentSummary) -> None:
-    """Confirm that the amplifier's estimate power c²·Σz² exceeds Σx² in the raw summary."""
+    """Confirm that an amplifier's power c²·Σz² exceeds Σx² in a raw summary that has pairs."""
     if estimator.kind != "amplifier":
         raise InvalidSpec("only amplifier estimators need verification")
-    if not estimator.c * estimator.c * raw.sum_vv > raw.sum_xx:
+    if raw.n and not estimator.c * estimator.c * raw.sum_vv > raw.sum_xx:
         raise InvalidSpec(f"amplifier(c={estimator.c!r}) is not power dominant on this input")
 
 
@@ -283,8 +283,9 @@ def summarize(
     in order in this process, so every bit depends only on the data and the
     estimators.  The raw pairs and each c·z are summed in blocks from 0, but
     empirical_mmse fits c = Σxz/Σz² on the first half and sums c·z in blocks
-    from n//2, as stats_of does on apply_estimator's output.  A non-finite
-    pair raises NonFiniteSample with its position in the source and its raw x and z.
+    from n//2, as stats_of does on apply_estimator's output; then each amplifier is
+    verified against the raw summary.  A non-finite pair raises NonFiniteSample with its
+    position in the source and its raw x and z.
     """
     n, rows = source
     fixed = [e for e in estimators if e.kind != "empirical_mmse"]
@@ -310,6 +311,8 @@ def summarize(
             return _summary(x, np.multiply(z, c, out=v[:z.size]), lo, e)
 
         tail = reduce(merge, _fork_map(fitted, range(half, n, CHUNK)), MomentSummary())
+    for amplifier in (e for e in estimators if e.kind == "amplifier"):
+        verify_amplifier(amplifier, raw)
     sums = iter(sums)
     return raw, [tail if e.kind == "empirical_mmse" else next(sums) for e in estimators]
 

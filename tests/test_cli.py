@@ -68,21 +68,38 @@ FRAGILE = "gaussian_shrinkage(signal_power=4, noise_power=1e-6, seed=1)"
 
 
 def test_amplifier_is_checked_on_the_batch_it_scales(tmp_path, capsys):
-    """An amplifier that is not dominant on the data at hand exits 1, from either source."""
+    """An amplifier that is not dominant on the data at hand exits 1, from either source, in
+    every command that reduces its input."""
     weak = _write(tmp_path / "weak.csv", "x,v\n2,1\n-2,-1\n")
     errors = []
-    for source in (["--problem", FRAGILE, "--samples", "2"], ["--input", weak]):
-        assert main(["diagnose", *source, "--estimator", "amplifier(c=1.0000001)"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert "amplifier(c=1.0000001)" in captured.err
-        errors.append(captured.err)
-    assert errors[0] == errors[1]
+    for command in ("diagnose", "scale", "path"):
+        for source in (["--problem", FRAGILE, "--samples", "2"], ["--input", weak]):
+            assert main([command, *source, "--estimator", "amplifier(c=1.0000001)"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "amplifier(c=1.0000001)" in captured.err
+            errors.append(captured.err)
+    assert errors == errors[:1] * 6
     assert main(["map", "--problem", FRAGILE, "--samples", "2",
                  "--estimator", "amplifier(c=1.0000001)"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == errors[0]
+
+
+def test_map_checks_its_amplifiers_before_it_places_a_point(capsys):
+    """zoo.summarize verifies every amplifier after its passes, so a non-dominant amplifier is
+    refused before an earlier estimator's point, here scale(c=1e155), is found off the map."""
+    assert main(["map", "--problem",
+                 "gaussian_shrinkage(signal_power=1e-300, noise_power=2.5e-307, seed=1)",
+                 "--samples", "2", "--estimator", "scale(c=1e155)",
+                 "--estimator", "amplifier(c=1.0000001)"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: amplifier(c=1.0000001) is not power dominant on this input\n")
+    assert main(["map", "--problem",
+                 "gaussian_shrinkage(signal_power=1e-300, noise_power=2.5e-307, seed=1)",
+                 "--samples", "2", "--estimator", "scale(c=1e155)"]) == 1
+    assert capsys.readouterr().err.startswith("error: map point 'scale(c=1e+155)' is off the map")
 
 
 def test_diagnose_dominant_csv_input(tmp_path, capsys):
@@ -998,6 +1015,35 @@ def test_finite_samples_whose_squares_overflow_are_refused_with_one_line(tmp_pat
     assert main([big if a == "BIG" else a for a in argv]) == 1
     assert capsys.readouterr() == (
         "", "error: sums of squares overflow float64; rescale the samples\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_pair_whose_cross_product_passes_9e307_is_not_refused_as_corrupt(tmp_path, capsys):
+    """x = v = 1e154 gives Σx² = Σv² = Σxv = 1e308, all finite; finalize's guard formed
+    ev2 - 2·exv + ex2, which is -inf there, and refused the input as below rounding tolerance."""
+    src = _write(tmp_path / "big.csv", "x,v\n1e154,1e154\n")
+    assert main(["diagnose", "--input", src]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["mse"] == 0 and report["regime"] == "power_balance"
+    assert main(["path", "--input", src]) == 0
+    assert capsys.readouterr().err == ""
+    # the certificate forms mse* from raw powers (ROADMAP item 1), which overflow here
+    assert main(["scale", "--input", src]) == 1
+    assert capsys.readouterr() == ("", "error: non-finite number has no JSON representation\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_track_takes_products_whose_ewma_block_sums_overflow(tmp_path, capsys):
+    """x = v = 5e144: the windows hold 2.5e289, but the EWMA's block sums at the default λ =
+    0.99 do not fit float64 (λ = 0.5's do); the chunk is tracked again in smaller units."""
+    src = _write(tmp_path / "big.csv", "x,v\n" + "5e144,5e144\n" * 20_000)
+    outputs = []
+    for forgetting in ("0.99", "0.5"):
+        assert main(["track", "--input", src, "--forgetting", forgetting]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out == "k,t_true,t_tracked,tracking_error,regime\n" + "".join(
+        f"{k},nan,1,nan,power_balance\n" for k in range(20_000))
 
 
 @pytest.mark.parametrize("flag, text, message", [

@@ -116,6 +116,26 @@ def test_finalize_refuses_merged_sums_that_overflow():
         finalize(MomentSummary(n=1, sum_xx=1.0, sum_vv=1.0, sum_xv=1.0, sum_ee=math.inf))
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_compensated_sum_that_overflows_is_refused_with_the_one_message():
+    """Each chunk's Σx² ≈ 1.0e308 is finite; the two chunks' correctly rounded sum is not, and
+    compensated accumulate refuses it as plain accumulate and finalize do."""
+    x = np.full(2 * CHUNK, 3.9e151)
+    for compensated in (False, True):
+        with pytest.raises(PowerTriadError, match=OVERFLOW):
+            stats_of(SampleBatch(x, x), compensated=compensated)
+
+
+def test_accumulate_names_a_non_finite_pair_past_the_first_block_by_its_index():
+    n = 3 * CHUNK + 17
+    x = np.linspace(-1.0, 1.0, n)
+    x[2 * CHUNK + 5] = math.nan
+    with pytest.raises(NonFiniteSample) as err:
+        accumulate(MomentSummary(), SampleBatch(x, 2.0 * x))
+    assert err.value.index == 2 * CHUNK + 5
+    assert str(err.value) == f"non-finite sample at index {2 * CHUNK + 5}: x=nan, v=nan"
+
+
 def test_single_pair_stats():
     stats = stats_of(SampleBatch([2.0], [3.0]))
     assert stats.n == 1

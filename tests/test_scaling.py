@@ -566,6 +566,40 @@ def test_a_tracked_window_that_overflows_is_refused(lam):
             track_moving_optimum(SampleBatch(x, x), lam, reference=reference)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [0.99, 0.5, 0.01])
+def test_a_chunk_whose_ewma_block_sums_overflow_is_tracked_in_smaller_units(lam):
+    """_ewma adds u·λ^-r, λ^-r up to e^41, so at λ = 0.99 windows of x = z = 5e144 (u = 2.5e289)
+    were refused though λ = 0.5 tracks them.  Such a chunk is tracked again in units of a power
+    of two: a batch times 2^500 gets the bits of the batch itself, with or without a reference."""
+    x = np.full(20_000, 5e144)
+    trace = track_moving_optimum(SampleBatch(x, x), lam)
+    assert np.all(trace.t_tracked == 1.0) and set(trace.regimes) == {RegimeLabel.POWER_BALANCE}
+    problem = parse_problem_spec("heavy_tail(noise_power=0.5, seed=3)")
+    for n in (20_000, 3 * CHUNK + 17):
+        batch = generate(problem, n)
+        big = SampleBatch(np.ldexp(batch.x, 500), np.ldexp(batch.v, 500))
+        reference = population_moments(problem, np.arange(n))
+        for ref, big_ref in ((None, None), (reference, np.ldexp(reference, 1000))):
+            want = track_moving_optimum(batch, lam, reference=ref)
+            got = track_moving_optimum(big, lam, reference=big_ref)
+            assert np.array_equal(got.t_tracked, want.t_tracked)
+            if ref is not None or n < CHUNK:  # a chunk not tracked again: see the xfail below
+                assert got.regimes == want.regimes
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the label without a reference forms m_zd² as m_zd·m_zd, which overflows once m_zd "
+    "passes 2^512 (samples above about 1e77); the gap is then clamped to 0 and every such "
+    "step is labelled power_balance"))
+def test_labels_without_a_reference_do_not_depend_on_the_units():
+    batch = generate(parse_problem_spec("heavy_tail(noise_power=0.5, seed=3)"), 1000)
+    want = track_moving_optimum(batch, 1.0)
+    got = track_moving_optimum(SampleBatch(np.ldexp(batch.x, 300), np.ldexp(batch.v, 300)), 1.0)
+    assert np.array_equal(got.t_tracked, want.t_tracked)
+    assert got.regimes == want.regimes
+
+
 def test_a_reference_of_the_wrong_shape_is_refused():
     batch = SampleBatch([1.0, 2.0, 3.0], [1.0, 2.0, 2.0])
     for reference in (np.ones((2, 3)), np.ones((3, 2)), np.ones(9)):

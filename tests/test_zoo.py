@@ -265,6 +265,21 @@ def test_amplifier_verification():
                      _raw(SampleBatch([2.0], [1.0 + 1e-9])))
 
 
+def test_summarize_verifies_every_amplifier_it_reduces():
+    """The amplifier rule lives behind zoo: summarize refuses a non-dominant amplifier after its
+    passes, and an empty summary, which has no power to check, passes verify_amplifier."""
+    fragile = ProblemSpec(kind="gaussian_shrinkage", signal_power=4.0, noise_power=1e-6, seed=1)
+    weak = EstimatorSpec(kind="amplifier", c=1.0000001)
+    with pytest.raises(InvalidSpec, match=r"^amplifier\(c=1\.0000001\) is not power dominant"):
+        summarize(problem_source(fragile, 2), [EstimatorSpec(kind="zero"), weak])
+    raw, sums = summarize(problem_source(fragile, 2), [EstimatorSpec(kind="amplifier", c=2.0)])
+    assert raw.n == sums[0].n == 2
+    verify_amplifier(weak, MomentSummary())
+    assert summarize(problem_source(fragile, 0), [weak]) == (MomentSummary(), [MomentSummary()])
+    with pytest.raises(InvalidSpec):
+        verify_amplifier(EstimatorSpec(kind="scale", c=2.0), MomentSummary())
+
+
 def test_amplifier_penalty_across_seeds():
     for seed in range(100):
         batch = generate(with_seed(GAUSS, seed), 2000)
