@@ -31,9 +31,10 @@ from __future__ import annotations
 import io
 import math
 import os
+import re
 import threading
 from dataclasses import dataclass, replace
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import chain
 from typing import Callable, Iterable, Iterator
 
@@ -291,22 +292,140 @@ def _fork_map(fn: Callable[[object], object], items: Iterable) -> Iterator:
 
 
 def fmt_rows(header: str, template: str, n: int, columns, size: int = CHUNK) -> Iterator[str]:
-    """Yield a header line, then n rows of a one-row %-template in blocks of ``size`` rows:
-    CHUNK, or the tracker's chunks for track.
+    """Yield a header line, then n rows of a one-row template, as the %-operator writes them
+    with %.17g, %d (int64) and %s (ASCII), in blocks of ``size`` rows: CHUNK, or track's chunks.
 
     ``columns(rows)`` gives sliceable columns (arrays, ranges, tuples) of the rows of a block;
     it runs through _fork_map, so it must call no public function.  A block is formatted
-    _LINES rows at a time, so that few of its floats and little of its text live at once."""
+    _LINES rows at a time, so that few of its values and little of its text live at once."""
+    parts = _CONVERSIONS.split(template)  # literal, conversion, literal, ..., literal
+    if "%" in "".join(parts[::2]):
+        raise ValueError(f"a row template converts with %.17g, %d or %s only: {template!r}")
+    literals = [np.frombuffer(part.encode("ascii").ljust(-(-len(part) // 8) * 8, b"\0"), np.uint64)
+                for part in parts[::2]]
+
     def block(lo: int) -> list[str]:
         k, cols = min(size, n - lo), list(columns(slice(lo, min(lo + size, n))))
-        texts = []
-        for a in range(0, k, _LINES):
-            part = [c[a:a + _LINES] for c in cols]  # arrays as lists, ranges and tuples as they are
-            part = [c.tolist() if isinstance(c, np.ndarray) else c for c in part]
-            texts.append(template * min(_LINES, k - a) % tuple(chain.from_iterable(zip(*part))))
-        return texts
+        return [_fmt_lines(literals, parts[1::2], [c[a:a + _LINES] for c in cols])
+                for a in range(0, k, _LINES)]
     yield header + "\n"
     yield from chain.from_iterable(_fork_map(block, range(0, n, size)))
+
+
+# fmt_rows lays rows out in NUL-padded uint64 words, which one translate drops: literals and %s
+# values in words of their own, a %.17g or %d value in six: the sign, "0.000" at -4 <= X < 0 (X
+# the decimal exponent), 17 digits each followed by a slot for the point, "e+XX" or "e+XXX"
+_CONVERSIONS = re.compile(r"(%\.17g|%d|%s)")
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two halves of 26 bits
+
+
+@cache
+def _digit_tables():
+    """(p = 10^k rounded, its Veltkamp halves and 10^k - p rounded, |k| <= 300; the words of
+    the 4-digit quads, then with trailing zeros as NUL; of a sign and leading digit; and of each
+    exponent's and point flag's frame: the prefix, a '0' per integer digit, point, exponent)."""
+    p10 = np.array([_power(k) for k in range(-300, 301)]).T
+    high = p10[0] * _SPLIT - (p10[0] * _SPLIT - p10[0])
+    p10 = np.stack((p10[0], high, p10[0] - high, p10[1]))
+    quads = np.zeros((2, 10000, 8), np.uint8)
+    quads[:, :, ::2] = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48
+    quads[1, :, ::2] *= np.logical_or.accumulate(quads[1, :, -2::-2] != 48, axis=1)[:, ::-1]
+    lead = np.zeros((2, 10, 8), np.uint8)
+    lead[1, :, 0], lead[:, :, 6] = 45, np.arange(48, 58)
+    frames = np.zeros((601, 2, 48), np.uint8)  # e-notation: a point after the first digit, e±XX
+    exponents = b"".join((b"e%+03d" % x).ljust(8, b"\0") for x in range(-300, 301))
+    frames[:, 1, 7], frames[:, :, 40:] = 46, np.frombuffer(exponents, np.uint8).reshape(-1, 1, 8)
+    frames[296:317] = 0  # fixed notation at -4 <= X < 17
+    for x in range(-4, 0):
+        frames[x + 300, :, 1:2 - x] = np.frombuffer(b"0." + b"0" * (-x - 1), np.uint8)
+    for x in range(17):
+        frames[x + 300, :, 6:7 + 2 * x:2], frames[x + 300, 1, 7 + 2 * x] = 48, 46 * (x < 16)
+    return (p10, quads.view(np.uint64).ravel(), lead.view(np.uint64).ravel(),
+            np.ascontiguousarray(frames.view(np.uint64).reshape(1202, 6).T))
+
+
+def _power(k: int) -> tuple[float, float]:
+    """p = 10^k rounded, and 10^k - p rounded, from exact integer ratios."""
+    num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+    p = num / den
+    n, d = p.as_integer_ratio()
+    return p, (num * d - n * den) / (den * d)
+
+
+def _scaled(a: np.ndarray, x: np.ndarray, p10: np.ndarray):
+    """a·10^(16-x) as h + l: Dekker's product by p ≈ 10^(16-x), plus a·(10^(16-x) - p)."""
+    p, high, low, residual = (row.take(316 - x) for row in p10)
+    ah = a * _SPLIT - (a * _SPLIT - a)
+    al = a - ah
+    h = a * p
+    return h, ah * high - h + ah * low + al * high + al * low + a * residual
+
+
+@np.errstate(invalid="ignore", divide="ignore")
+def _fmt_numbers(conversion: str, column, out: np.ndarray) -> None:
+    """Write the six-word fields of a %.17g or %d column into out.  N, the 17 digits of v, is
+    v·10^(16-X) rounded half-even, X guessed from log10 and set by where the double-double
+    product falls.  _fallback writes 0, inf, NaN, |v| outside [1e-280, 1e280), %d past 2^53,
+    and a 17th digit within 2^-30 of a tie (exact ties, which C rounds half-even)."""
+    if conversion == "%d":  # below 2^53 an integer's float writes its %d text
+        column = np.asarray(column, np.int64)
+        v = np.where((column > -2 ** 53) & (column < 2 ** 53), column, np.nan)
+    else:
+        column = v = np.asarray(column, np.float64)
+    p10, quads, lead, frames = _digit_tables()
+    a = np.abs(v)
+    ok = (a >= 1e-280) & (a < 1e280)
+    a[~ok] = 1.0
+    x = np.floor(np.log10(a)).astype(np.int64)
+    h, l = _scaled(a, x, p10)
+    up = (h > 1e17) | ((h == 1e17) & (l >= 0))
+    fix = np.flatnonzero(up | (h < 1e16) | ((h == 1e16) & (l < 0)))
+    if fix.size:  # the product lies outside [1e16, 1e17): the guess was one off
+        x[fix] += np.where(up[fix], 1, -1)
+        h[fix], l[fix] = _scaled(a[fix], x[fix], p10)
+    ok &= np.abs(l - np.floor(l) - 0.5) > 2.0 ** -30
+    n = h.astype(np.int64) + np.rint(l).astype(np.int64)  # h is an integer above 2^53
+    carry = n == 10 ** 17  # seventeen 9s rounded up
+    n, x = np.where(carry, 10 ** 16, n), x + carry
+    ok &= (n >= 10 ** 16) & (n < 10 ** 17)
+    n[~ok], x[~ok] = 10 ** 16, 0
+    top, bottom = (half.astype(np.int32) for half in np.divmod(n, 10 ** 8))
+    d0, q1, q2 = top // 10 ** 8, top // 10000 % 10000, top % 10000
+    q3, q4 = np.divmod(bottom, 10000)
+    # a point iff a digit follows it: below 1e16 iff v is no integer, else iff N % 10^16 != 0
+    point = np.where((x >= 0) & (x < 17), a != np.floor(a), (q1 | q2 | bottom) != 0)
+    frame = (x + 300) * 2 + point
+    out[:, 0] = lead.take(d0 + 10 * (v < 0)) | frames[0].take(frame)
+    last = [(bottom == 0) & (q2 == 0), bottom == 0, q4 == 0, True]  # 0s follow: trailing 0s as NUL
+    for j, (q, stripped) in enumerate(zip((q1, q2, q3, q4), last), start=1):
+        out[:, j] = quads.take(q + 10000 * stripped) | frames[j].take(frame)
+    out[:, 5] = frames[5].take(frame)
+    for i in np.flatnonzero(~ok):
+        text = _fallback(conversion, column[i]).encode()
+        out[i] = np.frombuffer(text.ljust(48, b"\0"), np.uint64)
+
+
+def _fallback(conversion: str, value) -> str:
+    """The %-text of one value that _fmt_numbers leaves."""
+    return conversion % value
+
+
+def _fmt_lines(literals: list[np.ndarray], conversions: list[str], cols: list) -> str:
+    """The text of the rows of ``cols``: literals[0], cols[0] by conversions[0], literals[1]..."""
+    strings = [np.asarray(c, dtype="S") if conversion == "%s" else None
+               for conversion, c in zip(conversions, cols)]
+    widths = [6 if s is None else -(-s.itemsize // 8) for s in strings]
+    rows, o = np.empty((len(cols[0]), sum(widths) + sum(w.size for w in literals)), np.uint64), 0
+    for literal, conversion, c, s, w in zip(literals, conversions, cols, strings, widths):
+        rows[:, o:o + literal.size] = literal
+        o += literal.size + w
+        if s is None:
+            _fmt_numbers(conversion, c, rows[:, o - w:o])
+        else:
+            rows[:, o - w:o] = s.astype(f"S{8 * w}").view(np.uint64).reshape(-1, w)
+    rows[:, o:] = literals[-1]
+    text, rows = rows.tobytes(), None  # the rows go before translate allocates: a lower peak
+    return text.translate(None, b"\0").decode("ascii")
 
 
 def merge(a: MomentSummary, b: MomentSummary) -> MomentSummary:

@@ -387,9 +387,9 @@ def _tracker(source: tuple[int, Rows], forgetting: float,
             t_a = _dot(x, z) / zz if zz > 0.0 else 0.0  # (Chan, Golub & LeVeque 1983)
         m, k = stack[:, :hi - lo], 0  # the rows are in units of 2^k
         for again in (False, True):
-            if again:  # an EWMA block sum overflowed: again in units of 2^k that bring b, a bound
-                # on the carry and on half of each row's chunk sum, below 2^509; every window and
-                # m_zd² is then finite, and t and the labels (ratios, comparisons) keep their bits
+            if again:  # a window overflowed, or m_zd passed 2^511: again in units of 2^k that
+                # bring b, a bound on the carry and on half of each row's chunk sum, below 2^509;
+                # every window and m_zd² is then finite, and t and the labels keep their bits
                 b = xx + max(1.0, t_a * t_a) * zz + max(map(abs, start))
                 if not math.isfinite(b):  # sums of squares past float64 are refused
                     break
@@ -409,7 +409,8 @@ def _tracker(source: tuple[int, Rows], forgetting: float,
                 m /= np.arange(lo + 1, hi + 1, dtype=np.float64)
             else:
                 _ewma(m, forgetting, carry)
-            if forgetting == 1.0 or np.isfinite(m[:, -1]).all():
+            if np.isfinite(m[:, -1]).all() and (
+                    reference is not None or np.abs(m[3]).max() < 2.0 ** 511):
                 break
         carry = np.ldexp(carry, 2 * k).tolist()  # in units of 1, past float64 as inf
         bad = m[1] <= 0.0  # the first step whose window is dead or not finite is refused
@@ -469,13 +470,13 @@ def track_csv_blocks(source: tuple[int, Rows], forgetting: float,
 
 
 _TRACK_ROW, _TRACK_ROW_NAN = "%d,%.17g,%.17g,%.17g,%s\n", "%d,nan,%.17g,nan,%s\n"
-# regime text via _value_: the Enum ``.value`` property costs about 5x as much per row
-_REGIME_TEXTS = np.array([r._value_ for r in REGIMES], dtype=object)
+# regime text as fixed-width bytes, which fmt_rows lays out without a per-row conversion
+_REGIME_TEXTS = np.array([r._value_.encode() for r in REGIMES])
 
 
 @np.errstate(invalid="ignore")  # |inf - inf| is NaN, as |NaN - t| is, with no warning
 def _track_columns(lo: int, t_true: Optional[np.ndarray], t_hat: np.ndarray, codes: np.ndarray):
     """The columns of _TRACK_ROW from step lo, the error as tracking_error computes it, or,
     if t_true is None, of _TRACK_ROW_NAN."""
-    k, texts = range(lo, lo + t_hat.size), _REGIME_TEXTS[codes]
+    k, texts = np.arange(lo, lo + t_hat.size), _REGIME_TEXTS[codes]
     return (k, t_hat, texts) if t_true is None else (k, t_true, t_hat, abs(t_hat - t_true), texts)

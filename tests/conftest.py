@@ -3,8 +3,13 @@
 import os
 
 import pytest
+from hypothesis import settings
 
 import powertriad
+
+# A longer search, for CI's own step over the row writer's byte properties:
+# `pytest -k row_writer --hypothesis-profile=deep`.  Not loaded by default.
+settings.register_profile("deep", max_examples=2000)
 
 # The directory that holds the `powertriad` this process imported. A relative
 # PYTHONPATH entry (`PYTHONPATH=src`) names nothing from a child's cwd, so child

@@ -28,6 +28,7 @@ from powertriad import (
     write_csv,
 )
 from powertriad import moments
+from powertriad.cli import main
 from powertriad.moments import CHUNK, _exact_sum, _fork_map, to_csv_text
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -612,3 +613,133 @@ def test_to_csv_text_matches_per_row_rendering(n):
     assert text == _reference_to_csv_text(batch)
     if n == 0:
         assert text == "x,v\n"
+
+
+# --- CSV emit: the row writer against the %-operator, row by row -----------------
+# Every template the package writes: zoo run's pairs, track's rows with and without a
+# reference, and the path trace.
+_TEMPLATES = ["%.17g,%.17g\n", "%d,%.17g,%.17g,%.17g,%s\n", "%d,nan,%.17g,nan,%s\n",
+              "%d,%.17g,%.17g,%s\n"]
+_LABELS = ("power_dominant", "power_balance", "power_conservative")
+
+
+def _row_columns(template, floats, counters, labels_as_bytes=False):
+    """One column per conversion of template: rolled copies of the float array for %.17g,
+    the int64 counters for %d, and regime labels (str, or bytes as track gives them) for %s."""
+    n, columns = len(counters), []
+    for i, conversion in enumerate(re.findall(r"%\.17g|%d|%s", template)):
+        if conversion == "%d":
+            columns.append(np.asarray(counters, dtype=np.int64))
+        elif conversion == "%s":
+            labels = tuple(_LABELS[j % 3] for j in range(i, i + n))
+            columns.append(np.array([s.encode() for s in labels]) if labels_as_bytes else labels)
+        else:
+            columns.append(np.roll(np.asarray(floats, dtype=np.float64), i)[:n])
+    return columns
+
+
+def _written(template, columns) -> str:
+    n = len(columns[0])
+    return "".join(moments.fmt_rows("h", template, n, lambda s: [c[s] for c in columns]))
+
+
+def _assert_same_rows(got: str, want: str) -> None:
+    """Equal texts, or the first row that differs (a diff of whole texts takes minutes)."""
+    got_rows, want_rows = got.splitlines(), want.splitlines()
+    bad = next((i for i, pair in enumerate(zip(got_rows, want_rows)) if pair[0] != pair[1]), None)
+    assert bad is None, f"row {bad}: {got_rows[bad]!r} != {want_rows[bad]!r}"
+    same = got == want
+    assert same, f"{len(got_rows)} rows against {len(want_rows)}"
+
+
+def _percent(template, columns) -> str:
+    """The %-operator's text, one row at a time, of Python ints, floats and str."""
+    rows = zip(*([v.decode() if isinstance(v, bytes) else v for v in c.tolist()]
+                 if isinstance(c, np.ndarray) else c for c in columns))
+    return "h\n" + "".join(template % row for row in rows)
+
+
+@settings(deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("template", _TEMPLATES)
+def test_row_writer_is_the_percent_text_of_any_floats_and_counters(template, data):
+    n = data.draw(st.integers(1, 30))
+    floats = data.draw(st.lists(st.floats(), min_size=n, max_size=n))
+    counters = data.draw(st.lists(st.integers(0, 2 ** 53 + 2) | st.integers(-2 ** 63, 2 ** 63 - 1),
+                                  min_size=n, max_size=n))
+    columns = _row_columns(template, floats, counters)
+    _assert_same_rows(_written(template, columns), _percent(template, columns))
+
+
+@pytest.mark.parametrize("template", _TEMPLATES)
+def test_row_writer_is_the_percent_text_of_random_bit_patterns(template):
+    rng = np.random.default_rng(26)
+    floats = rng.integers(0, 2 ** 64, 40000, dtype=np.uint64).view(np.float64)  # NaN, inf, subnormal
+    counters = rng.integers(-2 ** 63, 2 ** 63, floats.size, dtype=np.int64)
+    columns = _row_columns(template, floats, counters, labels_as_bytes=True)
+    _assert_same_rows(_written(template, columns), _percent(template, columns))
+
+
+def _edge_values() -> np.ndarray:
+    powers = 10.0 ** np.arange(-308, 309)
+    near = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    switch = np.array([1e-5, 1e-4, 1e16, 1e17])  # where %g turns from or to e-notation
+    switch = np.concatenate([switch, np.nextafter(switch, 0), np.nextafter(switch, np.inf)])
+    carries = np.array([float(f"9.9999999999999999e{k}") for k in range(-300, 300)])
+    integers = np.outer(np.arange(1, 40), 10.0 ** np.arange(0, 23)).ravel()
+    subnormal = np.array([5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308])
+    # exact ties at the 17th digit, which C rounds half-even
+    ties = np.concatenate([1e15 + np.arange(300) + 0.25, 1e15 + np.arange(300) + 0.75,
+                           1e14 + np.arange(300) + 0.125, 1e14 + np.arange(300) + 0.375])
+    values = np.concatenate([near, switch, carries, integers, subnormal, ties,
+                             [1.7976931348623157e308, 0.0, np.inf, np.nan]])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("template", _TEMPLATES)
+def test_row_writer_is_the_percent_text_of_the_edge_classes(template):
+    floats = _edge_values()
+    past = [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 62 + 1, 2 ** 63 - 1, -2 ** 63, -1, 0]
+    counters = np.resize(np.array(past, dtype=np.int64), floats.size)
+    columns = _row_columns(template, floats, counters)
+    _assert_same_rows(_written(template, columns), _percent(template, columns))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193, 65537])
+@pytest.mark.parametrize("template", _TEMPLATES)
+def test_row_writer_is_the_percent_text_across_block_edges(monkeypatch, template, n, workers):
+    monkeypatch.setattr(moments, "_usable_cpus", lambda: workers)
+    rng = np.random.default_rng(n)
+    floats = np.resize(np.concatenate([_SPECIAL, rng.standard_normal(n)]), n)
+    columns = _row_columns(template, floats, range(n), labels_as_bytes=True)
+    columns[0] = range(n) if template.startswith("%d") else columns[0]  # fmt_rows takes ranges too
+    _assert_same_rows(_written(template, columns), _percent(template, columns))
+
+
+def _count_fallbacks(monkeypatch) -> list:
+    calls = []
+    fallback = moments._fallback
+    monkeypatch.setattr(moments, "_fallback", lambda *args: calls.append(args) or fallback(*args))
+    return calls
+
+
+def test_row_writer_takes_the_fast_path_for_ordinary_values(monkeypatch, tmp_path):
+    """A change that sends every value back to % keeps every byte; it must fail here."""
+    calls = _count_fallbacks(monkeypatch)
+    x = np.random.default_rng(1).standard_normal(8192)
+    _written("%.17g,%.17g\n", [x, x[::-1]])
+    assert calls == []
+    out = tmp_path / "heavy.csv"
+    assert main(["zoo", "run", "--problem", "heavy_tail", "--samples", "20000",
+                 "--out", str(out)]) == 0
+    assert out.read_text().count("\n") == 20001 and calls == []
+
+
+def test_row_writer_leaves_each_value_it_cannot_settle_to_percent(monkeypatch):
+    calls = _count_fallbacks(monkeypatch)
+    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, 5e-324, 1000000000000000.25])
+    columns = [values, np.ones(values.size)]
+    _assert_same_rows(_written("%.17g,%.17g\n", columns), _percent("%.17g,%.17g\n", columns))
+    assert [conversion for conversion, _ in calls] == ["%.17g"] * values.size
+    assert sorted(repr(float(v)) for _, v in calls) == sorted(map(repr, values.tolist()))

@@ -588,10 +588,6 @@ def test_a_chunk_whose_ewma_block_sums_overflow_is_tracked_in_smaller_units(lam)
                 assert got.regimes == want.regimes
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the label without a reference forms m_zd² as m_zd·m_zd, which overflows once m_zd "
-    "passes 2^512 (samples above about 1e77); the gap is then clamped to 0 and every such "
-    "step is labelled power_balance"))
 def test_labels_without_a_reference_do_not_depend_on_the_units():
     batch = generate(parse_problem_spec("heavy_tail(noise_power=0.5, seed=3)"), 1000)
     want = track_moving_optimum(batch, 1.0)
