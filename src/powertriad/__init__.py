@@ -2,7 +2,7 @@
 
 The toolkit answers one recurring question about an estimate v of a signal
 x: does v carry more mean power than x, and what does that cost?  The
-moments module accumulates the seven sufficient sums, diagnostics classifies
+moments module accumulates the eight sufficient sums, diagnostics classifies
 the regime and checks the coupling penalty, scaling fits and certifies the
 optimal multiplier (and walks iterative controllers toward it), zoo supplies
 reproducible synthetic problems, and safezone_map draws the whole picture.

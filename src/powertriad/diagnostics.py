@@ -168,15 +168,13 @@ def triad_report(
 ) -> TriadReport:
     """Assemble the full diagnostic for one estimate.
 
-    error_variance is derived as mse - bias², so the decomposition
-    mse = bias² + error_variance holds exactly by construction.
+    error_variance is the errors' centred second moment from finalize, which does not cancel
+    as mse - bias² does under a large, nearly constant error; mse = bias² + error_variance.
     """
     verdict = check_penalty(stats, tol=tol, balance_tol=balance_tol)
-    bias = stats.mean_e
-    error_variance = stats.mse - bias * bias
     return TriadReport(
-        bias=bias,
-        error_variance=error_variance,
+        bias=stats.mean_e,
+        error_variance=stats.error_variance,
         power_ratio=stats.ev2 / stats.ex2,
         mse=stats.mse,
         coupling=stats.coupling,

@@ -1,9 +1,9 @@
 """Streaming second-moment accumulation for paired (signal, candidate) draws.
 
-Every diagnostic in this toolkit is a function of seven running sums over
+Every diagnostic in this toolkit is a function of eight running sums over
 aligned pairs (x_i, v_i) with errors e_i = v_i - x_i: n, Σx², Σv², Σx·v,
-Σe, Σe², Σv·e.  Summaries are plain immutable values, so parallel
-reduction is just a merge of independently built summaries.
+Σe, Σe², Σv·e and Σ(e - ē)².  Summaries are plain immutable values, so
+parallel reduction is just a merge of independently built summaries.
 
 _fork_map spreads CHUNK-sized blocks of a reduction, read_csv's file pieces
 and fmt_rows' row blocks over this process and a forked child per further
@@ -103,6 +103,7 @@ class MomentSummary:
     sum_e: float = 0.0
     sum_ee: float = 0.0
     sum_ve: float = 0.0
+    m2_e: float = 0.0  # Σ(e - ē)², the errors' squares about their mean ē = Σe/n
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ class MomentStats:
     """Population-normalized moments plus the derived error statistics.
 
     mse is the mean squared error of v against x; coupling is the mean
-    product of v with the error e = v - x.
+    product of v with the error e = v - x.  error_variance is NaN unless finalize set it.
     """
 
     n: int
@@ -120,6 +121,7 @@ class MomentStats:
     mean_e: float
     mse: float
     coupling: float
+    error_variance: float = math.nan
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -192,13 +194,15 @@ def _powers(x: np.ndarray, v: np.ndarray, offset: int = 0) -> tuple[float, float
 def _summary(x: np.ndarray, v: np.ndarray, offset: int, e: np.ndarray) -> MomentSummary:
     """The sums of one block of at most CHUNK aligned pairs, the first at input position ``offset``.
 
-    The errors go into ``e``, a scratch array of at least x.size doubles.  Raises
-    NonFiniteSample naming the first offending pair by its input position.
+    The errors go into ``e``, a scratch array of at least x.size doubles, and are then centred
+    for m2_e.  Raises NonFiniteSample naming the first offending pair by its input position.
     """
     xx, vv = _powers(x, v, offset)
     e = np.subtract(v, x, out=e[:x.size])
-    return MomentSummary(n=int(x.size), sum_xx=xx, sum_vv=vv, sum_xv=_dot(x, v),
-                         sum_e=float(np.sum(e)), sum_ee=_dot(e, e), sum_ve=_dot(v, e))
+    k, sum_e, sum_ee, sum_ve = max(x.size, 1), float(np.sum(e)), _dot(e, e), _dot(v, e)
+    d = np.subtract(e, sum_e / k, out=e)
+    return MomentSummary(n=int(x.size), sum_xx=xx, sum_vv=vv, sum_xv=_dot(x, v), sum_e=sum_e,
+                         sum_ee=sum_ee, sum_ve=sum_ve, m2_e=_dot(d, d) - float(np.sum(d)) ** 2 / k)
 
 
 def accumulate(summary: MomentSummary, batch: SampleBatch, *,
@@ -234,20 +238,17 @@ def _usable_cpus() -> int:
 def _fork_map(fn: Callable[[object], object], items: Iterable) -> Iterator:
     """Yield fn(item) in order, item k computed by process k mod W, one process per usable CPU.
 
-    The W-1 forked children send length-prefixed pickle frames on their own
-    pipes and leave by os._exit, flushing none of this process's buffers.  A
-    child that dies or raises closes its pipe, and its items are computed
-    here, so every result and exception comes from fn in order.  One item,
-    one CPU, no os.fork or a second live thread runs inline.  fn must call
-    no function a tracer may wrap (give it private helpers only) and return
-    a picklable value.
+    The W-1 forked children stream pickles on their own pipes and leave by os._exit, flushing
+    none of this process's buffers.  A child that dies or raises cuts its stream short, and its
+    items are computed here, so every result and exception comes from fn in order.  One item,
+    one CPU, no os.fork or a second live thread runs inline.  fn must call no function a tracer
+    may wrap (give it private helpers only) and return a picklable value.
     """
     items = list(items)
     workers = min(len(items), _usable_cpus())
     if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         yield from map(fn, items)
         return
-    import mmap
     import pickle
     import signal
     children = {}  # worker -> (pid, read end of its pipe)
@@ -264,24 +265,21 @@ def _fork_map(fn: Callable[[object], object], items: Iterable) -> Iterator:
                 try:
                     with open(wr, "wb") as out:
                         for item in items[w::workers]:
-                            data = pickle.dumps(fn(item), pickle.HIGHEST_PROTOCOL)
-                            out.writelines((len(data).to_bytes(8, "little"), data))  # no copy
+                            pickle.dump(fn(item), out, pickle.HIGHEST_PROTOCOL)
                             out.flush()
                 finally:
                     os._exit(0)
             os.close(wr)
             children[w] = (pid, open(r, "rb"))
-        # frames land in an anonymous map, reused while large enough: no hole in the heap
-        frame = memoryview(b"")
         for k, item in enumerate(items):
             if k % workers in children:
-                pipe = children[k % workers][1]
-                head = pipe.read(8)
-                size = int.from_bytes(head, "little") if len(head) == 8 else 0
-                if size > len(frame):
-                    frame = memoryview(mmap.mmap(-1, size))
-                if size and pipe.readinto(frame[:size]) == size:
-                    yield pickle.loads(frame[:size])
+                try:
+                    result = pickle.load(children[k % workers][1])
+                except (EOFError, pickle.UnpicklingError):  # a stream cut short or ended
+                    pass
+                else:
+                    yield result
+                    del result  # not held while this process computes its next item
                     continue
             yield fn(item)
     finally:
@@ -429,7 +427,9 @@ def _fmt_lines(literals: list[np.ndarray], conversions: list[str], cols: list) -
 
 
 def merge(a: MomentSummary, b: MomentSummary) -> MomentSummary:
-    """Component-wise combination; associative and commutative up to rounding."""
+    """Component-wise combination, m2_e by Chan, Golub & LeVeque's pairwise update (1979);
+    associative and commutative up to rounding."""
+    delta = a.sum_e / a.n - b.sum_e / b.n if a.n and b.n else 0.0  # between the mean errors
     return MomentSummary(
         n=a.n + b.n,
         sum_xx=a.sum_xx + b.sum_xx,
@@ -438,6 +438,7 @@ def merge(a: MomentSummary, b: MomentSummary) -> MomentSummary:
         sum_e=a.sum_e + b.sum_e,
         sum_ee=a.sum_ee + b.sum_ee,
         sum_ve=a.sum_ve + b.sum_ve,
+        m2_e=a.m2_e + b.m2_e + delta * delta * (a.n * b.n / max(a.n + b.n, 1)),
     )
 
 
@@ -458,7 +459,8 @@ def finalize(summary: MomentSummary) -> MomentStats:
     # Cauchy-Schwarz keeps from -inf); below rounding noise the summary is corrupt
     if not (mse >= 0.0 and (ev2 - exv) + (ex2 - exv) >= -1e-12 * max(ex2, ev2)):
         raise PowerTriadError("mse fell below rounding tolerance")
-    return MomentStats(n=n, ex2=ex2, ev2=ev2, exv=exv, mean_e=mean_e, mse=mse, coupling=coupling)
+    return MomentStats(n=n, ex2=ex2, ev2=ev2, exv=exv, mean_e=mean_e, mse=mse, coupling=coupling,
+                       error_variance=summary.m2_e / n)
 
 
 def stats_of(batch: SampleBatch, *, compensated: bool = False) -> MomentStats:

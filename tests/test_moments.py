@@ -15,13 +15,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powertriad import (
+    PROBLEM_KINDS,
     EmptySummary,
     MomentSummary,
     NonFiniteSample,
     PowerTriadError,
+    ProblemSpec,
     SampleBatch,
     accumulate,
     finalize,
+    generate,
     merge,
     read_csv,
     stats_of,
@@ -196,6 +199,24 @@ def test_mse_keeps_precision_at_high_power(offset_exp, err_exp, seed):
         assert abs(stats.mse - reference) <= 1e-8 * reference
         assert abs(stats.coupling - coupling) <= 1e-8 * abs(coupling)
         assert abs(stats.mean_e - mean_e) <= 1e-8 * float(np.mean(np.abs(v - x)))
+
+
+@given(st.sampled_from(PROBLEM_KINDS), st.integers(0, 2**32 - 1), st.floats(0.0, 4.0),
+       st.floats(0.0, 9.0), st.booleans(), st.integers(1, 3 * CHUNK))
+@example("heavy_tail", 1, 4.0, 9.0, True, 3 * CHUNK - 1)  # three blocks, the widest ratio
+@settings(deadline=None, max_examples=40)
+def test_error_variance_is_the_variance_of_the_float_errors(kind, seed, bias_exp, ratio_exp,
+                                                            negative, n):
+    """A bias of 1e0 to 1e4 and an error spread down to 1e-9 of it, which mse - bias² cancels:
+    error_variance stays within 1e-8 of a longdouble two-pass variance of fl(v - x)."""
+    x = generate(ProblemSpec(kind, seed=seed), n).x
+    bias = (-1.0 if negative else 1.0) * 10.0**bias_exp
+    v = x + bias + abs(bias) * 10.0**-ratio_exp * np.random.default_rng(seed).standard_normal(n)
+    e = (v - x).astype(np.longdouble)
+    reference = float(np.mean((e - np.mean(e)) ** 2))
+    error_variance = stats_of(SampleBatch(x, v)).error_variance
+    assert error_variance >= 0.0
+    assert abs(error_variance - reference) <= 1e-8 * reference
 
 
 def test_shuffle_invariance():
@@ -548,6 +569,29 @@ def test_fork_map_raises_a_child_failure_as_the_inline_run_does(monkeypatch, wor
         for value in _fork_map(_fail_on_four, range(8)):
             seen.append(value)
     assert seen == [0, 1, 2, 3]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _ExitWhenPickled:
+    """Ends a child that pickles it, after what came before it is on the pipe."""
+
+    def __reduce__(self):
+        os._exit(0)
+
+    def __eq__(self, other):
+        return isinstance(other, _ExitWhenPickled)
+
+
+def _megabyte_then_exit_on_five(i):
+    return bytes([i]) * (1 << 20), _ExitWhenPickled() if i == 5 else i
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_fork_map_computes_a_result_cut_off_mid_stream_inline(monkeypatch, workers):
+    monkeypatch.setattr(moments, "_usable_cpus", lambda: workers)  # item 5 is a child's at W = 2, 3
+    results = list(_fork_map(_megabyte_then_exit_on_five, range(8)))
+    assert results == [_megabyte_then_exit_on_five(i) for i in range(8)]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
