@@ -11,6 +11,9 @@ usable CPU (CSV text holds the GIL, so threads would take turns), each
 holding about one item at a time, and yields the results in order, so the
 sums merge and the bytes join as they do in one process.
 
+fmt_rows and read_csv write and read CSV numbers through one double-double product, and leave
+to % and np.loadtxt only what it cannot settle: %'s bytes, float()'s correctly rounded values.
+
 mean_e is read off Σe, mse off Σe² and coupling off Σv·e rather than off
 differences of the power sums (Σv - Σx, Σv² - 2Σx·v + Σx² and Σv² - Σx·v),
 which cancel every digit when v tracks a high-power x closely; the direct
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import io
 import math
+import mmap
 import os
 import re
 import threading
@@ -103,7 +107,7 @@ class MomentSummary:
     sum_e: float = 0.0
     sum_ee: float = 0.0
     sum_ve: float = 0.0
-    m2_e: float = 0.0  # Σ(e - ē)², the errors' squares about their mean ē = Σe/n
+    m2_e: float | None = None  # Σ(e - ē)² about ē = Σe/n; None in a summary built without it
 
 
 @dataclass(frozen=True)
@@ -318,13 +322,17 @@ _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two halves o
 
 
 @cache
-def _digit_tables():
-    """(p = 10^k rounded, its Veltkamp halves and 10^k - p rounded, |k| <= 300; the words of
-    the 4-digit quads, then with trailing zeros as NUL; of a sign and leading digit; and of each
-    exponent's and point flag's frame: the prefix, a '0' per integer digit, point, exponent)."""
+def _p10():  # p = 10^k rounded, its Veltkamp halves and 10^k - p rounded, |k| <= 300
     p10 = np.array([_power(k) for k in range(-300, 301)]).T
     high = p10[0] * _SPLIT - (p10[0] * _SPLIT - p10[0])
-    p10 = np.stack((p10[0], high, p10[0] - high, p10[1]))
+    return np.stack((p10[0], high, p10[0] - high, p10[1]))
+
+
+@cache
+def _digit_tables():
+    """(_p10(); the words of the 4-digit quads, then with trailing zeros as NUL; of a sign and
+    leading digit; and of each exponent's and point flag's frame: the prefix, a '0' per integer
+    digit, point, exponent)."""
     quads = np.zeros((2, 10000, 8), np.uint8)
     quads[:, :, ::2] = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48
     quads[1, :, ::2] *= np.logical_or.accumulate(quads[1, :, -2::-2] != 48, axis=1)[:, ::-1]
@@ -338,7 +346,7 @@ def _digit_tables():
         frames[x + 300, :, 1:2 - x] = np.frombuffer(b"0." + b"0" * (-x - 1), np.uint8)
     for x in range(17):
         frames[x + 300, :, 6:7 + 2 * x:2], frames[x + 300, 1, 7 + 2 * x] = 48, 46 * (x < 16)
-    return (p10, quads.view(np.uint64).ravel(), lead.view(np.uint64).ravel(),
+    return (_p10(), quads.view(np.uint64).ravel(), lead.view(np.uint64).ravel(),
             np.ascontiguousarray(frames.view(np.uint64).reshape(1202, 6).T))
 
 
@@ -427,9 +435,12 @@ def _fmt_lines(literals: list[np.ndarray], conversions: list[str], cols: list) -
 
 
 def merge(a: MomentSummary, b: MomentSummary) -> MomentSummary:
-    """Component-wise combination, m2_e by Chan, Golub & LeVeque's pairwise update (1979);
-    associative and commutative up to rounding."""
-    delta = a.sum_e / a.n - b.sum_e / b.n if a.n and b.n else 0.0  # between the mean errors
+    """Component-wise combination, m2_e by Chan, Golub & LeVeque's pairwise update (1979), or
+    None where a side with pairs has none; associative and commutative up to rounding."""
+    m2_e = b.m2_e if not a.n else a.m2_e if not b.n else None
+    if a.n and b.n and a.m2_e is not None and b.m2_e is not None:
+        delta = a.sum_e / a.n - b.sum_e / b.n  # between the mean errors
+        m2_e = a.m2_e + b.m2_e + delta * delta * (a.n * b.n / (a.n + b.n))
     return MomentSummary(
         n=a.n + b.n,
         sum_xx=a.sum_xx + b.sum_xx,
@@ -438,7 +449,7 @@ def merge(a: MomentSummary, b: MomentSummary) -> MomentSummary:
         sum_e=a.sum_e + b.sum_e,
         sum_ee=a.sum_ee + b.sum_ee,
         sum_ve=a.sum_ve + b.sum_ve,
-        m2_e=a.m2_e + b.m2_e + delta * delta * (a.n * b.n / max(a.n + b.n, 1)),
+        m2_e=m2_e,
     )
 
 
@@ -460,7 +471,7 @@ def finalize(summary: MomentSummary) -> MomentStats:
     if not (mse >= 0.0 and (ev2 - exv) + (ex2 - exv) >= -1e-12 * max(ex2, ev2)):
         raise PowerTriadError("mse fell below rounding tolerance")
     return MomentStats(n=n, ex2=ex2, ev2=ev2, exv=exv, mean_e=mean_e, mse=mse, coupling=coupling,
-                       error_variance=summary.m2_e / n)
+                       error_variance=math.nan if summary.m2_e is None else summary.m2_e / n)
 
 
 def stats_of(batch: SampleBatch, *, compensated: bool = False) -> MomentStats:
@@ -500,9 +511,10 @@ def write_csv(path, batch: SampleBatch) -> None:
 def read_csv(path) -> SampleBatch:
     """Read an ``x,v`` CSV file; parse errors carry 1-based line numbers.
 
-    Newline-aligned pieces of about _PIECE bytes are parsed through _fork_map;
-    a piece np.loadtxt cannot take sends the file to the line loop, which owns
-    every error message.
+    Newline-aligned pieces of about _PIECE bytes are parsed through _fork_map, by
+    _load_piece's digit kernel and np.loadtxt, so every value is the correctly rounded one
+    that float() and np.loadtxt give; a piece whose rows np.loadtxt cannot take sends the file
+    to the line loop, which owns every error message.
     """
     with open(path, "rb") as fh:  # the cuts, without holding the text
         cuts, end = [0], fh.seek(0, os.SEEK_END)
@@ -517,26 +529,105 @@ def read_csv(path) -> SampleBatch:
 
 
 def _load_piece(path, cut: tuple[int, int]) -> np.ndarray:
-    """np.loadtxt's (k, 2) rows of the file's bytes [lo, hi); piece 0 holds the header.
-
-    Raises ValueError where the line loop may disagree: a parse error, another
-    width, U+001C-U+001F (loadtxt takes them, float() does not), and a body
-    with no comma, which has no row (np.loadtxt warns on those).
-    """
+    """The (k, 2) values of the file's bytes [lo, hi) as np.loadtxt reads them (piece 0 holds the
+    header): _parse_fields reads ``field,field\\n`` lines, np.loadtxt the rows it leaves or a
+    piece of another shape.  Raises ValueError where the line loop may disagree: a parse
+    error, another width, U+001C-U+001F (loadtxt takes them, float() does not), and a body
+    with no comma, which has no row (np.loadtxt warns on those)."""
     lo, hi = cut
+    buf = mmap.mmap(-1, _HEAD + hi - lo)  # off the heap, which would keep its pages
     with open(path, "rb") as fh:
         fh.seek(lo)
-        piece = fh.read(hi - lo)
-    if (piece.find(b",", piece.find(b",") + 1 if lo == 0 else 0) < 0
-            or any(bytes((c,)) in piece for c in range(0x1C, 0x20))):
+        fh.readinto(memoryview(buf)[_HEAD:])
+    if (buf.find(b",", buf.find(b",", _HEAD) + 1 if lo == 0 else _HEAD) < 0
+            or any(buf.find(bytes((c,)), _HEAD) >= 0 for c in range(0x1C, 0x20))):
         raise ValueError("no rows for np.loadtxt")
-    with io.TextIOWrapper(io.BytesIO(piece), encoding="utf-8") as fh:
-        if lo == 0 and fh.readline().strip() != CSV_HEADER:
+    header = (CSV_HEADER + "\n").encode() if lo == 0 else b""
+    body = _HEAD + len(header)
+    plain = buf[_HEAD:body] == header and buf[-1:] == b"\n" and buf.find(b"\r") < 0  # \n lines
+    xv = _parse_fields(buf, body) if plain else None
+    return _loadtxt(memoryview(buf)[_HEAD:], lo == 0) if xv is None else xv
+
+
+def _loadtxt(text, header: bool) -> np.ndarray:
+    """np.loadtxt's (k, 2) rows of UTF-8 text, after its first line if ``header``."""
+    with io.TextIOWrapper(io.BytesIO(text), encoding="utf-8") as fh:
+        if header and fh.readline().strip() != CSV_HEADER:
             raise ValueError("no header")
         xv = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     if xv.shape[1] != 2:
         raise ValueError("not two columns")
     return xv
+
+
+# room for the 24 bytes that end at a piece's first field; bytes per pass of _parse_fields
+_HEAD, _TEXT, _U = 24, 1 << 17, np.uint64
+
+
+@cache
+def _field_masks():
+    """Word masks by 25·c + q (digits from byte c, the point at q, 24: none): kept, moved, '0'."""
+    byte, c, q = np.arange(24), np.arange(25)[:, None, None], np.arange(25)[:, None]
+    over, digit = np.where(q < 24, q, -1) >= byte, byte >= c  # over: the bytes that move
+    masks = np.stack(np.broadcast_arrays(255 * (digit & ~over), 255 * (digit & over), 48 * ~digit))
+    return np.ascontiguousarray(masks.astype("u1").reshape(3, 625, 24).view("<u8").swapaxes(1, 2))
+
+
+def _parse_fields(buf: mmap.mmap, body: int):
+    """The (k, 2) values of the k rows of buf[body:], or None unless commas and newlines alternate
+    (or an eighth of the rows need np.loadtxt).  A field -?[0-9]*.?[0-9]* with a digit, in 24
+    bytes, its digits N < 2^64, is three words ('0' before the digits, the point shifted out) that
+    fast_float's test and multiply-shift convert (Lemire, 2021); N·10^-f is _scaled's product plus
+    (N - float(N))·10^-f, unless within 2^-30 ulp of a midpoint (or a quarter ulp below 2^k)."""
+    b = np.frombuffer(buf, np.uint8)
+    windows = np.ndarray((b.size - 23, 3), "<u8", buf, 0, (1, 8))  # 24 bytes from each byte on
+    p10, masks, match, left, row, lo = _p10(), _field_masks(), np.empty(_TEXT, bool), {}, 0, body
+    values = np.empty((sum(np.count_nonzero(b[i:i + _TEXT] == 10)
+                           for i in range(body, b.size, _TEXT)), 2))
+    while lo < b.size:
+        text = b[lo:(hi := buf.rfind(b"\n", lo, lo + _TEXT) + 1)]  # empty without a newline
+        commas = np.flatnonzero(np.equal(text, 44, out=match[:text.size]))
+        lines = np.flatnonzero(np.equal(text, 10, out=match[:text.size]))
+        if not (commas.size == lines.size > 0 and (commas < lines).all()
+                and (lines[:-1] < commas[1:]).all()):
+            return None
+        ends = np.concatenate(([-1], np.stack((commas, lines), 1).ravel())) + lo  # separators
+        e, start = ends[1:], ends[:-1] + 1
+        points = np.flatnonzero(np.equal(text, 46, out=match[:text.size])) + lo
+        one = points.size == e.size and (points >= start).all() and (points < e).all()
+        k = np.arange(ends.size) if one else np.searchsorted(points, ends)  # points before each
+        dots = np.diff(k)
+        q = np.where(dots > 0, np.append(points, 0)[k[1:] - 1] - e + 24, 24).clip(0, 24)
+        length, neg = e - start, b[start] == 45
+        at = np.clip(24 - length + neg + (dots > 0), 0, 24) * 25 + q
+        bad, n, carry = _U(0), _U(0), _U(0)  # uint64 all through, under legacy promotion too
+        for i, w in enumerate(np.ascontiguousarray(windows[e - 24].T)):
+            w, carry = (w & masks[0, i][at] | (w << _U(8) | carry) & masks[1, i][at]
+                        | masks[2, i][at]), w >> _U(56)
+            high, six = _U(0xF0F0F0F0F0F0F0F0), _U(0x0606060606060606)
+            bad |= (w & high | (w + six & high) >> _U(4)) ^ _U(0x3333333333333333)
+            w = (w & _U(0x0F0F0F0F0F0F0F0F)) * _U(2561) >> _U(8)
+            w = (w & _U(0x00FF00FF00FF00FF)) * _U(6553601) >> _U(16)
+            w = (w & _U(0x0000FFFF0000FFFF)) * _U(42949672960001) >> _U(32)
+            fits = (n < _U(184467440737)) & (bad == 0)  # digits only, and after i = 2, N < 2^64
+            n = n * _U(10 ** 8) + w
+        n *= fits
+        a, f = n.astype(np.float64), 23 - np.minimum(q, 23)
+        h, l = _scaled(a, 16 + f, p10)
+        l += (n - a.astype(np.uint64)).view(np.int64) * p10[0].take(300 - f)
+        tie = np.abs(l - ((s := h + l) - h)) / np.spacing(s)
+        ok = (fits & (length <= 24) & (length - neg - dots > 0)
+              & (np.abs(np.abs(tie - 0.375) - 0.125) > 2.0 ** -30))
+        values[row:row + lines.size] = np.negative(s, out=s, where=neg).reshape(-1, 2)
+        r = np.flatnonzero(~(ok[0::2] & ok[1::2]))  # np.loadtxt reads these rows' lines
+        left.update(zip((row + r).tolist(), zip(ends[2 * r].tolist(), ends[2 * r + 2].tolist())))
+        row, lo = row + lines.size, hi
+        if 8 * len(left) > row:  # then np.loadtxt reads the whole piece faster
+            return None
+    if left:
+        part = _loadtxt(b"".join(buf[i + 1:j + 1] for i, j in left.values()), False)
+        values[list(left)] = part.reshape(len(left), 2)
+    return values
 
 
 def _read_csv_lines(path) -> SampleBatch:

@@ -828,6 +828,20 @@ def test_track_problem_holds_no_whole_batch_or_reference(tmp_path, child_env):
     assert peak_kb <= 57 * 1024, f"track peaked at {peak_kb / 1024:.0f} MB"
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux only")
+def test_diagnose_input_holds_the_batch_and_little_of_its_text(tmp_path, child_env):
+    """A million rows (40 MB of text) peak at their 16 MB batch, its parsed pieces and one
+    piece of text per process, not at the whole text or more copies."""
+    path = tmp_path / "heavy.csv"
+    assert main(["zoo", "run", "--problem", "heavy_tail", "--samples", "1000000",
+                 "--out", str(path)]) == 0
+    result = subprocess.run([sys.executable, "-S", "-c", _PEAK_RSS, "diagnose", "--input", str(path)],
+                            capture_output=True, text=True, env=child_env)
+    status, peak_kb = map(int, result.stdout.splitlines()[-1].split())
+    assert os.WEXITSTATUS(status) in (0, 3) and result.stderr == ""
+    assert peak_kb <= 67 * 1024, f"diagnose --input peaked at {peak_kb / 1024:.1f} MB"
+
+
 def test_map_and_zoo_run_name_their_missing_input(tmp_path, capsys):
     src = _write(tmp_path / "pairs.csv", DOMINANT_CSV)
     for argv, message in (

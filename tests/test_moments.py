@@ -1,5 +1,7 @@
 """Accumulate/merge/finalize behavior of the moment summaries."""
 
+import functools
+import io
 import math
 import os
 import re
@@ -7,11 +9,13 @@ import subprocess
 import sys
 import threading
 import time
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from powertriad import (
@@ -47,7 +51,19 @@ def test_hand_checked_sums():
     # (1,2), (-1,0): squares 1+1 and 4+0, cross products 2+0, errors 1 and 1
     summary = accumulate(MomentSummary(), SampleBatch([1.0, -1.0], [2.0, 0.0]))
     assert summary == MomentSummary(n=2, sum_xx=2.0, sum_vv=4.0, sum_xv=2.0, sum_e=2.0,
-                                    sum_ee=2.0, sum_ve=2.0)
+                                    sum_ee=2.0, sum_ve=2.0, m2_e=0.0)
+
+
+def test_a_summary_built_without_m2_e_has_no_error_variance():
+    # mse 2 and bias 0 leave a variance of 2, which these sums alone do not certify
+    summary = MomentSummary(n=2, sum_xx=2.0, sum_vv=2.0, sum_xv=0.0, sum_e=0.0, sum_ee=4.0,
+                            sum_ve=2.0)
+    stats = finalize(summary)
+    assert (stats.mse, stats.mean_e) == (2.0, 0.0) and math.isnan(stats.error_variance)
+    assert merge(MomentSummary(), summary) == merge(summary, MomentSummary()) == summary
+    part = accumulate(MomentSummary(), SampleBatch([1.0, -1.0], [2.0, 0.0]))
+    assert math.isnan(finalize(merge(summary, part)).error_variance)
+    assert finalize(merge(MomentSummary(), part)).error_variance == 0.0
 
 
 def test_hand_checked_stats():
@@ -535,6 +551,189 @@ def test_split_csv_of_200000_rows_is_bit_equal_to_the_line_loop(tmp_path, monkey
     write_csv(path, SampleBatch(x, rng.standard_normal(200_000)))
     assert os.path.getsize(path) > 4 * moments._PIECE
     assert _outcome(read_csv, path) == _outcome(_reference_read_csv, path)
+
+
+# --- CSV parse: the row reader's digit kernel against np.loadtxt -------------------
+
+def _loadtxt_piece(path, cut):
+    """np.loadtxt on a whole piece, behind _load_piece's guards: what _load_piece must equal."""
+    lo, hi = cut
+    with open(path, "rb") as fh:
+        fh.seek(lo)
+        piece = fh.read(hi - lo)
+    if (piece.find(b",", piece.find(b",") + 1 if lo == 0 else 0) < 0
+            or any(bytes((c,)) in piece for c in range(0x1C, 0x20))):
+        raise ValueError("no rows for np.loadtxt")
+    with io.TextIOWrapper(io.BytesIO(piece), encoding="utf-8") as fh:
+        if lo == 0 and fh.readline().strip() != "x,v":
+            raise ValueError("no header")
+        xv = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    if xv.shape[1] != 2:
+        raise ValueError("not two columns")
+    return xv
+
+
+def _piece_outcome(load, path, cut):
+    try:
+        xv = load(path, cut)
+    except ValueError:
+        return "ValueError"
+    return xv.shape, xv.view(np.int64).tolist()
+
+
+def _assert_reads_as_loadtxt(tmp_path_factory, rows, end="\n"):
+    """_load_piece equals np.loadtxt on the rows, with the header and without it."""
+    path = tmp_path_factory.mktemp("csv") / "pairs.csv"
+    path.write_bytes(("x,v\n" + "\n".join(rows) + end).encode("utf-8"))
+    for cut in [(0, os.path.getsize(path)), (4, os.path.getsize(path))]:
+        assert _piece_outcome(moments._load_piece, path, cut) == _piece_outcome(_loadtxt_piece, path, cut)
+
+
+_float_text = st.floats().flatmap(lambda f: st.sampled_from([repr(f), format(f, ".17g")]))
+_digits = st.text("0123456789", max_size=24)
+# -?[0-9]*.?[0-9]* of any length: leading zeros, a sign, .5 and 5.
+_digit_string = st.tuples(st.sampled_from(["", "-"]), _digits, st.sampled_from(["", "."]),
+                          _digits).map("".join).filter(lambda s: len(s) <= 26)
+
+
+def _exact(value: Fraction) -> str:
+    """The exact decimal text of a dyadic rational."""
+    return format(Decimal(value.numerator) / Decimal(value.denominator), "f")
+
+
+@st.composite
+def _midpoint(draw):
+    """A rounding midpoint of two doubles, or a neighbour a few units of its last place off."""
+    # the doubles' spacing 2^exponent: the midpoint's N fits 64 bits from -4 on, 24 bytes from -9
+    exponent = draw(st.one_of(st.integers(-4, 0), st.integers(-9, 22)))
+    significand = draw(st.integers(2 ** 52, 2 ** 53 - 1))
+    below_power = draw(st.booleans())  # the midpoint a quarter ulp below a power of two
+    mid = (Fraction(2 * significand + 1) * Fraction(2) ** (exponent - 1) if not below_power
+           else Fraction(2) ** (exponent + 52) - Fraction(2) ** (exponent - 2))
+    text = _exact(mid)
+    step = draw(st.sampled_from([0, 0, 1, -1, 3]))
+    if step:
+        places = len(text.partition(".")[2]) + 1
+        text = _exact(mid + Fraction(step, 10 ** places))
+    padded = text + ("0" if "." in text else ".0")
+    return draw(st.sampled_from(["", "-"])) + draw(st.sampled_from([text, padded, "0" + text]))
+
+
+_JUNK = [" 1", "1 ", "+1", "1e5", "1E-5", "nan", "-inf", "1_0", "1\r", "\x1c1", "١",
+         "５", "1.5 ", "", "-", ".", "-.", "1.2.3", "--1", "1-", "0x10", "٣.5"]
+_junk_row = st.one_of(
+    st.tuples(st.sampled_from(_JUNK), _float_text).map(",".join),
+    st.tuples(_float_text, st.sampled_from(_JUNK)).map(",".join),
+    st.sampled_from(["", "1,2,3", ",", "1", "1,2\r", "\r1,2", "x,v"]),
+)
+
+
+def _pairs(field):
+    return st.lists(st.tuples(field, field).map(",".join), min_size=1, max_size=20)
+
+
+@settings(deadline=None)
+@given(rows=_pairs(_float_text))
+@example(rows=["-0.0,0.0", "-0,0", "-.0,0.", "0.000,-0.000"])
+def test_row_reader_reads_float_text_floats_as_loadtxt(tmp_path_factory, rows):
+    _assert_reads_as_loadtxt(tmp_path_factory, rows)
+
+
+@settings(deadline=None)
+@given(rows=_pairs(_digit_string))
+@example(rows=[".5,5.", "-.5,-5.", "000000000000000000000001,0.000000000000000000000001"])
+@example(rows=["18446744073709551615,18446744073709551616", "1844674407370955161.5,0"])
+def test_row_reader_reads_digit_strings_as_loadtxt(tmp_path_factory, rows):
+    _assert_reads_as_loadtxt(tmp_path_factory, rows)
+
+
+@settings(deadline=None)
+@given(rows=_pairs(_midpoint()))
+@example(rows=["9007199254740993.0,9007199254740993", "9007199254740991.5,4503599627370495.75"])
+@example(rows=["719444755564091.4375,741212684335289.6875", "-881280521602495.3125,1.0"])
+def test_row_reader_reads_midpoints_and_binade_edges_as_loadtxt(tmp_path_factory, rows):
+    _assert_reads_as_loadtxt(tmp_path_factory, rows)
+
+
+@settings(deadline=None)
+@given(rows=st.lists(st.one_of(_junk_row, _pairs(_float_text).map("\n".join)), min_size=1, max_size=8),
+       end=st.sampled_from(["\n", "\r\n", ""]))
+def test_row_reader_reads_junk_rows_as_loadtxt(tmp_path_factory, rows, end):
+    _assert_reads_as_loadtxt(tmp_path_factory, rows, end)
+
+
+def test_row_reader_reads_every_power_of_two_and_its_neighbours_as_loadtxt(tmp_path_factory):
+    rows = []
+    for k in range(-30, 80):
+        for offset in [Fraction(0), Fraction(2) ** (k - 54), -Fraction(2) ** (k - 54),
+                       Fraction(2) ** (k - 53), -Fraction(2) ** (k - 55)]:
+            text = _exact(Fraction(2) ** k + offset)
+            rows.append(f"{text},-{text}")
+    _assert_reads_as_loadtxt(tmp_path_factory, rows)
+
+
+@functools.cache
+def _filler(n: int) -> list[str]:
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 17, n)
+    return [f"{a!r},{b!r}" for a, b in zip(x.tolist(), rng.standard_normal(n).tolist())]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n", [1, 8191, 65537])
+@settings(deadline=None, max_examples=10, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_row_reader_at_n_rows_is_loadtxt_and_the_line_loop(tmp_path_factory, n, workers, data):
+    rows = list(_filler(n))
+    drawn = data.draw(st.lists(st.one_of(_float_text, _digit_string, _midpoint()), max_size=2 * n))
+    junk = data.draw(st.lists(_junk_row, max_size=2))
+    for field in drawn:
+        i = data.draw(st.integers(0, n - 1))
+        rows[i] = data.draw(st.sampled_from([f"{field},{rows[i].split(',')[1]}",
+                                             f"{rows[i].split(',')[0]},{field}"]))
+    for row in junk:
+        rows[data.draw(st.integers(0, n - 1))] = row
+    path = tmp_path_factory.mktemp("csv") / "pairs.csv"
+    path.write_text("x,v\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    cut = (0, os.path.getsize(path))
+    assert _piece_outcome(moments._load_piece, path, cut) == _piece_outcome(_loadtxt_piece, path, cut)
+    # pieces of about 1000 rows, parsed by this process and two forked ones
+    with mock.patch.object(moments, "_PIECE", 1 << 15), \
+            mock.patch.object(moments, "_usable_cpus", lambda: workers):
+        assert _outcome(read_csv, path) == _outcome(_reference_read_csv, path)
+
+
+def _spy_on_loadtxt(monkeypatch) -> list:
+    """The text of every row read by np.loadtxt, in this process alone."""
+    monkeypatch.setattr(moments, "_usable_cpus", lambda: 1)
+    rows, loadtxt = [], moments._loadtxt
+    monkeypatch.setattr(moments, "_loadtxt", lambda text, header, *args: rows.extend(
+        bytes(text).decode().splitlines()[header:]) or loadtxt(text, header, *args))
+    return rows
+
+
+def test_row_reader_leaves_no_row_of_a_high_power_file_to_loadtxt(monkeypatch, tmp_path):
+    """A change that sends every row back to np.loadtxt keeps every value; it must fail here."""
+    rows = _spy_on_loadtxt(monkeypatch)
+    rng = np.random.default_rng(7)  # ROADMAP item 1's offset file, as perfbench writes it
+    x = 1e3 + rng.standard_normal(200_000)
+    v = x + 1e-6 * rng.standard_normal(x.size)
+    path = tmp_path / "offset.csv"
+    path.write_text("x,v\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), v.tolist())))
+    assert os.path.getsize(path) > moments._PIECE  # two pieces
+    batch = read_csv(path)
+    assert rows == []
+    assert np.array_equal(batch.x, x) and np.array_equal(batch.v, v)
+
+
+def test_row_reader_leaves_only_e_notation_rows_of_heavy_tails_to_loadtxt(monkeypatch, tmp_path):
+    rows = _spy_on_loadtxt(monkeypatch)
+    path = tmp_path / "heavy.csv"
+    assert main(["zoo", "run", "--problem", "heavy_tail", "--samples", "200000",
+                 "--out", str(path)]) == 0
+    batch = read_csv(path)
+    assert rows and all("e" in row for row in rows)
+    assert _outcome(lambda _: batch, path) == _outcome(_reference_read_csv, path)
 
 
 # --- _fork_map: forked, in-order block map ------------------------------------
