@@ -12,7 +12,8 @@ holding about one item at a time, and yields the results in order, so the
 sums merge and the bytes join as they do in one process.
 
 fmt_rows and read_csv write and read CSV numbers through one double-double product, and leave
-to % and np.loadtxt only what it cannot settle: %'s bytes, float()'s correctly rounded values.
+to fmt_float and np.loadtxt only what it cannot settle: %.17g text, float()'s correctly rounded
+values.  read_csv checks the ``x,v`` header once, before it cuts the rest into pieces.
 
 mean_e is read off Σe, mse off Σe² and coupling off Σv·e rather than off
 differences of the power sums (Σv - Σx, Σv² - 2Σx·v + Σx² and Σv² - Σx·v),
@@ -45,6 +46,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import EmptySummary, NonFiniteSample, PowerTriadError
+from .textio import fmt_float
 
 CSV_HEADER = "x,v"
 
@@ -295,14 +297,15 @@ def _fork_map(fn: Callable[[object], object], items: Iterable) -> Iterator:
 
 def fmt_rows(header: str, template: str, n: int, columns, size: int = CHUNK) -> Iterator[str]:
     """Yield a header line, then n rows of a one-row template, as the %-operator writes them
-    with %.17g, %d (int64) and %s (ASCII), in blocks of ``size`` rows: CHUNK, or track's chunks.
+    with %.17g and %s (ASCII), in blocks of ``size`` rows: CHUNK, or track's chunks.  A counter
+    below 2^53, such as a step k, is written by %.17g as %d writes it.
 
     ``columns(rows)`` gives sliceable columns (arrays, ranges, tuples) of the rows of a block;
     it runs through _fork_map, so it must call no public function.  A block is formatted
     _LINES rows at a time, so that few of its values and little of its text live at once."""
     parts = _CONVERSIONS.split(template)  # literal, conversion, literal, ..., literal
     if "%" in "".join(parts[::2]):
-        raise ValueError(f"a row template converts with %.17g, %d or %s only: {template!r}")
+        raise ValueError(f"a row template converts with %.17g or %s only: {template!r}")
     literals = [np.frombuffer(part.encode("ascii").ljust(-(-len(part) // 8) * 8, b"\0"), np.uint64)
                 for part in parts[::2]]
 
@@ -315,9 +318,9 @@ def fmt_rows(header: str, template: str, n: int, columns, size: int = CHUNK) -> 
 
 
 # fmt_rows lays rows out in NUL-padded uint64 words, which one translate drops: literals and %s
-# values in words of their own, a %.17g or %d value in six: the sign, "0.000" at -4 <= X < 0 (X
-# the decimal exponent), 17 digits each followed by a slot for the point, "e+XX" or "e+XXX"
-_CONVERSIONS = re.compile(r"(%\.17g|%d|%s)")
+# values in words of their own, a %.17g value in six: the sign, "0.000" at -4 <= X < 0 (X the
+# decimal exponent), 17 digits each followed by a slot for the point, "e+XX" or "e+XXX"
+_CONVERSIONS = re.compile(r"(%\.17g|%s)")
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two halves of 26 bits
 
 
@@ -334,7 +337,8 @@ def _digit_tables():
     leading digit; and of each exponent's and point flag's frame: the prefix, a '0' per integer
     digit, point, exponent)."""
     quads = np.zeros((2, 10000, 8), np.uint8)
-    quads[:, :, ::2] = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48
+    q = np.arange(10000, dtype=np.uint16)[:, None]  # int64 temporaries would hold 0.6 MB more RSS
+    quads[:, :, ::2] = q // np.uint16([1000, 100, 10, 1]) % 10 + 48
     quads[1, :, ::2] *= np.logical_or.accumulate(quads[1, :, -2::-2] != 48, axis=1)[:, ::-1]
     lead = np.zeros((2, 10, 8), np.uint8)
     lead[1, :, 0], lead[:, :, 6] = 45, np.arange(48, 58)
@@ -368,16 +372,12 @@ def _scaled(a: np.ndarray, x: np.ndarray, p10: np.ndarray):
 
 
 @np.errstate(invalid="ignore", divide="ignore")
-def _fmt_numbers(conversion: str, column, out: np.ndarray) -> None:
-    """Write the six-word fields of a %.17g or %d column into out.  N, the 17 digits of v, is
+def _fmt_numbers(column, out: np.ndarray) -> None:
+    """Write the six-word %.17g fields of a column into out.  N, the 17 digits of v, is
     v·10^(16-X) rounded half-even, X guessed from log10 and set by where the double-double
-    product falls.  _fallback writes 0, inf, NaN, |v| outside [1e-280, 1e280), %d past 2^53,
-    and a 17th digit within 2^-30 of a tie (exact ties, which C rounds half-even)."""
-    if conversion == "%d":  # below 2^53 an integer's float writes its %d text
-        column = np.asarray(column, np.int64)
-        v = np.where((column > -2 ** 53) & (column < 2 ** 53), column, np.nan)
-    else:
-        column = v = np.asarray(column, np.float64)
+    product falls.  fmt_float writes 0, inf, NaN, |v| outside [1e-280, 1e280), and a 17th
+    digit within 2^-30 of a tie (exact ties, which C rounds half-even)."""
+    v = np.asarray(column, np.float64)
     p10, quads, lead, frames = _digit_tables()
     a = np.abs(v)
     ok = (a >= 1e-280) & (a < 1e280)
@@ -407,13 +407,7 @@ def _fmt_numbers(conversion: str, column, out: np.ndarray) -> None:
         out[:, j] = quads.take(q + 10000 * stripped) | frames[j].take(frame)
     out[:, 5] = frames[5].take(frame)
     for i in np.flatnonzero(~ok):
-        text = _fallback(conversion, column[i]).encode()
-        out[i] = np.frombuffer(text.ljust(48, b"\0"), np.uint64)
-
-
-def _fallback(conversion: str, value) -> str:
-    """The %-text of one value that _fmt_numbers leaves."""
-    return conversion % value
+        out[i] = np.frombuffer(fmt_float(v[i]).encode().ljust(48, b"\0"), np.uint64)
 
 
 def _fmt_lines(literals: list[np.ndarray], conversions: list[str], cols: list) -> str:
@@ -422,11 +416,11 @@ def _fmt_lines(literals: list[np.ndarray], conversions: list[str], cols: list) -
                for conversion, c in zip(conversions, cols)]
     widths = [6 if s is None else -(-s.itemsize // 8) for s in strings]
     rows, o = np.empty((len(cols[0]), sum(widths) + sum(w.size for w in literals)), np.uint64), 0
-    for literal, conversion, c, s, w in zip(literals, conversions, cols, strings, widths):
+    for literal, c, s, w in zip(literals, cols, strings, widths):
         rows[:, o:o + literal.size] = literal
         o += literal.size + w
         if s is None:
-            _fmt_numbers(conversion, c, rows[:, o - w:o])
+            _fmt_numbers(c, rows[:, o - w:o])
         else:
             rows[:, o - w:o] = s.astype(f"S{8 * w}").view(np.uint64).reshape(-1, w)
     rows[:, o:] = literals[-1]
@@ -511,13 +505,16 @@ def write_csv(path, batch: SampleBatch) -> None:
 def read_csv(path) -> SampleBatch:
     """Read an ``x,v`` CSV file; parse errors carry 1-based line numbers.
 
-    Newline-aligned pieces of about _PIECE bytes are parsed through _fork_map, by
-    _load_piece's digit kernel and np.loadtxt, so every value is the correctly rounded one
-    that float() and np.loadtxt give; a piece whose rows np.loadtxt cannot take sends the file
-    to the line loop, which owns every error message.
+    A first line that decodes and strips to ``x,v`` (a lone CR ends the line loop's line; bad
+    UTF-8 decodes to U+FFFD) is the header, and newline-aligned pieces of about _PIECE bytes
+    after it are parsed through _fork_map by _load_piece, so every value is the correctly
+    rounded one that float() and np.loadtxt give.  Any other first line, or a piece whose rows
+    np.loadtxt cannot take, sends the file to the line loop, which owns every error message.
     """
-    with open(path, "rb") as fh:  # the cuts, without holding the text
-        cuts, end = [0], fh.seek(0, os.SEEK_END)
+    with open(path, "rb") as fh:  # the header, then the cuts, without holding the text
+        if fh.readline().decode("utf-8", "replace").strip() != CSV_HEADER:
+            return _read_csv_lines(path)
+        cuts, end = [fh.tell()], fh.seek(0, os.SEEK_END)
         while fh.seek(cuts[-1] + _PIECE) < end and fh.readline() and fh.tell() < end:
             cuts.append(fh.tell())
     try:
@@ -529,31 +526,26 @@ def read_csv(path) -> SampleBatch:
 
 
 def _load_piece(path, cut: tuple[int, int]) -> np.ndarray:
-    """The (k, 2) values of the file's bytes [lo, hi) as np.loadtxt reads them (piece 0 holds the
-    header): _parse_fields reads ``field,field\\n`` lines, np.loadtxt the rows it leaves or a
+    """The (k, 2) values of the file's bytes [lo, hi), which hold no header, as np.loadtxt reads
+    them: _parse_fields reads ``field,field\\n`` lines, np.loadtxt the rows it leaves or a
     piece of another shape.  Raises ValueError where the line loop may disagree: a parse
-    error, another width, U+001C-U+001F (loadtxt takes them, float() does not), and a body
+    error, another width, U+001C-U+001F (loadtxt takes them, float() does not), and a piece
     with no comma, which has no row (np.loadtxt warns on those)."""
     lo, hi = cut
     buf = mmap.mmap(-1, _HEAD + hi - lo)  # off the heap, which would keep its pages
     with open(path, "rb") as fh:
         fh.seek(lo)
         fh.readinto(memoryview(buf)[_HEAD:])
-    if (buf.find(b",", buf.find(b",", _HEAD) + 1 if lo == 0 else _HEAD) < 0
+    if (buf.find(b",", _HEAD) < 0
             or any(buf.find(bytes((c,)), _HEAD) >= 0 for c in range(0x1C, 0x20))):
         raise ValueError("no rows for np.loadtxt")
-    header = (CSV_HEADER + "\n").encode() if lo == 0 else b""
-    body = _HEAD + len(header)
-    plain = buf[_HEAD:body] == header and buf[-1:] == b"\n" and buf.find(b"\r") < 0  # \n lines
-    xv = _parse_fields(buf, body) if plain else None
-    return _loadtxt(memoryview(buf)[_HEAD:], lo == 0) if xv is None else xv
+    xv = _parse_fields(buf) if buf[-1:] == b"\n" and buf.find(b"\r") < 0 else None  # \n lines
+    return _loadtxt(memoryview(buf)[_HEAD:]) if xv is None else xv
 
 
-def _loadtxt(text, header: bool) -> np.ndarray:
-    """np.loadtxt's (k, 2) rows of UTF-8 text, after its first line if ``header``."""
+def _loadtxt(text) -> np.ndarray:
+    """np.loadtxt's (k, 2) rows of UTF-8 text."""
     with io.TextIOWrapper(io.BytesIO(text), encoding="utf-8") as fh:
-        if header and fh.readline().strip() != CSV_HEADER:
-            raise ValueError("no header")
         xv = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     if xv.shape[1] != 2:
         raise ValueError("not two columns")
@@ -573,17 +565,17 @@ def _field_masks():
     return np.ascontiguousarray(masks.astype("u1").reshape(3, 625, 24).view("<u8").swapaxes(1, 2))
 
 
-def _parse_fields(buf: mmap.mmap, body: int):
-    """The (k, 2) values of the k rows of buf[body:], or None unless commas and newlines alternate
+def _parse_fields(buf: mmap.mmap):
+    """The (k, 2) values of the k rows of buf[_HEAD:], or None unless commas and newlines alternate
     (or an eighth of the rows need np.loadtxt).  A field -?[0-9]*.?[0-9]* with a digit, in 24
     bytes, its digits N < 2^64, is three words ('0' before the digits, the point shifted out) that
     fast_float's test and multiply-shift convert (Lemire, 2021); N·10^-f is _scaled's product plus
     (N - float(N))·10^-f, unless within 2^-30 ulp of a midpoint (or a quarter ulp below 2^k)."""
     b = np.frombuffer(buf, np.uint8)
     windows = np.ndarray((b.size - 23, 3), "<u8", buf, 0, (1, 8))  # 24 bytes from each byte on
-    p10, masks, match, left, row, lo = _p10(), _field_masks(), np.empty(_TEXT, bool), {}, 0, body
+    p10, masks, match, left, row, lo = _p10(), _field_masks(), np.empty(_TEXT, bool), {}, 0, _HEAD
     values = np.empty((sum(np.count_nonzero(b[i:i + _TEXT] == 10)
-                           for i in range(body, b.size, _TEXT)), 2))
+                           for i in range(_HEAD, b.size, _TEXT)), 2))
     while lo < b.size:
         text = b[lo:(hi := buf.rfind(b"\n", lo, lo + _TEXT) + 1)]  # empty without a newline
         commas = np.flatnonzero(np.equal(text, 44, out=match[:text.size]))
@@ -625,7 +617,7 @@ def _parse_fields(buf: mmap.mmap, body: int):
         if 8 * len(left) > row:  # then np.loadtxt reads the whole piece faster
             return None
     if left:
-        part = _loadtxt(b"".join(buf[i + 1:j + 1] for i, j in left.values()), False)
+        part = _loadtxt(b"".join(buf[i + 1:j + 1] for i, j in left.values()))
         values[list(left)] = part.reshape(len(left), 2)
     return values
 

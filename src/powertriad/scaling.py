@@ -445,7 +445,7 @@ def trace_to_csv(trace: ScalingTrace) -> str:
     """Serialize the iterates as ``k,t,mse,regime`` rows."""
     steps = trace.iterates
     return "".join(fmt_rows(
-        TRACE_CSV_HEADER, "%d,%.17g,%.17g,%s\n", len(steps),
+        TRACE_CSV_HEADER, "%.17g,%.17g,%.17g,%s\n", len(steps),
         lambda s: zip(*((st.k, st.t, st.mse, st.regime._value_) for st in steps[s]))))
 
 
@@ -469,7 +469,7 @@ def track_csv_blocks(source: tuple[int, Rows], forgetting: float,
         s.start, *track(s.start, starts[s.start // size])[1:]), size)
 
 
-_TRACK_ROW, _TRACK_ROW_NAN = "%d,%.17g,%.17g,%.17g,%s\n", "%d,nan,%.17g,nan,%s\n"
+_TRACK_ROW, _TRACK_ROW_NAN = "%.17g,%.17g,%.17g,%.17g,%s\n", "%.17g,nan,%.17g,nan,%s\n"
 # regime text as fixed-width bytes, which fmt_rows lays out without a per-row conversion
 _REGIME_TEXTS = np.array([r._value_.encode() for r in REGIMES])
 

@@ -1,7 +1,7 @@
 """Deterministic text emission, and flat key-value parsing into typed fields.
 
 Every number this toolkit writes has 17 significant decimal digits, from
-:func:`fmt_float`, or as the same text from moments.fmt_rows' row writer.  That
+:func:`fmt_float`, or from moments.fmt_rows, whose leftovers fmt_float writes.  That
 is enough to round-trip any IEEE-754 double exactly, so emitted CSV/JSON
 re-parses to bit-identical values and repeated runs produce byte-identical files.
 A JSON document is ``json.dumps``'s indent-2 layout, keys in field order, with

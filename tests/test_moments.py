@@ -1,5 +1,6 @@
 """Accumulate/merge/finalize behavior of the moment summaries."""
 
+import errno
 import functools
 import io
 import math
@@ -490,6 +491,25 @@ def test_csv_hash_line_is_a_column_error(tmp_path):
         read_csv(path)
 
 
+# first lines the line loop may take as the header or refuse: whitespace it strips, a lone CR
+# (a line end to it, not to the cuts), a BOM, bad UTF-8, an empty file, no newline
+_HEADS = [b"x,v\n", b"x,v\r\n", b" x,v \t\n", b"x,v\x1c\n", b"x,v\xe2\x80\xa8\n", b"x,v\r\r\n",
+          b"x,v\r", b"x,v\r1,2\n", b"x,v \r 1,2\n", b"\xef\xbb\xbfx,v\n", b"x,w\n", b"x,v,\n",
+          b"\xffx,v\n", b"x,v\xff\n", b"", b"x,v", b"\n"]
+
+
+@pytest.mark.parametrize("head", _HEADS)
+@pytest.mark.parametrize("body", [b"", b"5,6\n7,8\n", b"5,6\r\n7,8"], ids=["none", "lf", "crlf"])
+def test_read_csv_checks_the_first_line_as_the_line_loop_does(tmp_path, head, body):
+    path = tmp_path / "pairs.csv"
+    path.write_bytes(head + body)
+    expected = _outcome(_reference_read_csv, path)
+    assert _outcome(read_csv, path) == expected
+    with mock.patch.object(moments, "_PIECE", 4), mock.patch.object(moments, "_usable_cpus",
+                                                                      lambda: 3):
+        assert _outcome(read_csv, path) == expected
+
+
 @pytest.mark.parametrize("body", ["", "\n\n \n"], ids=["header-only", "blank-lines"])
 def test_csv_without_rows_is_empty_and_silent(tmp_path, body, recwarn):
     path = tmp_path / "pairs.csv"
@@ -561,12 +581,9 @@ def _loadtxt_piece(path, cut):
     with open(path, "rb") as fh:
         fh.seek(lo)
         piece = fh.read(hi - lo)
-    if (piece.find(b",", piece.find(b",") + 1 if lo == 0 else 0) < 0
-            or any(bytes((c,)) in piece for c in range(0x1C, 0x20))):
+    if b"," not in piece or any(bytes((c,)) in piece for c in range(0x1C, 0x20)):
         raise ValueError("no rows for np.loadtxt")
     with io.TextIOWrapper(io.BytesIO(piece), encoding="utf-8") as fh:
-        if lo == 0 and fh.readline().strip() != "x,v":
-            raise ValueError("no header")
         xv = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     if xv.shape[1] != 2:
         raise ValueError("not two columns")
@@ -582,11 +599,11 @@ def _piece_outcome(load, path, cut):
 
 
 def _assert_reads_as_loadtxt(tmp_path_factory, rows, end="\n"):
-    """_load_piece equals np.loadtxt on the rows, with the header and without it."""
+    """_load_piece equals np.loadtxt on the rows, the bytes after the header."""
     path = tmp_path_factory.mktemp("csv") / "pairs.csv"
     path.write_bytes(("x,v\n" + "\n".join(rows) + end).encode("utf-8"))
-    for cut in [(0, os.path.getsize(path)), (4, os.path.getsize(path))]:
-        assert _piece_outcome(moments._load_piece, path, cut) == _piece_outcome(_loadtxt_piece, path, cut)
+    cut = (4, os.path.getsize(path))
+    assert _piece_outcome(moments._load_piece, path, cut) == _piece_outcome(_loadtxt_piece, path, cut)
 
 
 _float_text = st.floats().flatmap(lambda f: st.sampled_from([repr(f), format(f, ".17g")]))
@@ -695,7 +712,7 @@ def test_row_reader_at_n_rows_is_loadtxt_and_the_line_loop(tmp_path_factory, n, 
         rows[data.draw(st.integers(0, n - 1))] = row
     path = tmp_path_factory.mktemp("csv") / "pairs.csv"
     path.write_text("x,v\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    cut = (0, os.path.getsize(path))
+    cut = (4, os.path.getsize(path))  # the bytes after the header
     assert _piece_outcome(moments._load_piece, path, cut) == _piece_outcome(_loadtxt_piece, path, cut)
     # pieces of about 1000 rows, parsed by this process and two forked ones
     with mock.patch.object(moments, "_PIECE", 1 << 15), \
@@ -707,8 +724,8 @@ def _spy_on_loadtxt(monkeypatch) -> list:
     """The text of every row read by np.loadtxt, in this process alone."""
     monkeypatch.setattr(moments, "_usable_cpus", lambda: 1)
     rows, loadtxt = [], moments._loadtxt
-    monkeypatch.setattr(moments, "_loadtxt", lambda text, header, *args: rows.extend(
-        bytes(text).decode().splitlines()[header:]) or loadtxt(text, header, *args))
+    monkeypatch.setattr(moments, "_loadtxt", lambda text: rows.extend(
+        bytes(text).decode().splitlines()) or loadtxt(text))
     return rows
 
 
@@ -795,6 +812,28 @@ def test_fork_map_computes_a_result_cut_off_mid_stream_inline(monkeypatch, worke
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_fork_map_computes_here_the_items_of_a_child_it_could_not_fork(monkeypatch):
+    monkeypatch.setattr(moments, "_usable_cpus", lambda: 3)
+    fork, pipe, pipes = os.fork, os.pipe, []
+
+    def fork_once():
+        if len(pipes) > 1:
+            raise OSError(errno.EAGAIN, "no room for another process")
+        return fork()
+    monkeypatch.setattr(os, "fork", fork_once)
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+    results = list(_fork_map(_square_and_pid, range(7)))
+    assert [r for r, _ in results] == [i * i for i in range(7)]
+    # item k mod 3 = 1 comes from the one child, the rest from this process
+    assert [pid == os.getpid() for _, pid in results] == [k % 3 != 1 for k in range(7)]
+    assert len(pipes) == 2
+    for fd in [fd for fds in pipes for fd in fds]:  # both pipes are closed
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_fork_map_does_not_fork_beside_a_live_thread(monkeypatch):
     monkeypatch.setattr(moments, "_usable_cpus", lambda: 3)
     stop = threading.Event()
@@ -859,19 +898,21 @@ def test_to_csv_text_matches_per_row_rendering(n):
 
 
 # --- CSV emit: the row writer against the %-operator, row by row -----------------
-# Every template the package writes: zoo run's pairs, track's rows with and without a
-# reference, and the path trace.
-_TEMPLATES = ["%.17g,%.17g\n", "%d,%.17g,%.17g,%.17g,%s\n", "%d,nan,%.17g,nan,%s\n",
-              "%d,%.17g,%.17g,%s\n"]
+# Every template the package writes: zoo run's pairs, then track's rows with and without a
+# reference and the path trace, whose first column is the step counter k.
+_TEMPLATES = ["%.17g,%.17g\n", "%.17g,%.17g,%.17g,%.17g,%s\n", "%.17g,nan,%.17g,nan,%s\n",
+              "%.17g,%.17g,%.17g,%s\n"]
+_COUNTED = _TEMPLATES[1:]
 _LABELS = ("power_dominant", "power_balance", "power_conservative")
 
 
 def _row_columns(template, floats, counters, labels_as_bytes=False):
-    """One column per conversion of template: rolled copies of the float array for %.17g,
-    the int64 counters for %d, and regime labels (str, or bytes as track gives them) for %s."""
+    """One column per conversion of template: the int64 counters first if it is counted, then
+    rolled copies of the float array for %.17g, and regime labels (str, or bytes as track gives
+    them) for %s."""
     n, columns = len(counters), []
-    for i, conversion in enumerate(re.findall(r"%\.17g|%d|%s", template)):
-        if conversion == "%d":
+    for i, conversion in enumerate(re.findall(r"%\.17g|%s", template)):
+        if i == 0 and template in _COUNTED:
             columns.append(np.asarray(counters, dtype=np.int64))
         elif conversion == "%s":
             labels = tuple(_LABELS[j % 3] for j in range(i, i + n))
@@ -956,19 +997,29 @@ def test_row_writer_is_the_percent_text_across_block_edges(monkeypatch, template
     rng = np.random.default_rng(n)
     floats = np.resize(np.concatenate([_SPECIAL, rng.standard_normal(n)]), n)
     columns = _row_columns(template, floats, range(n), labels_as_bytes=True)
-    columns[0] = range(n) if template.startswith("%d") else columns[0]  # fmt_rows takes ranges too
-    _assert_same_rows(_written(template, columns), _percent(template, columns))
+    columns[0] = range(n) if template in _COUNTED else columns[0]  # fmt_rows takes ranges too
+    written = _written(template, columns)
+    _assert_same_rows(written, _percent(template, columns))
+    if template in _COUNTED:  # below 2^53 a counter's %.17g text is its %d text
+        _assert_same_rows(written, _percent(template.replace("%.17g", "%d", 1), columns))
+
+
+@pytest.mark.parametrize("template", ["%d,%.17g\n", "%5.2f,%s\n"])
+def test_row_writer_refuses_another_conversion_before_any_text(template):
+    blocks = moments.fmt_rows("h", template, 1, lambda s: [[1], [2.0]])
+    with pytest.raises(ValueError, match="^a row template converts with %.17g or %s only: "):
+        next(blocks)
 
 
 def _count_fallbacks(monkeypatch) -> list:
     calls = []
-    fallback = moments._fallback
-    monkeypatch.setattr(moments, "_fallback", lambda *args: calls.append(args) or fallback(*args))
+    fallback = moments.fmt_float
+    monkeypatch.setattr(moments, "fmt_float", lambda value: calls.append(value) or fallback(value))
     return calls
 
 
 def test_row_writer_takes_the_fast_path_for_ordinary_values(monkeypatch, tmp_path):
-    """A change that sends every value back to % keeps every byte; it must fail here."""
+    """A change that sends every value to fmt_float keeps every byte; it must fail here."""
     calls = _count_fallbacks(monkeypatch)
     x = np.random.default_rng(1).standard_normal(8192)
     _written("%.17g,%.17g\n", [x, x[::-1]])
@@ -984,5 +1035,4 @@ def test_row_writer_leaves_each_value_it_cannot_settle_to_percent(monkeypatch):
     values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, 5e-324, 1000000000000000.25])
     columns = [values, np.ones(values.size)]
     _assert_same_rows(_written("%.17g,%.17g\n", columns), _percent("%.17g,%.17g\n", columns))
-    assert [conversion for conversion, _ in calls] == ["%.17g"] * values.size
-    assert sorted(repr(float(v)) for _, v in calls) == sorted(map(repr, values.tolist()))
+    assert sorted(repr(float(v)) for v in calls) == sorted(map(repr, values.tolist()))
