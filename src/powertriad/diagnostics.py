@@ -30,6 +30,8 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import PowerTriadError, ZeroSignalPower
 from .moments import MomentStats
 from .textio import dumps_stable
@@ -85,12 +87,22 @@ class TriadReport:
     verdict: PenaltyVerdict
 
 
-def regime_index(ex2, gap, balance_tol):
+def regime_index(ex2, gap, balance_tol, out=None):
     """Index into REGIMES of a power gap ev2 - ex2 against the band balance_tol·ex2,
     elementwise on arrays; NaN is conservative.  The caller forms the gap, from the error
-    sums where ev2 - ex2 would cancel."""
+    sums where ev2 - ex2 would cancel.  Given ``out`` (uint8), codes go there; gap becomes |gap|."""
     band = balance_tol * ex2
-    return (gap > band) * 2 + (abs(gap) <= band)
+    if out is None:
+        return (gap > band) * 2 + (abs(gap) <= band)
+    np.add(np.greater(gap, band, out=out), out, out=out)
+    return np.add(out, np.less_equal(np.abs(gap, out=gap), band), out=out)
+
+
+def power_ratio(stats: MomentStats) -> float:
+    """ev2/ex2, as 1 + gap/ex2 from the error sums' gap 2·coupling - mse where |gap| <= ex2/2
+    (there ev2 - ex2 would cancel), and as ev2/ex2 elsewhere (there 1 + gap/ex2 would)."""
+    gap = 2.0 * stats.coupling - stats.mse
+    return 1.0 + gap / stats.ex2 if abs(gap) <= 0.5 * stats.ex2 else stats.ev2 / stats.ex2
 
 
 def _check_tol(name: str, value: float) -> None:
@@ -175,7 +187,7 @@ def triad_report(
     return TriadReport(
         bias=stats.mean_e,
         error_variance=stats.error_variance,
-        power_ratio=stats.ev2 / stats.ex2,
+        power_ratio=power_ratio(stats),
         mse=stats.mse,
         coupling=stats.coupling,
         regime=verdict.regime,

@@ -540,7 +540,9 @@ def _load_piece(path, cut: tuple[int, int]) -> np.ndarray:
             or any(buf.find(bytes((c,)), _HEAD) >= 0 for c in range(0x1C, 0x20))):
         raise ValueError("no rows for np.loadtxt")
     xv = _parse_fields(buf) if buf[-1:] == b"\n" and buf.find(b"\r") < 0 else None  # \n lines
-    return _loadtxt(memoryview(buf)[_HEAD:]) if xv is None else xv
+    text = buf[_HEAD:] if xv is None else None  # a copy, so that the map is released first
+    buf.close()
+    return _loadtxt(text) if xv is None else xv
 
 
 def _loadtxt(text) -> np.ndarray:

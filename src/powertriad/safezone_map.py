@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .diagnostics import BALANCE_TOL, RegimeLabel, classify_powers, classify_regime
+from .diagnostics import BALANCE_TOL, RegimeLabel, classify_powers, classify_regime, power_ratio
 from .errors import EmptyInput, PowerTriadError
 from .moments import MomentStats
 from .scaling import ScalingCertificate, ScalingProblem
@@ -75,14 +75,14 @@ class DatasetFiles(NamedTuple):
     geometry: str
 
 
-def _point(label: str, regime: RegimeLabel, ex2: float, ev2: float, coupling: float,
-           mse: float) -> MapPoint:
-    """An estimate's point; its callers classify it first, so ex2 <= 0 raises ZeroSignalPower.
+def _point(label: str, regime: RegimeLabel, ratio: float, coupling: float, mse: float) -> MapPoint:
+    """An estimate's point at power ratio ``ratio``; its callers classify it before they form the
+    ratio, so ex2 <= 0 raises ZeroSignalPower.
 
     A NaN norm (mse = 0) is the undefined point.  A point raises when its axis
     frame, AXIS_MARGIN·ratio or up to 2·AXIS_MARGIN·|norm|, overflows.
     """
-    ratio, norm = ev2 / ex2, coupling / mse if mse > 0.0 else math.nan
+    norm = coupling / mse if mse > 0.0 else math.nan
     if not math.isfinite(AXIS_MARGIN * ratio) or math.isinf(2.0 * (AXIS_MARGIN * norm)):
         raise PowerTriadError(f"map point {label!r} is off the map: "
                               f"power_ratio={ratio!r}, coupling_norm={norm!r}")
@@ -92,8 +92,8 @@ def _point(label: str, regime: RegimeLabel, ex2: float, ev2: float, coupling: fl
 
 def map_point(label: str, stats: MomentStats, balance_tol: float = BALANCE_TOL) -> MapPoint:
     """Place one finalized estimate on the map, in classify_regime's regime."""
-    return _point(label, classify_regime(stats, balance_tol), stats.ex2, stats.ev2,
-                  stats.coupling, stats.mse)
+    return _point(label, classify_regime(stats, balance_tol), power_ratio(stats), stats.coupling,
+                  stats.mse)
 
 
 def map_point_from_certificate(
@@ -104,7 +104,7 @@ def map_point_from_certificate(
 ) -> MapPoint:
     """Place a certified optimum; lands on the y = 0 ideal path."""
     regime = classify_powers(problem.ex2, certificate.power_at_star, balance_tol)
-    return _point(label, regime, problem.ex2, certificate.power_at_star,
+    return _point(label, regime, certificate.power_at_star / problem.ex2,
                   certificate.orthogonality_residual, certificate.mse_at_star)
 
 

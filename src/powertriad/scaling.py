@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -277,8 +277,13 @@ def _ewma_block(lam: float, n: int) -> int:
     return min(max(1, int(41.0 / -math.log(lam))), 1 << 14, n)
 
 
+@lru_cache(maxsize=4)  # _ewma's weights λ^-r, (1-λ)·λ^r, λ^(r+1) for r < b: once per stream
+def _ewma_weights(lam: float, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return lam ** -(r := np.arange(b)), (1.0 - lam) * lam ** r, lam ** (r + 1)
+
+
 def _ewma(u: np.ndarray, lam: float, carry: Optional[list] = None) -> np.ndarray:
-    """Overwrite each row of u with its EWMA m_i = λ·m_(i-1) + (1-λ)·u_i, from m_(-1) = carry.
+    """Overwrite each row of u in place with its EWMA m_i = λ·m_(i-1) + (1-λ)·u_i, from carry.
 
     carry (a float per row, zeros if None) is updated to each row's last m, so a
     stream cut into chunks of whole blocks gives the bits of one pass.  Per block
@@ -289,8 +294,7 @@ def _ewma(u: np.ndarray, lam: float, carry: Optional[list] = None) -> np.ndarray
     """
     rows, n = u.shape
     b = _ewma_block(lam, n)
-    r = np.arange(b)
-    grow, shrink, decay = lam ** -r, (1.0 - lam) * lam ** r, lam ** (r + 1)
+    grow, shrink, decay = _ewma_weights(lam, b)
     carry = [0.0] * rows if carry is None else carry
     whole = n - n % b
     # whole blocks, about 2^13 columns at a time (wider temporaries leave the cache
@@ -299,7 +303,8 @@ def _ewma(u: np.ndarray, lam: float, carry: Optional[list] = None) -> np.ndarray
     spans = [(lo, min(lo + step, whole)) for lo in range(0, whole, step)]
     for lo, hi in spans + ([(whole, n)] if whole < n else []):
         k = min(b, hi - lo)
-        part = np.cumsum(u[:, lo:hi].reshape(rows, -1, k) * grow[:k], axis=2)
+        part = u[:, lo:hi].reshape(rows, -1, k)  # a view, as u's rows are contiguous
+        np.cumsum(np.multiply(part, grow[:k], out=part), axis=2, out=part)
         part *= shrink[:k]
         d = float(decay[k - 1])
         starts = []
@@ -311,7 +316,6 @@ def _ewma(u: np.ndarray, lam: float, carry: Optional[list] = None) -> np.ndarray
             starts.append(cs)
             carry[row] = c
         part += np.array(starts)[:, :, None] * decay[:k]
-        u[:, lo:hi] = part.reshape(rows, hi - lo)
     return u
 
 
@@ -367,6 +371,8 @@ def _tracker(source: tuple[int, Rows], forgetting: float,
     w = min(size, n)
     # rows m_xz, m_zz, and, only when they label the window, m_xx, m_zd and m_dd
     stack = np.empty((2 if reference is not None else 5, w))
+    # λ = 1's divisors less lo (per tracker: a cache made mid-run pinned freed heap) and the gap
+    steps, g = np.arange(1.0, w + 1) if forgetting == 1.0 else None, np.empty(w)
     # made on first use, so a caller that passes columns allocates none; a forked writer's own copy
     scratch = cache(lambda: (np.empty(w), np.empty(w), np.empty(w, dtype=np.uint8)))
 
@@ -377,7 +383,7 @@ def _tracker(source: tuple[int, Rows], forgetting: float,
         hi, carry = min(lo + size, n), list(start)
         if reference is not None:
             ref = reference(lo, hi)
-            if not (np.isfinite(ref.min()) and np.isfinite(ref.max())):  # NaN or inf in any entry
+            if not np.isfinite(ref).all():  # NaN or inf in any entry
                 step = lo + int(np.argmin(np.isfinite(ref).all(axis=1)))
                 raise PowerTriadError(f"reference moments at step {step} are not finite")
             t_true = np.divide(ref[:, 2], ref[:, 1], out=t_true[:hi - lo])
@@ -406,7 +412,7 @@ def _tracker(source: tuple[int, Rows], forgetting: float,
                 m[:, 0] += carry
                 np.cumsum(m, axis=1, out=m)
                 carry = m[:, -1].tolist()
-                m /= np.arange(lo + 1, hi + 1, dtype=np.float64)
+                m /= np.add(steps[:hi - lo], lo, out=g[:hi - lo])
             else:
                 _ewma(m, forgetting, carry)
             if np.isfinite(m[:, -1]).all() and (
@@ -420,12 +426,14 @@ def _tracker(source: tuple[int, Rows], forgetting: float,
             i = int(np.argmax(bad))
             raise DegenerateWindow(lo + i) if m[1, i] <= 0.0 else PowerTriadError(OVERFLOW)
         t = np.divide(m[0], m[1], out=t_hat[:hi - lo])
-        if reference is not None:
-            codes[:hi - lo] = regime_index(ref[:, 0], t * t * ref[:, 1] - ref[:, 0], balance_tol)
+        if reference is not None:  # the gap t²·ez2 - ex2
+            ex2, gap = ref[:, 0], np.multiply(t, t, out=g[:hi - lo])
+            np.subtract(np.multiply(gap, ref[:, 1], out=gap), ex2, out=gap)
         else:  # the gap at t is minus the window's mse, m_dd - m_zd²/m_zz clamped at 0
-            gap = np.minimum(m[3] * m[3] / m[1] - m[4], 0.0)
-            codes[:hi - lo] = regime_index(m[2], gap, balance_tol)
-        return (t_a, carry), None if reference is None else t_true, t, codes[:hi - lo]
+            ex2, gap = m[2], np.multiply(m[3], m[3], out=g[:hi - lo])
+            np.minimum(np.subtract(np.divide(gap, m[1], out=gap), m[4], out=gap), 0.0, out=gap)
+        return (t_a, carry), None if reference is None else t_true, t, regime_index(
+            ex2, gap, balance_tol, out=codes[:hi - lo])
 
     return n, size, track
 

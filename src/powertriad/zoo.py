@@ -139,13 +139,15 @@ def _signal_power_at(problem: ProblemSpec, k: np.ndarray, out: np.ndarray) -> np
 
 
 def population_moments(problem: ProblemSpec, k: np.ndarray) -> np.ndarray:
-    """Closed-form (E[x²], E[z²], E[xz]) rows for global step indices k."""
+    """Closed-form (E[x²], E[z²], E[xz]) rows for global step indices k, column-major."""
     return _population_moments(problem, k)
 
 
 def _population_moments(problem: ProblemSpec, k: np.ndarray) -> np.ndarray:
-    s = _signal_power_at(problem, np.asarray(k), np.empty(np.shape(k)))
-    return np.column_stack((s, s + problem.noise_power, s))
+    out = np.empty((3, np.size(k))).T  # column-major: s(k), s(k) + σn² and s(k)
+    np.add(_signal_power_at(problem, np.ravel(k), out[:, 0]), problem.noise_power, out=out[:, 1])
+    out[:, 2] = out[:, 0]
+    return out
 
 
 @cache
@@ -183,10 +185,10 @@ def generate_chunk(problem: ProblemSpec, chunk_index: int) -> SampleBatch:
 def generate(problem: ProblemSpec, n: int) -> SampleBatch:
     """Draw n aligned (x, z) pairs; pure function of (problem, n)."""
     n, rows = problem_source(problem, n)
-    xs = np.empty(n)
-    zs = np.empty(n)
-    for lo in range(0, n, CHUNK):
-        xs[lo:lo + CHUNK], zs[lo:lo + CHUNK] = rows(lo, min(n, lo + CHUNK))
+    xs, zs, whole = np.empty(n), np.empty(n), n - n % CHUNK
+    for lo in range(0, whole, CHUNK):  # whole chunks in place, a short last one through rows
+        _draw(problem, lo // CHUNK, xs[lo:lo + CHUNK], zs[lo:lo + CHUNK])
+    xs[whole:], zs[whole:] = rows(whole, n)
     return SampleBatch._adopt(xs, zs)
 
 

@@ -124,14 +124,10 @@ def test_diagnose_labels_a_high_power_input_by_its_error_sums(tmp_path, capsys):
     assert report["regime"] == "power_dominant" and report["verdict"]["satisfied"] is True
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "power_ratio is ev2 / ex2 from raw powers, which rounds below 1 at ex2 = 1e12; "
-    "1 + (2·coupling - mse) / ex2 from the error sums is >= 1 here, but it changes the last "
-    "digit of most ordinary reports, so it lands with ROADMAP item 1's digit changes"))
 def test_diagnose_reports_a_dominant_estimate_with_a_power_ratio_of_at_least_one(tmp_path,
                                                                                   capsys):
-    """The high-power input above is dominant at --balance-tol 0, and the ratio of its raw
-    powers prints as power_ratio 0.99999999999999989."""
+    """The high-power input above is dominant at --balance-tol 0, where the ratio of its raw
+    powers would print as power_ratio 0.99999999999999989."""
     rng = np.random.default_rng(0)
     x = 1e6 + rng.standard_normal(4096)
     v = x + 1e-9 * rng.standard_normal(4096)

@@ -279,6 +279,8 @@ def test_regime_index_is_the_former_scalar_and_array_rules(tol):
     want = [_if_chain(a, b, tol) for a, b in zip(ex2.tolist(), ev2.tolist())]
     assert [REGIMES[regime_index(a, b - a, tol)] for a, b in zip(ex2.tolist(), ev2.tolist())] == want
     assert [REGIMES[i] for i in regime_index(ex2, ev2 - ex2, tol).tolist()] == want
+    codes = regime_index(ex2, ev2 - ex2, tol, out=np.empty(ex2.size, np.uint8))
+    assert [REGIMES[i] for i in codes.tolist()] == want
     assert _nested_where(ex2, ev2, tol) == want
     # the edges fall on every side: a negative band holds no balance
     assert len(set(want)) == (3 if tol >= 0.0 else 2)
@@ -307,6 +309,59 @@ def test_tracked_labels_agree_with_classify_powers(tol):
     # classify_powers refuses a zero signal power; every other step must agree with it
     assert ([r for (a, _), r in zip(pairs, trace.regimes) if not a <= 0.0]
             == [classify_powers(a, b, tol) for a, b in pairs if not a <= 0.0])
+
+
+_specials = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 1e-300])
+
+
+@given(st.lists(st.tuples(st.floats() | _specials, st.floats() | _specials), min_size=1,
+                max_size=40),
+       st.sampled_from([0.0, 1e-6, 0.5, math.inf]) | st.floats(0.0, 1e3))
+@settings(deadline=None)
+def test_regime_index_of_an_array_is_its_scalars(pairs, tol):
+    """The array rules, into a new array or into a uint8 ``out``, give each element the code the
+    scalar rule gives it: NaN, ±inf, -0.0 and a negative ex2 (a negative band) included."""
+    ex2, gap = np.array(pairs).T
+    want = [regime_index(a, g, tol) for a, g in pairs]
+    with np.errstate(invalid="ignore", over="ignore"):  # the band tol·ex2 may be 0·inf or overflow
+        assert regime_index(ex2, gap, tol).tolist() == want
+        out = regime_index(ex2, gap.copy(), tol, out=np.full(ex2.size, 7, np.uint8))
+    assert out.dtype == np.uint8 and out.tolist() == want
+
+
+def _power_ratio_batch(seed, offset, c, noise, n=2000):
+    rng = np.random.default_rng(seed)
+    x = offset + rng.standard_normal(n)
+    return x, c * x + noise * rng.standard_normal(n)
+
+
+@given(st.integers(0, 2**32 - 1), st.just(0.0) | st.floats(1.0, 1e6),
+       st.sampled_from([1e-9, 1e-6, 1e-3, 0.5, 1.0, 2.0]) | st.floats(1e-9, 2.0),
+       st.sampled_from([0.0, 1e-12]) | st.floats(1e-9, 1e-1))
+@settings(deadline=None)
+@example(0, 1e6, 1.0, 1e-9)  # high power, as in test_cli: ev2/ex2 rounds below 1
+@example(1, 0.0, 1e-9, 1e-12)  # v ≪ x, where 1 + gap/ex2 reads below 0
+def test_power_ratio_is_accurate_never_negative_and_sides_with_the_label(seed, offset, c, noise):
+    """On x = offset + N(0,1), v = c·x + noise·N(0,1): the ratio lies within the sums' rounding
+    bound of a longdouble Σv²/Σx², is never negative, and at balance_tol 0 is >= 1 where the label
+    is power_dominant and <= 1 where it is power_conservative."""
+    x, v = _power_ratio_batch(seed, offset, c, noise)
+    report = triad_report(stats_of(SampleBatch(x, v)), balance_tol=0.0)
+    ratio = report.power_ratio
+    assert ratio >= 0.0
+    xl, vl, e = x.astype(np.longdouble), v.astype(np.longdouble), np.abs(v - x)
+    exact = float(np.sum(vl * vl) / np.sum(xl * xl))
+    # Higham's γ_m (m = n + 4) on the terms of each form's sums: 1 + gap/ex2 rounds by up to
+    # 2γ(2Σ|v·e| + Σe²)/Σx², and ev2/ex2, which may serve wherever |gap| nears ex2/2, by 2γ·ratio
+    gamma = (x.size + 4) * 2.0**-53 / (1.0 - (x.size + 4) * 2.0**-53)
+    bound = 2.0 * gamma * float(2.0 * np.sum(np.abs(v) * e) + np.sum(e * e)) / float(np.sum(x * x))
+    if abs(exact - 1.0) > 0.4:
+        bound += 2.0 * gamma * exact
+    assert abs(ratio - exact) <= bound + 2.0**-52 * exact, (ratio, exact, bound)
+    if report.regime is RegimeLabel.POWER_DOMINANT:
+        assert ratio >= 1.0
+    elif report.regime is RegimeLabel.POWER_CONSERVATIVE:
+        assert ratio <= 1.0
 
 
 def test_classify_powers_refuses_a_nan_power():

@@ -14,6 +14,7 @@ from powertriad import (
     DegenerateWindow,
     NonFiniteSample,
     PowerTriadError,
+    ProblemSpec,
     RegimeLabel,
     SampleBatch,
     ScalingProblem,
@@ -528,6 +529,27 @@ def test_chunked_tracking_matches_one_whole_pass_bit_for_bit(lam, with_reference
         assert trace.regime_codes.dtype == np.uint8
         assert trace.regimes == labels
         assert trace.forbidden_steps == labels.count(RegimeLabel.POWER_DOMINANT)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([1.0, 0.99, 0.5, 1.0 - 1e-6]), st.sampled_from([None, "C", "F"]),
+       st.sampled_from([1, 65535, 65537, 196625]), st.sampled_from(zoo.PROBLEM_KINDS),
+       st.integers(0, 2**32 - 1))
+def test_tracked_columns_equal_the_per_row_reference_bit_for_bit(lam, layout, n, kind, seed):
+    """t_true, t_tracked and the regime codes, each written in place chunk by chunk, hold the
+    bits of _track_whole's one pass (the block recurrence of _ewma_one_block_at_a_time), with
+    no reference or with a C- or F-ordered one."""
+    problem = ProblemSpec(kind=kind, seed=seed, change_index=CHUNK + 9, drift_period=7000.0)
+    batch, reference = generate(problem, n), None
+    if layout is not None:
+        reference = population_moments(problem, np.arange(n))
+        reference = np.ascontiguousarray(reference) if layout == "C" else reference
+    columns, labels = _track_whole(batch.x, batch.v, lam, reference)
+    trace = track_moving_optimum(batch, lam, reference=reference)
+    for got, want in zip((trace.t_true, trace.t_tracked, trace.tracking_error), columns):
+        assert got.tobytes() == want.tobytes()
+    assert trace.regime_codes.dtype == np.uint8
+    assert trace.regime_codes.tolist() == [REGIMES.index(r) for r in labels]
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.01])

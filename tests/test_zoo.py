@@ -32,7 +32,7 @@ from powertriad import (
     population_moments,
     stats_of,
 )
-from powertriad import moments
+from powertriad import moments, zoo
 from powertriad.scaling import ScalingProblem
 from powertriad.zoo import (batch_source, generate_chunk, problem_source, summarize,
                             verify_amplifier, with_seed)
@@ -149,6 +149,20 @@ def test_true_optimum_closed_forms():
     schedule = _optimum(drifting, 501)
     assert schedule[0] == 0.5
     assert abs(schedule[500] - 1.5 / 2.5) < 1e-12  # sine peak
+
+
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_population_moments_are_the_stacked_schedule_in_contiguous_columns(kind):
+    """The columns s(k), s(k) + σn², s(k) hold the bits np.column_stack gave, one contiguous
+    column each, at any start, across a step change and for a scalar step."""
+    spec = ProblemSpec(kind=kind, signal_power=1.5, noise_power=0.3, seed=2, change_index=70000)
+    for k in (np.arange(0, 3 * CHUNK + 5), np.arange(69990, 70010), 12345, [7, 0, 3]):
+        steps = np.ravel(k)
+        s = zoo._signal_power_at(spec, steps, np.empty(steps.size))
+        want = np.column_stack((s, s + spec.noise_power, s))
+        got = population_moments(spec, k)
+        assert got.shape == want.shape and got.flags.f_contiguous
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_population_moments_satisfy_channel_identity():
@@ -407,6 +421,20 @@ def test_stats_of_a_batch_is_its_summarized_reduction():
     # the library's one-shot path and the command line's chunk reducer add the same sums
     batch = generate(GAUSS, POOL_N)
     assert stats_of(batch) == finalize(summarize(batch_source(batch), [])[0])
+
+
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_generate_draws_the_rows_of_its_source(kind):
+    """Whole chunks are drawn straight into the batch and a short last one through the source's
+    window; either way the batch holds problem_source's rows."""
+    problem = ProblemSpec(kind=kind, seed=11, change_index=CHUNK + 3, drift_period=5000.0)
+    for n in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5):
+        batch, (_, rows) = generate(problem, n), problem_source(problem, n)
+        for lo in range(0, n, CHUNK):
+            x, z = rows(lo, min(lo + CHUNK, n))
+            assert x.tobytes() == batch.x[lo:lo + CHUNK].tobytes(), (n, lo)
+            assert z.tobytes() == batch.v[lo:lo + CHUNK].tobytes(), (n, lo)
+        assert batch.x.size == batch.v.size == n
 
 
 def test_generate_is_the_concatenated_chunks():
