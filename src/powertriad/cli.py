@@ -4,9 +4,9 @@ Exit status encodes the diagnosed regime so shell pipelines can gate on it:
 0 for safe/balance, 3 when the estimate is power dominant, 1 for runtime
 errors, 2 for usage errors.  Settings resolve lowest to highest as
 defaults, then flags, then the --config file: a key present in the config
-file wins over the matching flag.  All file output is written atomically
-(temp file in the target directory, then rename) and all numeric text uses
-17 significant digits, so repeated runs are byte-identical.
+file wins over the matching flag.  All output goes through textio.write_text,
+which replaces a file atomically (temp file beside it, then rename), and all
+numeric text uses 17 significant digits, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from dataclasses import asdict, fields
 from typing import Iterable, Optional
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import diagnostics, moments, safezone_map, scaling, zoo
 from .errors import PowerTriadError
-from .textio import dumps_stable, parse_kv
+from .textio import dumps_stable, parse_kv, write_text
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -140,33 +139,10 @@ def _apply_config(args: argparse.Namespace) -> None:
         setattr(args, key, coerced)
 
 
-def _write_atomic(path: str, blocks: Iterable[str]) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".powertriad-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(blocks)
-        os.umask(umask := os.umask(0))
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes 0600; give open()'s mode
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(out: Optional[str], *files: tuple[str, Iterable[str]]) -> None:
-    """Write each (suffix, blocks) to out + suffix atomically, or to stdout, block by block;
-    a closable iterator of blocks (fmt_rows' forked writers) is closed even if a write fails."""
+    """Write each (suffix, blocks) to out + suffix, or to stdout if out is empty (write_text)."""
     for suffix, blocks in files:
-        try:
-            if out:
-                _write_atomic(out + suffix, blocks)
-            else:
-                sys.stdout.writelines(blocks)
-                sys.stdout.flush()
-        finally:
-            getattr(blocks, "close", lambda: None)()
+        write_text(out + suffix if out else None, blocks)
 
 
 def _input(

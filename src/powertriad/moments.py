@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import EmptySummary, NonFiniteSample, PowerTriadError
-from .textio import fmt_float
+from .textio import fmt_float, write_text
 
 CSV_HEADER = "x,v"
 
@@ -498,8 +498,7 @@ def to_csv_text(batch: SampleBatch) -> str:
 
 
 def write_csv(path, batch: SampleBatch) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(csv_blocks(batch_source(batch)))
+    write_text(path, csv_blocks(batch_source(batch)))
 
 
 def read_csv(path) -> SampleBatch:

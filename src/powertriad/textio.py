@@ -1,4 +1,4 @@
-"""Deterministic text emission, and flat key-value parsing into typed fields.
+"""Deterministic text emission, the one writer, and flat key-value parsing into typed fields.
 
 Every number this toolkit writes has 17 significant decimal digits, from
 :func:`fmt_float`, or from moments.fmt_rows, whose leftovers fmt_float writes.  That
@@ -11,8 +11,13 @@ every float at 17 significant digits.
 from __future__ import annotations
 
 import json
+import os
 import re
+import stat
+import sys
+import tempfile
 from dataclasses import MISSING, fields
+from typing import Iterable
 
 INDENT = 2
 
@@ -39,6 +44,36 @@ def dumps_stable(obj) -> str:
     except ValueError:
         raise ValueError("non-finite number has no JSON representation") from None
     return _STRING_OR_FLOAT.sub(lambda m: m.group(1) or fmt_float(m.group()), text)
+
+
+def write_text(path, blocks: Iterable[str]) -> None:
+    """Write the blocks to sys.stdout and flush it if path is None, else as open(path, "w") would,
+    but a new path or regular file atomically: to a temp file beside the symlink-resolved target,
+    given the old file's mode (not its hard links or owner) or the umask's, then renamed over it.
+    A FIFO or a device is written in place.  Closable blocks are closed even if a write fails."""
+    try:
+        if path is None:
+            sys.stdout.writelines(blocks)
+            sys.stdout.flush()
+        elif os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(blocks)
+        else:
+            os.umask(umask := os.umask(0))
+            mode = stat.S_IMODE(os.stat(path).st_mode) if os.path.exists(path) else 0o666 & ~umask
+            target = os.path.realpath(path)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".powertriad-")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                    fh.writelines(blocks)
+                os.chmod(tmp, mode)  # mkstemp makes 0600
+                os.replace(tmp, target)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
+    finally:
+        getattr(blocks, "close", lambda: None)()
 
 
 def parse_kv(text: str, kind: str = "key", fold=lambda key: key) -> dict[str, str]:

@@ -9,6 +9,7 @@ import re
 import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -537,6 +538,60 @@ def test_out_file_mode_follows_umask(tmp_path, umask, mode):
     finally:
         os.umask(previous)
     assert stat.S_IMODE(path.stat().st_mode) == mode
+
+
+def _listed(capsys) -> str:
+    assert main(["zoo", "list"]) == 0
+    return capsys.readouterr().out
+
+
+def test_out_file_keeps_an_existing_files_mode(tmp_path, capsys):
+    """An existing 0600 file stays 0600 under umask 022, as open(path, "w") keeps it."""
+    path = tmp_path / "kinds.txt"
+    path.write_text("old\n")
+    path.chmod(0o600)
+    previous = os.umask(0o022)
+    try:
+        assert main(["zoo", "list", "--out", str(path)]) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert path.read_text() == _listed(capsys)
+
+
+@pytest.mark.parametrize("exists", [True, False], ids=["target", "dangling"])
+def test_out_writes_through_a_symlink(tmp_path, capsys, exists):
+    """The link still points at its target, which gets the bytes; the temp file sat beside it."""
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "kinds.txt"
+    if exists:
+        target.write_text("old\n")
+    link = tmp_path / "kinds.txt"
+    link.symlink_to(os.path.join("data", "kinds.txt"))
+    assert main(["zoo", "list", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == os.path.join("data", "kinds.txt")
+    assert target.read_text() == _listed(capsys)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "kinds.txt", "kinds.txt"]
+
+
+def test_out_writes_a_fifo_in_place(tmp_path, capsys):
+    """A FIFO is opened and written, not replaced; a reader thread drains it."""
+    fifo = tmp_path / "kinds.fifo"
+    os.mkfifo(fifo)
+    same = tmp_path / "same.fifo"
+    os.link(fifo, same)  # the FIFO, still reachable if its name were replaced
+    got = []
+    reader = threading.Thread(target=lambda: got.append(same.read_text()), daemon=True)
+    reader.start()
+    try:
+        assert main(["zoo", "list", "--out", str(fifo)]) == 0
+        reader.join(timeout=30)
+    finally:
+        if reader.is_alive():  # the FIFO was never opened for writing: open it so the read ends
+            os.close(os.open(same, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=30)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got == [_listed(capsys)]
 
 
 def test_import_loads_no_scipy(child_env):

@@ -6,6 +6,7 @@ import io
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import threading
@@ -377,6 +378,33 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.x, x) and np.array_equal(back.v, v)
 
 
+def test_write_csv_keeps_an_existing_files_mode(tmp_path):
+    path = tmp_path / "pairs.csv"
+    path.write_text("old\n")
+    path.chmod(0o600)
+    previous = os.umask(0o022)
+    try:
+        write_csv(path, SampleBatch([1.0], [2.0]))
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert path.read_text() == "x,v\n1,2\n"
+
+
+def test_write_csv_that_fails_part_way_leaves_the_old_file(tmp_path, monkeypatch):
+    """write_csv replaces the file atomically: a failed write leaves the old bytes, no temp file."""
+    def failing_blocks(source):
+        yield "x,v\n"
+        raise RuntimeError("no more blocks")
+    monkeypatch.setattr(moments, "csv_blocks", failing_blocks)
+    path = tmp_path / "pairs.csv"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError, match="no more blocks"):
+        write_csv(path, SampleBatch([1.0], [2.0]))
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["pairs.csv"]
+
+
 def test_csv_header_is_enforced(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")
@@ -560,6 +588,19 @@ def test_split_csv_with_crlf_line_ends(tmp_path, pieces):
     back = read_csv(path)
     assert _outcome(read_csv, path) == _outcome(_reference_read_csv, path)
     assert back.v.tolist() == [-float(i) for i in range(50)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_read_csv_columns_are_c_contiguous(tmp_path, monkeypatch, workers):
+    """moments._dot adds a strided view in another order than a copy, so the reader's columns
+    must be contiguous for its sums to match every other source's bit for bit."""
+    monkeypatch.setattr(moments, "_PIECE", 64)
+    monkeypatch.setattr(moments, "_usable_cpus", lambda: workers)
+    path = _rows_csv(tmp_path / "rows.csv", 50)
+    assert os.path.getsize(path) > 10 * moments._PIECE
+    batch = read_csv(path)
+    assert batch.x.flags.c_contiguous and batch.v.flags.c_contiguous
+    assert batch.v.tolist() == [-float(i) for i in range(50)]
 
 
 def test_split_csv_of_200000_rows_is_bit_equal_to_the_line_loop(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
-"""Deterministic JSON text: json.dumps's layout, with every float at 17 significant digits."""
+"""Deterministic JSON text: json.dumps's layout, with every float at 17 significant digits; and
+the one writer of files and stdout."""
 
 import enum
 import json
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powertriad.textio import dumps_stable
+from powertriad.textio import dumps_stable, write_text
 
 
 class Kind(str, enum.Enum):
@@ -75,3 +76,18 @@ def test_dumps_stable_refuses_a_non_finite_float_anywhere(doc, bad, containers):
         bad = {"doc": doc, "bad": bad} if container is dict else container((doc, bad))
     with pytest.raises(ValueError, match="^non-finite number has no JSON representation$"):
         dumps_stable(bad)
+
+
+def _raising(blocks):
+    """The blocks, then an error part way through the write."""
+    yield from blocks
+    raise RuntimeError("no more blocks")
+
+
+def test_write_text_that_fails_part_way_leaves_the_old_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError, match="no more blocks"):
+        write_text(path, _raising(["new\n"] * 1000))
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
