@@ -322,6 +322,7 @@ def fmt_rows(header: str, template: str, n: int, columns, size: int = CHUNK) -> 
 # decimal exponent), 17 digits each followed by a slot for the point, "e+XX" or "e+XXX"
 _CONVERSIONS = re.compile(r"(%\.17g|%s)")
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two halves of 26 bits
+_WORDS = np.array([b"0", b"-0", b"inf", b"-inf", b"nan"], "S48").view(np.uint64).reshape(5, 6)
 
 
 @cache
@@ -375,8 +376,8 @@ def _scaled(a: np.ndarray, x: np.ndarray, p10: np.ndarray):
 def _fmt_numbers(column, out: np.ndarray) -> None:
     """Write the six-word %.17g fields of a column into out.  N, the 17 digits of v, is
     v·10^(16-X) rounded half-even, X guessed from log10 and set by where the double-double
-    product falls.  fmt_float writes 0, inf, NaN, |v| outside [1e-280, 1e280), and a 17th
-    digit within 2^-30 of a tie (exact ties, which C rounds half-even)."""
+    product falls.  _WORDS writes 0, -0, ±inf and NaN; fmt_float writes |v| outside [1e-280,
+    1e280) and a 17th digit within 2^-30 of a tie (exact ties, which C rounds half-even)."""
     v = np.asarray(column, np.float64)
     p10, quads, lead, frames = _digit_tables()
     a = np.abs(v)
@@ -406,7 +407,11 @@ def _fmt_numbers(column, out: np.ndarray) -> None:
     for j, (q, stripped) in enumerate(zip((q1, q2, q3, q4), last), start=1):
         out[:, j] = quads.take(q + 10000 * stripped) | frames[j].take(frame)
     out[:, 5] = frames[5].take(frame)
-    for i in np.flatnonzero(~ok):
+    rest = np.flatnonzero(~ok)
+    r = v[rest]  # v, not a, whose leftovers are 1
+    word = (r == 0.0) | ~np.isfinite(r)
+    out[rest[word]] = _WORDS[np.where(np.isnan(r), 4, 2 * np.isinf(r) + np.signbit(r))[word]]
+    for i in rest[~word]:
         out[i] = np.frombuffer(fmt_float(v[i]).encode().ljust(48, b"\0"), np.uint64)
 
 

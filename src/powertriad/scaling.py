@@ -459,8 +459,8 @@ def trace_to_csv(trace: ScalingTrace) -> str:
 
 def track_to_csv(trace: TrackTrace) -> str:
     """Serialize a tracking run as ``k,t_true,t_tracked,tracking_error,regime`` rows."""
-    return "".join(fmt_rows(TRACK_CSV_HEADER, _TRACK_ROW, len(trace), lambda s: _track_columns(
-        s.start, trace.t_true[s], trace.t_tracked[s], trace.regime_codes[s])))
+    return "".join(_track_rows(len(trace), CHUNK, not np.isnan(trace.t_true).all(), lambda s: (
+        trace.t_true[s], trace.t_tracked[s], trace.regime_codes[s])))
 
 
 def track_csv_blocks(source: tuple[int, Rows], forgetting: float,
@@ -468,13 +468,11 @@ def track_csv_blocks(source: tuple[int, Rows], forgetting: float,
                      balance_tol: float) -> Iterator[str]:
     """track_to_csv's text of a source, after one pass of its tracker has raised any error, in
     fmt_rows' blocks of one tracker chunk, each re-tracked from its start state in a forked
-    writer, so ``reference`` must call no public function.  Without a reference, t_true and
-    the error are NaN on every row and written as such."""
+    writer, so ``reference`` must call no public function."""
     n, size, track = _tracker(source, forgetting, reference, balance_tol)
     starts = _track_chunks(n, size, track)
-    template = _TRACK_ROW if reference is not None else _TRACK_ROW_NAN
-    return fmt_rows(TRACK_CSV_HEADER, template, n, lambda s: _track_columns(
-        s.start, *track(s.start, starts[s.start // size])[1:]), size)
+    return _track_rows(n, size, reference is not None,
+                       lambda s: track(s.start, starts[s.start // size])[1:])
 
 
 _TRACK_ROW, _TRACK_ROW_NAN = "%.17g,%.17g,%.17g,%.17g,%s\n", "%.17g,nan,%.17g,nan,%s\n"
@@ -482,9 +480,14 @@ _TRACK_ROW, _TRACK_ROW_NAN = "%.17g,%.17g,%.17g,%.17g,%s\n", "%.17g,nan,%.17g,na
 _REGIME_TEXTS = np.array([r._value_.encode() for r in REGIMES])
 
 
-@np.errstate(invalid="ignore")  # |inf - inf| is NaN, as |NaN - t| is, with no warning
-def _track_columns(lo: int, t_true: Optional[np.ndarray], t_hat: np.ndarray, codes: np.ndarray):
-    """The columns of _TRACK_ROW from step lo, the error as tracking_error computes it, or,
-    if t_true is None, of _TRACK_ROW_NAN."""
-    k, texts = np.arange(lo, lo + t_hat.size), _REGIME_TEXTS[codes]
-    return (k, t_hat, texts) if t_true is None else (k, t_true, t_hat, abs(t_hat - t_true), texts)
+def _track_rows(n: int, size: int, reference: bool, chunk) -> Iterator[str]:
+    """The tracked CSV of n steps in fmt_rows' blocks of ``size``, chunk(s) giving the t_true,
+    t_hat and regime codes of the steps in slice s, the error as tracking_error computes it.
+    Without a reference t_true and the error are NaN: _TRACK_ROW_NAN writes them as the nan
+    that %.17g writes, so either template gives the same bytes."""
+    @np.errstate(invalid="ignore")  # |inf - inf| is NaN, as |NaN - t| is, with no warning
+    def columns(s: slice):
+        t_true, t_hat, codes = chunk(s)
+        k, texts = np.arange(s.start, s.stop), _REGIME_TEXTS[codes]
+        return (k, t_true, t_hat, abs(t_hat - t_true), texts) if reference else (k, t_hat, texts)
+    return fmt_rows(TRACK_CSV_HEADER, _TRACK_ROW if reference else _TRACK_ROW_NAN, n, columns, size)

@@ -16,7 +16,7 @@ import pytest
 
 from powertriad import cli, moments
 from powertriad.cli import main
-from powertriad.moments import CHUNK, SampleBatch, read_csv, to_csv_text
+from powertriad.moments import CHUNK, SampleBatch, read_csv, to_csv_text, write_csv
 from powertriad.scaling import (ScalingCertificate, ScalingTrace, _ewma_block,
                                 track_moving_optimum, track_to_csv)
 from powertriad.zoo import (apply_estimator, batch_source, generate, parse_estimator_spec,
@@ -358,6 +358,27 @@ def test_track_input_matches_the_library_at_tracker_chunk_edges(tmp_path, capsys
         expected = track_to_csv(track_moving_optimum(SampleBatch(x, v), lam))
         assert main(["track", "--input", src, "--forgetting", forgetting]) == 0
         assert capsys.readouterr() == (expected, ""), n
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("forgetting", ["1", "0.99", "0.5"])
+def test_track_command_and_library_write_the_same_rows(tmp_path, monkeypatch, forgetting,
+                                                       workers):
+    """`track` writes track_csv_blocks' blocks and the library joins track_to_csv's; one row
+    layout serves both, with a reference and without, so every byte of --out agrees."""
+    monkeypatch.setattr(moments, "_usable_cpus", lambda: workers)
+    lam, problem = float(forgetting), parse_problem_spec("drifting_power")
+    src, out = tmp_path / "pairs.csv", tmp_path / "track.csv"
+    for n in (1, CHUNK - 1, CHUNK + 1, 3 * CHUNK + 17):
+        batch = generate(problem, n)
+        write_csv(src, batch)
+        assert main(["track", "--input", str(src), "--forgetting", forgetting,
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == track_to_csv(track_moving_optimum(read_csv(src), lam)).encode()
+        assert main(["track", "--problem", "drifting_power", "--samples", str(n),
+                     "--forgetting", forgetting, "--out", str(out)]) == 0
+        assert out.read_bytes() == track_to_csv(track_moving_optimum(
+            batch, lam, reference=population_moments(problem, np.arange(n)))).encode(), n
 
 
 @pytest.mark.parametrize("argv, header", [

@@ -44,7 +44,7 @@ from powertriad.scaling import (
     trace_to_csv,
     track_to_csv,
 )
-from powertriad import zoo
+from powertriad import moments, zoo
 
 REFERENCE_PROBLEM = ScalingProblem(ex2=1.0, ez2=2.0, exz=1.0)
 
@@ -732,6 +732,20 @@ def test_track_to_csv_matches_per_row_rendering(n, with_reference):
     codes = (np.arange(n) % len(REGIMES)).astype(np.uint8)
     trace = dataclasses.replace(trace, regime_codes=codes, **columns)
     assert track_to_csv(trace) == _reference_track_to_csv(trace)
+
+
+def test_track_to_csv_without_a_reference_makes_no_call_per_value(monkeypatch):
+    """A reference-free trace's NaN t_true and error are laid out as the command lays them out,
+    not sent to fmt_float one value at a time."""
+    calls = []
+    fallback = moments.fmt_float
+    monkeypatch.setattr(moments, "fmt_float", lambda value: calls.append(value) or fallback(value))
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(8192)
+    trace = track_moving_optimum(SampleBatch(x, x + rng.standard_normal(8192)), 0.99)
+    rows = [row.split(",") for row in track_to_csv(trace).splitlines()[1:]]
+    assert len(rows) == 8192 and all(row[1] == row[3] == "nan" for row in rows)
+    assert calls == []
 
 
 def _reference_trace_to_csv(trace) -> str:
