@@ -531,26 +531,25 @@ def read_csv(path) -> SampleBatch:
 
 def _load_piece(path, cut: tuple[int, int]) -> np.ndarray:
     """The (k, 2) values of the file's bytes [lo, hi), which hold no header, as np.loadtxt reads
-    them: _parse_fields reads ``field,field\\n`` lines, np.loadtxt the rows it leaves or a
-    piece of another shape.  Raises ValueError where the line loop may disagree: a parse
-    error, another width, U+001C-U+001F (loadtxt takes them, float() does not), and a piece
-    with no comma, which has no row (np.loadtxt warns on those)."""
+    them: _parse_fields reads ``field,field\\n`` lines; _loadtxt reads, or refuses with ValueError
+    where the line loop may disagree, the rows _parse_fields leaves or a piece of another shape."""
     lo, hi = cut
     buf = mmap.mmap(-1, _HEAD + hi - lo)  # off the heap, which would keep its pages
     with open(path, "rb") as fh:
         fh.seek(lo)
         fh.readinto(memoryview(buf)[_HEAD:])
-    if (buf.find(b",", _HEAD) < 0
-            or any(buf.find(bytes((c,)), _HEAD) >= 0 for c in range(0x1C, 0x20))):
-        raise ValueError("no rows for np.loadtxt")
     xv = _parse_fields(buf) if buf[-1:] == b"\n" and buf.find(b"\r") < 0 else None  # \n lines
     text = buf[_HEAD:] if xv is None else None  # a copy, so that the map is released first
     buf.close()
     return _loadtxt(text) if xv is None else xv
 
 
-def _loadtxt(text) -> np.ndarray:
-    """np.loadtxt's (k, 2) rows of UTF-8 text."""
+def _loadtxt(text: bytes) -> np.ndarray:
+    """np.loadtxt's (k, 2) rows of UTF-8 text, or ValueError where the line loop may disagree: a
+    parse error, another width, U+001C-U+001F (np.loadtxt takes them, float() does not), and
+    text with no comma, which has no row (np.loadtxt warns on it)."""
+    if b"," not in text or any(bytes((c,)) in text for c in range(0x1C, 0x20)):
+        raise ValueError("no rows for np.loadtxt")
     with io.TextIOWrapper(io.BytesIO(text), encoding="utf-8") as fh:
         xv = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     if xv.shape[1] != 2:

@@ -103,14 +103,24 @@ def test_finalize_rejects_negative_mse():
         finalize(MomentSummary(n=1, sum_xx=1.0, sum_vv=1.0, sum_xv=2.0))
 
 
-def test_finalize_rejects_negative_mse_under_optimize_flag(child_env):
+def _assert_finalize_refuses_under_optimize_flag(child_env, fields: str):
     code = ("from powertriad import MomentSummary, finalize; "
-            "print(finalize(MomentSummary(n=1, sum_xx=1.0, sum_vv=1.0, sum_xv=2.0)))")
+            f"print(finalize(MomentSummary({fields})))")
     result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                             env=child_env)
     assert result.returncode == 1
     assert result.stdout == ""
     assert "PowerTriadError: mse fell below rounding tolerance" in result.stderr
+
+
+def test_finalize_rejects_negative_mse_under_optimize_flag(child_env):
+    _assert_finalize_refuses_under_optimize_flag(
+        child_env, "n=1, sum_xx=1.0, sum_vv=1.0, sum_xv=2.0")
+
+
+def test_finalize_rejects_a_negative_error_sum_under_optimize_flag(child_env):
+    _assert_finalize_refuses_under_optimize_flag(
+        child_env, "n=1, sum_xx=1.0, sum_vv=1.0, sum_xv=1.0, sum_ee=-1.0")
 
 
 OVERFLOW = "^sums of squares overflow float64; rescale the samples$"
@@ -617,7 +627,7 @@ def test_split_csv_of_200000_rows_is_bit_equal_to_the_line_loop(tmp_path, monkey
 # --- CSV parse: the row reader's digit kernel against np.loadtxt -------------------
 
 def _loadtxt_piece(path, cut):
-    """np.loadtxt on a whole piece, behind _load_piece's guards: what _load_piece must equal."""
+    """np.loadtxt on a whole piece, behind _loadtxt's guards: what _load_piece must equal."""
     lo, hi = cut
     with open(path, "rb") as fh:
         fh.seek(lo)
@@ -792,6 +802,43 @@ def test_row_reader_leaves_only_e_notation_rows_of_heavy_tails_to_loadtxt(monkey
     batch = read_csv(path)
     assert rows and all("e" in row for row in rows)
     assert _outcome(lambda _: batch, path) == _outcome(_reference_read_csv, path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", [b"", b"\n\n", b"1\n2\n"] + [
+    bytes(row) for c in range(0x1C, 0x20) for row in ([c, 49, 44, 50, 10], [49, 44, 50, c, 10])
+])
+def test_loadtxt_refuses_text_without_a_comma_or_with_a_separator_control(text):
+    """np.loadtxt warns on text with no row and takes U+001C-U+001F, which float() refuses."""
+    assert moments._loadtxt(b"1,2\n").tolist() == [[1.0, 2.0]]
+    with pytest.raises(ValueError, match="^no rows for np.loadtxt$"):
+        moments._loadtxt(text)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_control_byte_row_past_the_first_piece_is_refused_by_loadtxt_alone(
+        monkeypatch, tmp_path, capsys, workers):
+    """The kernel settles every other row of the second piece and hands _loadtxt only the row
+    with U+001D, whose refusal sends the file to the line loop.  A child's refused piece is
+    parsed again in this process, so this process sees the row at either CPU count."""
+    monkeypatch.setattr(moments, "_usable_cpus", lambda: workers)
+    texts, loadtxt = [], moments._loadtxt
+    monkeypatch.setattr(moments, "_loadtxt",
+                        lambda text: texts.append(bytes(text)) or loadtxt(text))
+    rng = np.random.default_rng(7)
+    x = 1e3 + rng.standard_normal(200_000)
+    v = x + rng.standard_normal(x.size)
+    rows = [f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), v.tolist())]
+    rows[150_000] = bad = rows[150_000].replace(",", "\x1d,")
+    path = tmp_path / "pairs.csv"
+    path.write_text("x,v\n" + "".join(rows))
+    size = os.path.getsize(path)
+    assert moments._PIECE < len("".join(rows[:150_000])) < size < 2 * moments._PIECE
+    assert main(["diagnose", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: line 150002: could not parse {bad.strip()!r}\n"
+    assert texts == [bad.encode()]
 
 
 # --- _fork_map: forked, in-order block map ------------------------------------
