@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -131,19 +132,9 @@ def build_right_map(points, problem: Optional[ScalingProblem] = None) -> MapData
 
 def emit_dataset(dataset: MapDataset) -> DatasetFiles:
     """Serialize points as CSV plus a JSON geometry sidecar."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(DATASET_CSV_HEADER)
-    for p in dataset.points:
-        writer.writerow(
-            (
-                p.label,
-                fmt_float(p.power_ratio),
-                fmt_float(p.coupling_norm),
-                fmt_float(p.coupling_raw),
-                p.regime.value,
-            )
-        )
+    rows = [",".join(DATASET_CSV_HEADER)] + [
+        ",".join((_field(p.label), fmt_float(p.power_ratio), fmt_float(p.coupling_norm),
+                  fmt_float(p.coupling_raw), p.regime.value)) for p in dataset.points]
     sidecar = {
         "map": dataset.kind,
         "balance_line": {"axis": "power_ratio", "value": BALANCE_RATIO},
@@ -153,20 +144,28 @@ def emit_dataset(dataset: MapDataset) -> DatasetFiles:
         "safe_region": {"axis": "power_ratio", "op": "<=", "bound": BALANCE_RATIO},
         "forbidden_region": {"axis": "power_ratio", "op": ">", "bound": BALANCE_RATIO},
     }
-    return DatasetFiles(csv=buf.getvalue(), geometry=dumps_stable(sidecar) + "\n")
+    return DatasetFiles(csv="\n".join(rows) + "\n", geometry=dumps_stable(sidecar) + "\n")
+
+
+def _field(text: str) -> str:
+    """A dataset CSV field, quoted with its quotes doubled if it holds a comma, a quote, CR or
+    LF: RFC 4180's rule, which csv.writer follows for a lone CR only from Python 3.13 on."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
 def parse_dataset_csv(text: str) -> tuple[MapPoint, ...]:
-    """Inverse of emit_dataset's CSV half; exact on 17-digit decimal text."""
-    reader = csv.reader(io.StringIO(text))
+    """Inverse of emit_dataset's CSV half; exact on 17-digit decimal text.  Raises ValueError
+    for any text it cannot read."""
     try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise ValueError("empty dataset text") from None
-    if header != DATASET_CSV_HEADER:
-        raise ValueError(f"unexpected dataset header {header!r}")
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValueError(f"unreadable dataset text: {exc}") from None
+    if not rows:
+        raise ValueError("empty dataset text")
+    if tuple(rows[0]) != DATASET_CSV_HEADER:
+        raise ValueError(f"unexpected dataset header {tuple(rows[0])!r}")
     points = []
-    for row in reader:
+    for row in rows[1:]:
         if not row:
             continue
         if len(row) != 5:
@@ -208,7 +207,10 @@ def _px(v: float) -> str:
 
 
 def _escape(text: str) -> str:
-    # what xml.sax.saxutils.escape does, without the import of urllib and http it brings
+    # what xml.sax.saxutils.escape does, without the import of urllib and http it brings; it
+    # refuses what XML 1.0 cannot write: C0 controls but tab, LF, CR, surrogates, U+FFFE, U+FFFF
+    if re.search(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]", text):
+        raise PowerTriadError(f"SVG text {text!r} holds a character XML 1.0 cannot write")
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 

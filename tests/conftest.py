@@ -7,8 +7,10 @@ from hypothesis import settings
 
 import powertriad
 
-# A longer search, for CI's own step over the row writer's byte properties:
-# `pytest -k row_writer --hypothesis-profile=deep`.  Not loaded by default.
+# A longer search, for CI's own steps over the row writer's and the row reader's
+# byte properties (`pytest tests/test_moments.py -k "row_writer or row_reader"`) and
+# the tracker's per-row reference (`pytest tests/test_scaling.py -k per_row_reference`),
+# each run with `--hypothesis-profile=deep`.  Not loaded by default.
 settings.register_profile("deep", max_examples=2000)
 
 # The directory that holds the `powertriad` this process imported. A relative

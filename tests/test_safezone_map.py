@@ -1,12 +1,16 @@
 """Map coordinates, region geometry, dataset emission and SVG rendering."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powertriad import (
     EmptyInput,
@@ -194,7 +198,10 @@ def test_emit_dataset_layout():
 def test_parse_dataset_csv_refuses_text_emit_dataset_never_writes():
     header = emit_dataset(build_left_map((map_point("a", DOUBLED),))).csv.splitlines()[0]
     for text, message in (("", "^empty dataset text$"), ("label,x\n", "^unexpected dataset header"),
-                          (header + "\na,1,0.5,2\n", "^expected 5 columns, got ")):
+                          (header + "\na,1,0.5,2\n", "^expected 5 columns, got "),
+                          # what csv.writer wrote for the label "r\rs" before Python 3.13
+                          (header + "\nr\rs,4,2,2,power_dominant\n",
+                           "^unreadable dataset text: ")):
         with pytest.raises(ValueError, match=message):
             parse_dataset_csv(text)
 
@@ -206,20 +213,37 @@ def test_parse_dataset_csv_skips_a_blank_row():
 
 
 def test_dataset_csv_round_trip():
-    points = (map_point("a", DOUBLED), map_point("b", PERFECT),
-              map_point("c", ZEROED))
-    files = emit_dataset(build_left_map(points))
-    back = parse_dataset_csv(files.csv)
-    assert len(back) == 3
-    for orig, parsed in zip(points, back):
-        assert parsed.label == orig.label
-        assert parsed.power_ratio == orig.power_ratio
-        assert parsed.coupling_raw == orig.coupling_raw
-        assert parsed.regime is orig.regime
-        if orig.coupling_norm_defined:
-            assert parsed.coupling_norm == orig.coupling_norm
-        else:
-            assert math.isnan(parsed.coupling_norm)
+    """Every label and number comes back exactly.  Before Python 3.13 csv.writer left the
+    label r\\rs unquoted, and csv.reader could not read it back."""
+    labels = ("a,b", 'q"t', "l\nm", "r\rs", "cr\r\nlf", "é", "", " sp", "tab\t")
+    numbers = (0.1, -2.5e-300, math.nan, 1.7976931348623157e308, -0.0, 4.0)
+    points = (map_point("a", DOUBLED), map_point("b", PERFECT), map_point("c", ZEROED)) + tuple(
+        MapPoint(label, numbers[i % 6], numbers[(i + 1) % 6], numbers[(i + 2) % 6],
+                 RegimeLabel.POWER_BALANCE) for i, label in enumerate(labels))
+
+    def exact(p):
+        return p.label, repr(p.power_ratio), repr(p.coupling_norm), repr(p.coupling_raw), p.regime
+
+    back = parse_dataset_csv(emit_dataset(build_left_map(points)).csv)
+    assert [exact(p) for p in back] == [exact(p) for p in points]
+
+
+# labels on which csv.writer writes the same bytes on Python 3.10 to 3.13: no NUL, and a CR
+# only beside a comma, a quote or an LF, which have it quoted on every version
+SHARED_LABELS = st.text().filter(
+    lambda t: "\0" not in t and ("\r" not in t or any(c in t for c in ',"\n')))
+
+
+@given(st.lists(SHARED_LABELS, min_size=1, max_size=4))
+@settings(deadline=None)
+def test_dataset_csv_is_what_csv_writer_writes(labels):
+    points = [MapPoint(label, 0.5, math.nan, -0.25, RegimeLabel.POWER_CONSERVATIVE)
+              for label in labels]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("label", "power_ratio", "coupling_norm", "coupling_raw", "regime"))
+    writer.writerows((label, "0.5", "nan", "-0.25", "power_conservative") for label in labels)
+    assert emit_dataset(build_left_map(points)).csv == buf.getvalue()
 
 
 def test_render_is_deterministic():
@@ -299,3 +323,19 @@ def test_svg_marks_balance_and_undefined_points():
     text = render_svg(build_right_map([balanced], REFERENCE_PROBLEM))
     assert "regime-power_balance" in text
     assert "point-undefined" in text
+
+
+@pytest.mark.parametrize("label", ["nul\0x", "soh\x01", "esc\x1b", "bom\ufffe", "\uffff",
+                                   "lone\ud800"])
+def test_svg_text_xml_cannot_write_is_refused(label):
+    dataset = build_left_map([MapPoint(label, 0.5, 0.0, 0.0, RegimeLabel.POWER_CONSERVATIVE)])
+    with pytest.raises(PowerTriadError, match="holds a character XML 1.0 cannot write"):
+        render_svg(dataset)
+
+
+def test_svg_text_xml_can_write_parses():
+    labels = ["tab\tx", "l\nm", "é", '"<&>', "\U0001f600"]
+    points = [MapPoint(label, 0.5, 0.0, 0.0, RegimeLabel.POWER_CONSERVATIVE) for label in labels]
+    root = _svg_root(render_svg(build_left_map(points)))
+    texts = [t.text for t in root.findall(".//{http://www.w3.org/2000/svg}text")]
+    assert texts[-len(labels):] == labels

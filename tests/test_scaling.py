@@ -606,8 +606,7 @@ def test_a_chunk_whose_ewma_block_sums_overflow_is_tracked_in_smaller_units(lam)
             want = track_moving_optimum(batch, lam, reference=ref)
             got = track_moving_optimum(big, lam, reference=big_ref)
             assert np.array_equal(got.t_tracked, want.t_tracked)
-            if ref is not None or n < CHUNK:  # a chunk not tracked again: see the xfail below
-                assert got.regimes == want.regimes
+            assert got.regimes == want.regimes
 
 
 def test_labels_without_a_reference_do_not_depend_on_the_units():
