@@ -43,12 +43,10 @@ def _add_common(parser: argparse.ArgumentParser, *, estimators: str = "single",
     """Input, estimator and output options, and the tolerances the command reads, in ``tols``."""
     parser.add_argument("--input", help="CSV file of x,v pairs")
     parser.add_argument("--problem", help="problem spec, e.g. gaussian_shrinkage(noise_power=0.5)")
-    if estimators == "single":
-        parser.add_argument("--estimator", action="append",
-                            help="estimator spec applied to the candidate column")
-    elif estimators == "many":
-        parser.add_argument("--estimator", action="append",
-                            help="estimator spec; repeat for several")
+    if estimators != "none":
+        parser.add_argument("--estimator", action="append", help=(
+            "estimator spec; repeat for several" if estimators == "many"
+            else "estimator spec applied to the candidate column"))
     parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, metavar="N",
                         help=f"sample count for generated problems (default {DEFAULT_SAMPLES})")
     parser.add_argument("--seed", type=int, default=None, metavar="S",
@@ -62,6 +60,7 @@ def _add_common(parser: argparse.ArgumentParser, *, estimators: str = "single",
     parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     parser.add_argument("--config", metavar="FILE",
                         help="flat key=value file; overrides flags")
+    parser.set_defaults(many=estimators == "many")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json", "svg", "all"), default="all")
     p.set_defaults(func=cmd_map)
 
-    p = sub.add_parser("zoo", help="list problem/estimator kinds or export a run",
+    p = sub.add_parser("zoo", help="list problem/estimator kinds or write x,v rows",
                        epilog=_EPILOG)
     p.add_argument("action", choices=("list", "run"))
     _add_common(p)
@@ -146,22 +145,19 @@ def _emit(out: Optional[str], *files: tuple[str, Iterable[str]]) -> None:
 
 
 def _input(
-    args: argparse.Namespace, many: bool = False, generated_only: tuple[str, ...] = ()
+    args: argparse.Namespace,
 ) -> tuple[list[zoo.EstimatorSpec], tuple[int, moments.Rows], Optional[zoo.ProblemSpec]]:
     """The --estimator specs, the --input or --problem source, and the --problem or None.
 
     Errors keep one order: the --input/--problem conflict, the estimator specs
-    (more than one only if ``many``), then the input; ``generated_only`` holds
-    the texts that refuse an --input and no input, for generated-only commands.
+    (more than one only if the command takes several), then the input.
     """
     if args.input and args.problem:
         raise ValueError("give either --input or --problem, not both")
     specs = getattr(args, "estimator", None) or []
-    if len(specs) > 1 and not many:
+    if len(specs) > 1 and not args.many:
         raise ValueError("this command takes a single --estimator")
     estimators = [zoo.parse_estimator_spec(text) for text in specs]
-    if generated_only and not args.problem:
-        raise ValueError(generated_only[not args.input])
     if args.input:
         return estimators, zoo.batch_source(moments.read_csv(args.input)), None
     if not args.problem:
@@ -221,9 +217,8 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    # every spec is parsed before the draw: the one pass reduces them all
-    estimators, source, _ = _input(args, many=True, generated_only=(
-        "map works on generated problems; give --problem", "need --problem"))
+    # every spec is parsed before the input is read or drawn: the one pass reduces them all
+    estimators, source, _ = _input(args)
     estimators = estimators or [zoo.parse_estimator_spec(t) for t in DEFAULT_MAP_ESTIMATORS]
     raw, summaries = zoo.summarize(source, estimators)
     points = [safezone_map.map_point(est.label, moments.finalize(summary),
@@ -255,7 +250,7 @@ def cmd_zoo(args: argparse.Namespace) -> int:
         lines.extend(f"  {kind}" for kind in zoo.ESTIMATOR_KINDS)
         _emit(args.out, ("", ("\n".join(lines) + "\n",)))
         return EXIT_OK
-    estimators, source, _ = _input(args, generated_only=("zoo run needs --problem",) * 2)
+    estimators, source, _ = _input(args)
     for est in estimators:  # every check and fit runs before the first row is written
         if est.kind == "amplifier":  # on the raw sums alone: c·z may overflow where z does not
             zoo.verify_amplifier(est, zoo.summarize(source, [])[0])

@@ -41,6 +41,7 @@ BACKGROUND, SAFE_FILL, FORBIDDEN_FILL, AXIS_COLOR = "#ffffff", "#c8e6c9", "#ffcd
 BALANCE_COLOR, PENALTY_COLOR, SINGULARITY_COLOR = "#2e7d32", "#8b0000", "#d32f2f"
 IDEAL_COLOR, POINT_FILL = "#1565c0", "#263238"
 FONT = (("font-family", "sans-serif"), ("font-size", "12"))
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"})
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,8 @@ def emit_dataset(dataset: MapDataset) -> DatasetFiles:
 def _field(text: str) -> str:
     """A dataset CSV field, quoted with its quotes doubled if it holds a comma, a quote, CR or
     LF: RFC 4180's rule, which csv.writer follows for a lone CR only from Python 3.13 on."""
+    if len(text) > (limit := csv.field_size_limit()):  # csv.reader could not read it back
+        raise PowerTriadError(f"map label longer than the CSV field limit of {limit} characters")
     return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
@@ -207,11 +210,11 @@ def _px(v: float) -> str:
 
 
 def _escape(text: str) -> str:
-    # what xml.sax.saxutils.escape does, without the import of urllib and http it brings; it
-    # refuses what XML 1.0 cannot write: C0 controls but tab, LF, CR, surrogates, U+FFFE, U+FFFF
+    # xml.sax.saxutils.escape without its urllib import, and CR as &#13; (a reader reads a raw CR
+    # as LF); it refuses what XML 1.0 cannot write: C0 but tab, LF, CR, surrogates, U+FFFE/FFFF
     if re.search(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]", text):
         raise PowerTriadError(f"SVG text {text!r} holds a character XML 1.0 cannot write")
-    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    return text.translate(_XML_ESCAPES)
 
 
 def _tag(name: str, cls: str, *attrs: tuple[str, object], text: Optional[str] = None) -> str:

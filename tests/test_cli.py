@@ -936,15 +936,61 @@ def test_diagnose_input_holds_the_batch_and_little_of_its_text(tmp_path, child_e
     assert peak_kb <= 67 * 1024, f"diagnose --input peaked at {peak_kb / 1024:.1f} MB"
 
 
-def test_map_and_zoo_run_name_their_missing_input(tmp_path, capsys):
-    src = _write(tmp_path / "pairs.csv", DOMINANT_CSV)
-    for argv, message in (
-            (["map", "--input", src], "map works on generated problems; give --problem"),
-            (["map"], "need --problem"),
-            (["zoo", "run"], "zoo run needs --problem")):
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == f"error: {message}\n"
+# three chunks and 17 pairs: the last chunk is partial, and empirical_mmse's n//2 falls inside one
+GENERATED = ["--problem", "gaussian_shrinkage(noise_power=0.5)", "--seed", "3",
+             "--samples", str(3 * CHUNK + 17)]
+MAP_FILES = ("left.csv", "left.json", "left.svg", "right.csv", "right.json", "right.svg")
+
+
+@pytest.fixture(scope="module")
+def generated_rows(tmp_path_factory):
+    """The x,v rows that zoo run writes for GENERATED."""
+    rows = tmp_path_factory.mktemp("generated") / "rows.csv"
+    assert main(["zoo", "run", *GENERATED, "--out", str(rows)]) == 0
+    return rows
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("estimators", [[], ["empirical_mmse", "amplifier(c=2)", "scale(c=0.7)"]],
+                         ids=["default", "given"])
+def test_map_on_the_rows_of_a_problem_writes_the_map_of_the_problem(
+        generated_rows, tmp_path, monkeypatch, workers, estimators):
+    """map --input reduces the rows zoo run wrote to the sums map --problem draws, bit for bit."""
+    monkeypatch.setattr(moments, "_usable_cpus", lambda: workers)
+    flags = [arg for estimator in estimators for arg in ("--estimator", estimator)]
+    for name, source in (("problem", GENERATED), ("input", ["--input", str(generated_rows)])):
+        assert main(["map", *source, *flags, "--out", str(tmp_path / name)]) == 0
+    assert len(list(tmp_path.iterdir())) == 2 * len(MAP_FILES)
+    for suffix in MAP_FILES:
+        assert ((tmp_path / f"input_{suffix}").read_bytes()
+                == (tmp_path / f"problem_{suffix}").read_bytes()), suffix
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_zoo_run_on_the_rows_of_a_problem_writes_the_rows_of_the_problem(
+        generated_rows, tmp_path, monkeypatch, workers):
+    """zoo run --input writes its rows back unchanged, and an estimator's rows as zoo run
+    --problem writes them."""
+    monkeypatch.setattr(moments, "_usable_cpus", lambda: workers)
+    out, expected = tmp_path / "out.csv", tmp_path / "expected.csv"
+    assert main(["zoo", "run", "--input", str(generated_rows), "--out", str(out)]) == 0
+    assert out.read_bytes() == generated_rows.read_bytes()
+    for estimator in ("scale(c=0.5)", "empirical_mmse", "amplifier(c=2)"):
+        assert main(["zoo", "run", *GENERATED, "--estimator", estimator,
+                     "--out", str(expected)]) == 0
+        assert main(["zoo", "run", "--input", str(generated_rows), "--estimator", estimator,
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.read_bytes(), estimator
+
+
+def test_map_on_an_input_refuses_an_amplifier_that_is_not_dominant(tmp_path, capsys):
+    """4·Σv² = Σx² here, so the default amplifier(c=2) does not exceed the signal power."""
+    weak = _write(tmp_path / "weak.csv", "x,v\n2,1\n-2,-1\n")
+    for out in ([], ["--out", str(tmp_path / "zone")]):
+        assert main(["map", "--input", weak, *out]) == 1
+        assert capsys.readouterr() == (
+            "", "error: amplifier(c=2.0) is not power dominant on this input\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["weak.csv"]
 
 
 _CONFLICT = "give either --input or --problem, not both"
@@ -957,11 +1003,11 @@ _NEED = "need --input or --problem"
     ("scale", (_CONFLICT, _SPEC, _SPEC, _NEED)),
     ("path", (_CONFLICT, _SPEC, _SPEC, _NEED)),
     ("track", (_CONFLICT, "unknown problem kind 'nope'", _NEED, _NEED)),
-    ("map", (_CONFLICT, _SPEC, _SPEC, "need --problem")),
-    ("zoo", (_CONFLICT, _SPEC, _SPEC, "zoo run needs --problem")),
+    ("map", (_CONFLICT, _SPEC, _SPEC, _NEED)),
+    ("zoo", (_CONFLICT, _SPEC, _SPEC, _NEED)),
 ])
 def test_input_errors_keep_one_order(tmp_path, capsys, command, messages):
-    """Conflict, then estimator spec, then input, for every command; map and zoo run need --problem.
+    """Conflict, then estimator spec, then input, for every command.
 
     Each argv also holds every error of the lower ranks; track has no --estimator.
     """

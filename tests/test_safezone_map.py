@@ -228,6 +228,19 @@ def test_dataset_csv_round_trip():
     assert [exact(p) for p in back] == [exact(p) for p in points]
 
 
+def test_a_label_csv_reader_cannot_read_back_is_refused():
+    """A label of csv.field_size_limit() characters reads back; one more is refused, and the
+    process-wide limit is left as it was."""
+    limit = csv.field_size_limit()
+    fits = MapPoint("q" * (limit - 1) + '"', 0.5, 0.0, 0.0, RegimeLabel.POWER_CONSERVATIVE)
+    assert parse_dataset_csv(emit_dataset(build_left_map([fits])).csv) == (fits,)
+    too_long = MapPoint("q" * (limit + 1), 0.5, 0.0, 0.0, RegimeLabel.POWER_CONSERVATIVE)
+    with pytest.raises(PowerTriadError,
+                       match=f"^map label longer than the CSV field limit of {limit} characters$"):
+        emit_dataset(build_left_map([map_point("a", DOUBLED), too_long]))
+    assert csv.field_size_limit() == limit
+
+
 # labels on which csv.writer writes the same bytes on Python 3.10 to 3.13: no NUL, and a CR
 # only beside a comma, a quote or an LF, which have it quoted on every version
 SHARED_LABELS = st.text().filter(
@@ -334,7 +347,8 @@ def test_svg_text_xml_cannot_write_is_refused(label):
 
 
 def test_svg_text_xml_can_write_parses():
-    labels = ["tab\tx", "l\nm", "é", '"<&>', "\U0001f600"]
+    """A CR is written as &#13;, since an XML reader reads a raw CR, or CR LF, as LF."""
+    labels = ["tab\tx", "l\nm", "é", '"<&>', "\U0001f600", "r\rs", "cr\r\nlf"]
     points = [MapPoint(label, 0.5, 0.0, 0.0, RegimeLabel.POWER_CONSERVATIVE) for label in labels]
     root = _svg_root(render_svg(build_left_map(points)))
     texts = [t.text for t in root.findall(".//{http://www.w3.org/2000/svg}text")]
