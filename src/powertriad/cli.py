@@ -74,26 +74,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="triad report and regime-coded exit status",
                        epilog=_EPILOG)
     _add_common(p, tols=("balance_tol", "degeneracy_tol"))
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("scale", help="fit the optimal scale and certify it", epilog=_EPILOG)
     _add_common(p)
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=cmd_scale)
 
     p = sub.add_parser("path", help="run a scaling controller and trace it", epilog=_EPILOG)
     _add_common(p, tols=("balance_tol",))
     p.add_argument("--controller", metavar="FILE",
                    help="flat key=value controller config (kind, eta, beta, t0, conv_tol, max_steps)")
-    p.add_argument("--format", choices=("csv",), default="csv")
     p.set_defaults(func=cmd_path)
 
     p = sub.add_parser("track", help="track a drifting optimum", epilog=_EPILOG)
     _add_common(p, estimators="none", tols=("balance_tol",))
     p.add_argument("--forgetting", type=float, default=DEFAULT_FORGETTING, metavar="L",
                    help=f"forgetting factor in (0, 1] (default {DEFAULT_FORGETTING})")
-    p.add_argument("--format", choices=("csv",), default="csv")
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("map", help="emit safe-zone maps (CSV, JSON sidecar, SVG)",
@@ -106,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog=_EPILOG)
     p.add_argument("action", choices=("list", "run"))
     _add_common(p)
-    p.add_argument("--format", choices=("csv",), default="csv")
     p.set_defaults(func=cmd_zoo)
 
     for p in sub.choices.values():

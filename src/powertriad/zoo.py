@@ -114,9 +114,11 @@ class EstimatorSpec:
 
     @property
     def label(self) -> str:
+        """The spec text: c as %g writes it where that reads back as c, else as repr writes it."""
         if self.c is None:
             return self.kind
-        return f"{self.kind}(c={self.c:g})"
+        short = f"{self.c:g}"
+        return f"{self.kind}(c={short if float(short) == self.c else repr(self.c)})"
 
 
 def _signal_power_at(problem: ProblemSpec, k: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -248,7 +250,7 @@ def verify_amplifier(estimator: EstimatorSpec, raw: MomentSummary) -> None:
     if estimator.kind != "amplifier":
         raise InvalidSpec("only amplifier estimators need verification")
     if raw.n and not estimator.c * estimator.c * raw.sum_vv > raw.sum_xx:
-        raise InvalidSpec(f"amplifier(c={estimator.c!r}) is not power dominant on this input")
+        raise InvalidSpec(f"{estimator.label} is not power dominant on this input")
 
 
 def problem_source(problem: ProblemSpec, n: int) -> tuple[int, Rows]:

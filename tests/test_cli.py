@@ -522,6 +522,16 @@ def test_config_estimator_list(tmp_path):
     assert lines[2].startswith("scale(c=0.5),")
 
 
+def test_map_labels_each_estimator_with_a_c_that_reads_back(tmp_path):
+    """%g wrote scale(c=0.5000001) as scale(c=0.5), and amplifier(c=1.0000001) as c=1."""
+    specs = ["scale(c=0.5)", "scale(c=0.5000001)", "amplifier(c=1.0000001)"]
+    assert main(["map", "--problem", "gaussian_shrinkage", "--samples", "200", "--format", "csv",
+                 *(arg for spec in specs for arg in ("--estimator", spec)),
+                 "--out", str(tmp_path / "zone")]) == 0
+    rows = (tmp_path / "zone_left.csv").read_text().split("\n")[1:-1]
+    assert [row.split(",")[0] for row in rows] == [*specs, "optimum"]
+
+
 def test_unknown_config_key_fails(tmp_path, capsys):
     cfg = _write(tmp_path / "run.cfg", "volume = 11\n")
     assert main(["diagnose", "--problem", "gaussian_shrinkage", "--config", cfg]) == 1
@@ -989,7 +999,7 @@ def test_map_on_an_input_refuses_an_amplifier_that_is_not_dominant(tmp_path, cap
     for out in ([], ["--out", str(tmp_path / "zone")]):
         assert main(["map", "--input", weak, *out]) == 1
         assert capsys.readouterr() == (
-            "", "error: amplifier(c=2.0) is not power dominant on this input\n")
+            "", "error: amplifier(c=2) is not power dominant on this input\n")
     assert [p.name for p in tmp_path.iterdir()] == ["weak.csv"]
 
 
@@ -1026,15 +1036,18 @@ def test_config_value_of_the_wrong_type_fails(tmp_path, capsys):
 
 
 def test_config_format_outside_its_choices_fails(tmp_path, capsys):
-    """format = yaml used to crash map with a KeyError and let diagnose exit 3."""
+    """format = yaml used to crash map with a KeyError and let diagnose exit 3.
+
+    Only map reads a format, so only map has the key; on diagnose it is unknown.
+    """
     cfg = _write(tmp_path / "run.cfg", "format = yaml\n")
     gen = ["--problem", "gaussian_shrinkage", "--samples", "100"]
-    for argv in (["map", *gen, "--out", str(tmp_path / "m")],
-                 ["diagnose", *gen, "--estimator", "amplifier(c=2)"]):
+    for argv, err in ((["map", *gen, "--out", str(tmp_path / "m")],
+                       f"error: {cfg}: bad value for 'format': 'yaml'\n"),
+                      (["diagnose", *gen, "--estimator", "amplifier(c=2)"],
+                       f"error: {cfg}: unknown config key 'format'\n")):
         assert main([*argv, "--config", cfg]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {cfg}: bad value for 'format': 'yaml'\n"
+        assert capsys.readouterr() == ("", err)
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
@@ -1065,6 +1078,60 @@ def test_config_keys_are_the_command_options(tmp_path, monkeypatch, capsys, comm
         key = name.replace("-", "_")
         assert (err == f"error: run.cfg: unknown config key {key!r}\n") == (name not in own), err
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+# the argv after the command words that sets each option to a value other than its default,
+# run in a fresh directory below the one holding the inputs; a later flag overrides an earlier one
+_BASE = ["--problem", "gaussian_shrinkage", "--samples", "200"]
+_SETS = {
+    "input": ["--input", "../pairs.csv"],
+    "problem": [*_BASE, "--problem", "heavy_tail"],
+    "estimator": [*_BASE, "--estimator", "scale(c=0.5)"],
+    "samples": [*_BASE, "--samples", "300"],
+    "seed": [*_BASE, "--seed", "9"],
+    "balance-tol": [*_BASE, "--balance-tol", "1e9"],
+    "degeneracy-tol": [*_BASE, "--degeneracy-tol", "1e9"],
+    "controller": [*_BASE, "--controller", "../controller.cfg"],
+    "forgetting": [*_BASE, "--forgetting", "0.5"],
+    "format": [*_BASE, "--format", "csv"],
+    "out": [*_BASE, "--out", "o"],
+    "config": [*_BASE, "--config", "../run.cfg"],
+}
+_SHARED = ("input", "problem", "samples", "seed", "out", "config")
+_OPTION_TABLE = {
+    "diagnose": {*_SHARED, "estimator", "balance-tol", "degeneracy-tol"},
+    "scale": {*_SHARED, "estimator"},
+    "path": {*_SHARED, "estimator", "balance-tol", "controller"},
+    "track": {*_SHARED, "balance-tol", "forgetting"},
+    "map": {*_SHARED, "estimator", "balance-tol", "format"},
+    "zoo": {*_SHARED, "estimator"},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_option_a_command_lists_changes_what_it_does(tmp_path, monkeypatch, capsys,
+                                                           command):
+    """Each option's value runs and changes stdout, the exit status or the files written.
+
+    An option with a single choice, or one its command never reads, fails here.
+    """
+    assert _OPTION_TABLE[command] == _options(command, capsys) - {"help"}
+    _write(tmp_path / "controller.cfg", "kind = momentum\n")
+    _write(tmp_path / "run.cfg", "samples = 300\n")
+    assert main(["zoo", "run", "--problem", "heavy_tail(seed=7)", "--samples", "200",
+                 "--out", str(tmp_path / "pairs.csv")]) == 0
+
+    def run(argv, name):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        code = main([*_argv(command), *argv])
+        captured = capsys.readouterr()
+        assert code in (0, 3) and captured.err == "", (argv, code, captured.err)
+        return code, captured.out, {p.name: p.read_bytes() for p in pathlib.Path().iterdir()}
+
+    base = run(_BASE, "base")
+    for option in sorted(_OPTION_TABLE[command]):
+        assert run(_SETS[option], option) != base, option
 
 
 @pytest.mark.parametrize("command", COMMANDS)

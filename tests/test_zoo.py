@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from powertriad import (
     ESTIMATOR_KINDS,
@@ -234,6 +236,19 @@ def test_estimator_spec_validation():
     with pytest.raises(InvalidSpec):
         EstimatorSpec(kind="oracle")
     assert EstimatorSpec(kind="scale", c=0.25).label == "scale(c=0.25)"
+
+
+@given(st.sampled_from(("scale", "amplifier")), st.floats(allow_nan=False, allow_infinity=False))
+def test_an_estimator_label_reads_back_as_its_spec(kind, c):
+    """%g keeps 6 digits, so a c it rounds (0.5000001) is written as repr writes it; a c it
+    keeps is written as %g writes it (scale(c=0.5), amplifier(c=2))."""
+    if kind == "amplifier":
+        c = 1.0 + abs(c)
+        assume(c > 1.0)
+    spec = EstimatorSpec(kind=kind, c=c)
+    assert parse_estimator_spec(spec.label) == spec
+    if float(f"{c:g}") == c:
+        assert spec.label == f"{kind}(c={c:g})"
 
 
 def test_problem_spec_validation():
