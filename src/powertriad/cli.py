@@ -57,10 +57,16 @@ def _add_common(parser: argparse.ArgumentParser, *, estimators: str = "single",
     if "degeneracy_tol" in tols:
         parser.add_argument("--degeneracy-tol", type=float, default=diagnostics.DEGENERACY_TOL,
                             dest="degeneracy_tol", help="threshold for a negligible coupling")
+    _add_output(parser)
+    parser.set_defaults(many=estimators == "many")
+
+
+def _add_output(parser: argparse.ArgumentParser) -> None:
+    """--out and --config, which every command takes, and the parser whose options a config sets."""
     parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     parser.add_argument("--config", metavar="FILE",
                         help="flat key=value file; overrides flags")
-    parser.set_defaults(many=estimators == "many")
+    parser.set_defaults(parser=parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,16 +104,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json", "svg", "all"), default="all")
     p.set_defaults(func=cmd_map)
 
-    p = sub.add_parser("zoo", help="list problem/estimator kinds or write x,v rows",
-                       epilog=_EPILOG)
-    p.add_argument("action", choices=("list", "run"))
-    _add_common(p)
-    p.set_defaults(func=cmd_zoo)
+    zoo_sub = sub.add_parser("zoo", help="list problem/estimator kinds or write x,v rows",
+                             epilog=_EPILOG).add_subparsers(dest="action", required=True)
+    p = zoo_sub.add_parser("list", help="list problem and estimator kinds", epilog=_EPILOG)
+    _add_output(p)
+    p.set_defaults(func=cmd_zoo_list)
 
-    for p in sub.choices.values():
-        # the keys a --config file may set: the command's own options, checked as its flags are
-        p.set_defaults(options={a.dest: a for a in p._actions
-                                if a.option_strings and a.dest not in ("help", "config")})
+    p = zoo_sub.add_parser("run", help="write x,v rows", epilog=_EPILOG)
+    _add_common(p)
+    p.set_defaults(func=cmd_zoo_run)
     return parser
 
 
@@ -116,8 +121,11 @@ def _apply_config(args: argparse.Namespace) -> None:
         return
     with open(args.config, "r", encoding="utf-8") as fh:
         pairs = parse_kv(fh.read(), "config key", lambda key: key.replace("-", "_"))
+    # the keys a --config file may set: the command's own options, checked as its flags are
+    options = {a.dest: a for a in args.parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
     for key, value in pairs.items():
-        option = args.options.get(key)
+        option = options.get(key)
         if option is None:
             raise ValueError(f"{args.config}: unknown config key {key!r}")
         if key == "estimator":  # a ';'-separated list
@@ -237,14 +245,14 @@ def cmd_map(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_zoo(args: argparse.Namespace) -> int:
-    if args.action == "list":
-        lines = ["problem kinds:"]
-        lines.extend(f"  {kind}" for kind in zoo.PROBLEM_KINDS)
-        lines.append("estimator kinds:")
-        lines.extend(f"  {kind}" for kind in zoo.ESTIMATOR_KINDS)
-        _emit(args.out, ("", ("\n".join(lines) + "\n",)))
-        return EXIT_OK
+def cmd_zoo_list(args: argparse.Namespace) -> int:
+    lines = ["problem kinds:", *(f"  {kind}" for kind in zoo.PROBLEM_KINDS),
+             "estimator kinds:", *(f"  {kind}" for kind in zoo.ESTIMATOR_KINDS)]
+    _emit(args.out, ("", ("\n".join(lines) + "\n",)))
+    return EXIT_OK
+
+
+def cmd_zoo_run(args: argparse.Namespace) -> int:
     estimators, source, _ = _input(args)
     for est in estimators:  # every check and fit runs before the first row is written
         if est.kind == "amplifier":  # on the raw sums alone: c·z may overflow where z does not

@@ -217,9 +217,9 @@ def accumulate(summary: MomentSummary, batch: SampleBatch, *,
     batch's CHUNK-pair blocks in order from an empty summary, as zoo.summarize does.
 
     ``compensated=True`` replaces the batch's three power sums by their correctly rounded
-    values, the ones math.fsum gives, at about 1 ms per 65536-pair chunk; the error sums Σe,
-    Σe² and Σv·e, which do not cancel the way the power sums do, and merges between
-    summaries stay plain either way.  The input summary is never modified.
+    values, the ones math.fsum gives, at about 2 ms per 65536-pair chunk against 0.3 ms
+    plain; the error sums Σe, Σe² and Σv·e, which do not cancel the way the power sums do,
+    and merges between summaries stay plain either way.  The input summary is never modified.
     Raises NonFiniteSample naming the first offending pair.
     """
     xs, vs = batch.x, batch.v

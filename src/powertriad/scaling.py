@@ -224,8 +224,8 @@ def run_path(
     projected:  gradient step, then clip |t| to the balance scale
 
     Stops at the first iterate within conv_tol·max(1,|t*|) of t* or after
-    max_steps updates, whichever comes first.  An iterate after t0 whose mse
-    overflows to inf or NaN ends the path unconverged and is not recorded.
+    max_steps updates, whichever comes first.  A t0 whose mse overflows to inf or
+    NaN is refused; a later such iterate ends the path unconverged, unrecorded.
     """
     t_star = optimal_scale(p)
     t_bal = balance_scale(p)
@@ -239,6 +239,8 @@ def run_path(
     t_prev = t
     _check_classifiable(p.ex2, balance_tol)
     steps = [step_of(0, t)]
+    if not math.isfinite(steps[0].mse):
+        raise PowerTriadError(f"the mse at t0={t!r} is not finite")
     converged = abs(t - t_star) <= threshold
     steps_to_converge = 0 if converged else controller.max_steps
     if not converged:

@@ -1014,7 +1014,7 @@ _NEED = "need --input or --problem"
     ("path", (_CONFLICT, _SPEC, _SPEC, _NEED)),
     ("track", (_CONFLICT, "unknown problem kind 'nope'", _NEED, _NEED)),
     ("map", (_CONFLICT, _SPEC, _SPEC, _NEED)),
-    ("zoo", (_CONFLICT, _SPEC, _SPEC, _NEED)),
+    ("zoo run", (_CONFLICT, _SPEC, _SPEC, _NEED)),
 ])
 def test_input_errors_keep_one_order(tmp_path, capsys, command, messages):
     """Conflict, then estimator spec, then input, for every command.
@@ -1051,52 +1051,76 @@ def test_config_format_outside_its_choices_fails(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
-COMMANDS = ("diagnose", "scale", "path", "track", "map", "zoo")
+COMMANDS = ("diagnose", "scale", "path", "track", "map", "zoo run", "zoo list")
 
 
 def _argv(command):
-    return ["zoo", "run"] if command == "zoo" else [command]
+    return command.split()
 
 
 def _options(command, capsys):
     """The long option names that ``command --help`` lists."""
     with pytest.raises(SystemExit):
-        main([command, "--help"])
+        main([*_argv(command), "--help"])
     return set(re.findall(r"^ +(?:-h, )?--([a-z][a-z-]*)", capsys.readouterr().out, re.M))
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_config_keys_are_the_command_options(tmp_path, monkeypatch, capsys, command):
-    """A config file takes exactly the command's options, less help and config."""
+    """A config file takes exactly the command's options, less help and config.
+
+    Every command but zoo list then fails for want of an input; zoo list writes its file x.
+    """
     monkeypatch.chdir(tmp_path)
     own = _options(command, capsys) - {"help", "config"}
     every = set().union(*(_options(c, capsys) for c in COMMANDS))
-    for name in sorted(every | {"action", "command", "func", "options", "volume"}):
+    for name in sorted(every | {"action", "command", "func", "options", "parser", "volume"}):
         (tmp_path / "run.cfg").write_text(f"{name} = x\n")
-        assert main([*_argv(command), "--config", "run.cfg"]) == 1  # no input given
+        code = main([*_argv(command), "--config", "run.cfg"])
         err = capsys.readouterr().err
         key = name.replace("-", "_")
         assert (err == f"error: run.cfg: unknown config key {key!r}\n") == (name not in own), err
-    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+        assert code == (0 if (command, name) == ("zoo list", "out") else 1), (name, code)
+    written = ["run.cfg", "x"] if command == "zoo list" else ["run.cfg"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
 
 
-# the argv after the command words that sets each option to a value other than its default,
-# run in a fresh directory below the one holding the inputs; a later flag overrides an earlier one
+def test_zoo_list_takes_only_out_and_config(tmp_path, capsys):
+    """zoo list refuses the source and estimator options of zoo run, as flags and as keys."""
+    with pytest.raises(SystemExit) as exc:
+        main(["zoo", "list", "--input", "/nope", "--estimator", "bogus", "--samples", "-5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    cfg = _write(tmp_path / "run.cfg", "samples = 5\n")
+    assert main(["zoo", "list", "--config", cfg]) == 1
+    assert capsys.readouterr() == ("", f"error: {cfg}: unknown config key 'samples'\n")
+
+
 _BASE = ["--problem", "gaussian_shrinkage", "--samples", "200"]
-_SETS = {
-    "input": ["--input", "../pairs.csv"],
-    "problem": [*_BASE, "--problem", "heavy_tail"],
-    "estimator": [*_BASE, "--estimator", "scale(c=0.5)"],
-    "samples": [*_BASE, "--samples", "300"],
-    "seed": [*_BASE, "--seed", "9"],
-    "balance-tol": [*_BASE, "--balance-tol", "1e9"],
-    "degeneracy-tol": [*_BASE, "--degeneracy-tol", "1e9"],
-    "controller": [*_BASE, "--controller", "../controller.cfg"],
-    "forgetting": [*_BASE, "--forgetting", "0.5"],
-    "format": [*_BASE, "--format", "csv"],
-    "out": [*_BASE, "--out", "o"],
-    "config": [*_BASE, "--config", "../run.cfg"],
-}
+
+
+def _sets(base):
+    """The argv after the command words that sets each option to a value other than its default.
+
+    Each follows the command's ``base`` argv, as a later flag overrides an earlier one, and
+    runs in a fresh directory below the one holding the inputs.
+    """
+    return {
+        "input": ["--input", "../pairs.csv"],
+        "problem": [*base, "--problem", "heavy_tail"],
+        "estimator": [*base, "--estimator", "scale(c=0.5)"],
+        "samples": [*base, "--samples", "300"],
+        "seed": [*base, "--seed", "9"],
+        "balance-tol": [*base, "--balance-tol", "1e9"],
+        "degeneracy-tol": [*base, "--degeneracy-tol", "1e9"],
+        "controller": [*base, "--controller", "../controller.cfg"],
+        "forgetting": [*base, "--forgetting", "0.5"],
+        "format": [*base, "--format", "csv"],
+        "out": [*base, "--out", "o"],
+        "config": [*base, "--config", "../run.cfg"],
+    }
+
+
 _SHARED = ("input", "problem", "samples", "seed", "out", "config")
 _OPTION_TABLE = {
     "diagnose": {*_SHARED, "estimator", "balance-tol", "degeneracy-tol"},
@@ -1104,7 +1128,8 @@ _OPTION_TABLE = {
     "path": {*_SHARED, "estimator", "balance-tol", "controller"},
     "track": {*_SHARED, "balance-tol", "forgetting"},
     "map": {*_SHARED, "estimator", "balance-tol", "format"},
-    "zoo": {*_SHARED, "estimator"},
+    "zoo run": {*_SHARED, "estimator"},
+    "zoo list": {"out", "config"},
 }
 
 
@@ -1117,7 +1142,7 @@ def test_every_option_a_command_lists_changes_what_it_does(tmp_path, monkeypatch
     """
     assert _OPTION_TABLE[command] == _options(command, capsys) - {"help"}
     _write(tmp_path / "controller.cfg", "kind = momentum\n")
-    _write(tmp_path / "run.cfg", "samples = 300\n")
+    _write(tmp_path / "run.cfg", "out = o\n" if command == "zoo list" else "samples = 300\n")
     assert main(["zoo", "run", "--problem", "heavy_tail(seed=7)", "--samples", "200",
                  "--out", str(tmp_path / "pairs.csv")]) == 0
 
@@ -1129,29 +1154,34 @@ def test_every_option_a_command_lists_changes_what_it_does(tmp_path, monkeypatch
         assert code in (0, 3) and captured.err == "", (argv, code, captured.err)
         return code, captured.out, {p.name: p.read_bytes() for p in pathlib.Path().iterdir()}
 
-    base = run(_BASE, "base")
+    argv = [] if command == "zoo list" else _BASE
+    base = run(argv, "base")
     for option in sorted(_OPTION_TABLE[command]):
-        assert run(_SETS[option], option) != base, option
+        assert run(_sets(argv)[option], option) != base, option
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_config_values_are_checked_as_their_flags(tmp_path, monkeypatch, capsys, command):
-    """A config value is refused with 'bad value for' exactly when its flag refuses it."""
+    """A config value is refused with 'bad value for' exactly when its flag refuses it.
+
+    A value its flag takes exits as the flag does: 1 for want of an input, or 0 on zoo list.
+    """
     monkeypatch.chdir(tmp_path)
     for name in sorted(_options(command, capsys) - {"help", "config"}):
         for value in ("x", "1.5", "yaml", "json", "csv"):
             try:
-                flag_ok = main([*_argv(command), f"--{name}", value]) == 1  # no input given
+                flag_code = main([*_argv(command), f"--{name}", value])
             except SystemExit as exc:
                 assert exc.code == 2
-                flag_ok = False
+                flag_code = None
             capsys.readouterr()
             (tmp_path / "run.cfg").write_text(f"{name} = {value}\n")
-            assert main([*_argv(command), "--config", "run.cfg"]) == 1
+            code = main([*_argv(command), "--config", "run.cfg"])
             err = capsys.readouterr().err
             key = name.replace("-", "_")
             bad = f"error: run.cfg: bad value for {key!r}: {value!r}\n"
-            assert (err == bad) == (not flag_ok), (name, value, err)
+            assert (err == bad) == (flag_code is None), (name, value, err)
+            assert code == (1 if flag_code is None else flag_code), (name, value, code)
 
 
 @pytest.mark.parametrize("argv", [
@@ -1178,12 +1208,11 @@ def test_a_tolerance_is_an_option_only_where_it_is_read(capsys, argv):
     assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, key", [("scale", "balance_tol"), ("zoo", "balance_tol"),
+@pytest.mark.parametrize("command, key", [("scale", "balance_tol"), ("zoo run", "balance_tol"),
                                           ("track", "degeneracy_tol")])
 def test_a_shared_tolerance_key_is_unknown_where_it_is_not_read(tmp_path, capsys, command, key):
     cfg = _write(tmp_path / "run.cfg", f"{key} = 0.1\n")
-    argv = ["zoo", "run"] if command == "zoo" else [command]
-    assert main([*argv, "--problem", "gaussian_shrinkage", "--samples", "10",
+    assert main([*_argv(command), "--problem", "gaussian_shrinkage", "--samples", "10",
                  "--config", cfg]) == 1
     assert capsys.readouterr().err == f"error: {cfg}: unknown config key {key!r}\n"
 
@@ -1218,6 +1247,17 @@ def test_non_finite_spec_numbers_exit_one(tmp_path, capsys):
                  "--controller", controller]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: t0 must be finite\n"
+
+
+@pytest.mark.parametrize("t0, text", [("1e308", "1e+308"), ("1e200", "1e+200")])
+def test_path_refuses_a_t0_whose_mse_is_not_finite(tmp_path, capsys, t0, text):
+    """t0 = 1e308 gives a NaN mse and 1e200 an inf one; neither is written as an iterate."""
+    controller = _write(tmp_path / "controller.cfg", f"t0 = {t0}\n")
+    for out in ([], ["--out", str(tmp_path / "trace")]):
+        assert main(["path", "--problem", "gaussian_shrinkage", "--samples", "100",
+                     "--controller", controller, *out]) == 1
+        assert capsys.readouterr() == ("", f"error: the mse at t0={text} is not finite\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["controller.cfg"]
 
 
 @pytest.mark.filterwarnings("error")  # a RuntimeWarning would escape main

@@ -272,6 +272,13 @@ def test_a_diverging_path_is_traced_not_refused():
     assert not trace.converged and trace.forbidden_steps > 0
 
 
+@pytest.mark.parametrize("t0", [1e200, 1e308, -1e308])
+def test_a_t0_whose_mse_is_not_finite_is_refused(t0):
+    # 1e200 and -1e308 give an inf mse and 1e308 a NaN one; none may be iterate 0
+    with pytest.raises(PowerTriadError, match=r"the mse at t0=.* is not finite"):
+        run_path(ScalingProblem(ex2=1.0, ez2=1.0, exz=0.5), ControllerConfig(t0=t0))
+
+
 def test_controller_config_defaults_and_errors(tmp_path):
     assert parse_controller_config("") == ControllerConfig()
     with pytest.raises(ValueError, match="unknown controller key"):
